@@ -75,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit an extremal set a0..a7")
     p.add_argument("which", choices=[f"a{i}" for i in range(8)])
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.add_argument("--decimal", type=int, default=None)
+    common(p, with_set=False)
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("forbidden", help="forbidden region of a set")
@@ -103,8 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True, help="max component count")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--iters", type=int, default=40000)
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.add_argument("--decimal", type=int, default=None)
+    common(p, with_set=False)
     p.set_defaults(handler=_cmd_optimize)
 
     p = sub.add_parser("discrete", help="integer-set searches")
@@ -114,22 +112,19 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("-k", type=int, default=3)
     pm.add_argument("--all", action="store_true", help="list extremal sets")
     pm.add_argument("--budget", type=int, default=None)
-    pm.add_argument("--format", choices=("text", "records"), default="text")
-    pm.add_argument("--decimal", type=int, default=None)
+    common(pm, with_set=False)
     pm.set_defaults(handler=_cmd_discrete_max)
 
     p = sub.add_parser("gen", help="seeded random 3-sum-free set")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--components", type=int, default=4)
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.add_argument("--decimal", type=int, default=None)
+    common(p, with_set=False)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("density", help="desk-scale ratio vs asymptotic density")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.add_argument("--decimal", type=int, default=None)
+    common(p, with_set=False)
     p.set_defaults(handler=_cmd_density)
 
     return parser

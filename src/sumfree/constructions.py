@@ -20,6 +20,7 @@ A4 = 100, A5 = 101, A6 = 110, A7 = 111.
 
 from __future__ import annotations
 
+import functools
 import logging
 import random
 
@@ -73,10 +74,12 @@ def endpoint_combination(bits: int) -> IntervalSet:
     return out
 
 
+@functools.cache
 def construct_extremal(i: int) -> IntervalSet:
     """The i-th extremal set: A0 for i = 0, the augmented family for 1..7.
 
-    Every returned set is re-checked to be 3-sum-free.
+    Every set is checked to be 3-sum-free when first built; it is then
+    cached, which is safe because an ``IntervalSet`` is immutable.
     """
     if not 0 <= i <= 7:
         raise ValueError(f"extremal index must be in 0..7, got {i}")

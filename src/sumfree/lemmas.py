@@ -6,14 +6,15 @@ are theorems, so a failing verdict on a genuinely 3-sum-free input
 means an implementation bug (or a falsified theorem) and the caller is
 expected to treat it as fatal.
 
-Every checker of a single set requires a 3-sum-free input.  A set that
-is not 3-sum-free is rejected with ``NotSumFreeError``, a
-``PreconditionError`` that carries the violating triple as its
-``witness``.
-
-Checkers that assume sup(A) = 1 reject other inputs by default; pass
-``rescale=True`` to have them work on (1/sup A) * A instead, which is
-flagged in the aggregate report.
+Every checker of a single set requires a 3-sum-free input with
+sup(A) = 1, and ``LemmaContext.from_set`` is the one place that checks
+it.  A set that is not 3-sum-free raises ``NotSumFreeError``, a
+``PreconditionError`` whose ``witness`` is a violating triple of the
+caller's set.  Pass ``rescale=True`` to work on (1/sup A) * A instead,
+which is flagged in the aggregate report.  Each single-set checker takes
+a plain set, which it validates, or a ``LemmaContext``, which it uses as
+it is: ``lemma_report`` and the tracer validate a set once and hand the
+context to every checker.
 
 Notation used throughout (all exact rationals):
 
@@ -75,24 +76,46 @@ class CheckRecord:
 
 @dataclass(frozen=True)
 class LemmaContext:
-    """The standard quantities a, A1, eps1, eps2 of a set with sup = 1."""
+    """A checked set S with sup 1, and the quantities every checker reads.
+
+    ``from_set`` runs the shared checks in this order: A is nonempty; A
+    itself is 3-sum-free, else ``NotSumFreeError`` with a witness in A;
+    sup A = 1, or with ``rescale=True`` S is (1/sup A) * A, flagged by
+    ``rescaled``.  a, A1, eps1 and eps2 are those of S, ``measure`` is
+    mu(S) and ``tail`` the tail mass mu(S & [2/9 + a/3, 1]).
+    """
 
     a: Rational
     A1: IntervalSet
     eps1: Rational
     eps2: Rational
+    S: IntervalSet
+    rescaled: bool
+    measure: Rational
+    tail: Rational
 
     @classmethod
-    def from_set(cls, A: IntervalSet) -> "LemmaContext":
+    def from_set(cls, A: IntervalSet, rescale: bool = False) -> "LemmaContext":
         if A.is_empty:
-            raise PreconditionError("context of the empty set is undefined")
-        if A.sup() != 1:
-            raise PreconditionError(f"context requires sup(A) = 1, got {A.sup()}")
+            raise PreconditionError("checker requires a nonempty set")
+        ok, witness = is_k_sum_free(A, 3)
+        if not ok:
+            raise NotSumFreeError(witness)
+        s = A.sup()
+        if s != 1:
+            if not rescale:
+                raise PreconditionError(
+                    f"checker requires sup(A) = 1, got {s} (pass rescale=True)")
+            if s <= 0:
+                raise PreconditionError("cannot rescale a set with sup <= 0")
+            A = A.dilate(1 / s)
         A1 = A.intersect(window(_TWO_THIRDS, rational(1)))
         inf_A1 = rational(1) if A1.is_empty else A1.inf()
         eps1 = inf_A1 - _TWO_THIRDS
         eps2 = (_THIRD - eps1) - A1.measure()
-        return cls(A.inf(), A1, eps1, eps2)
+        a = A.inf()
+        tail = A.intersect(window(tail_cut(a), 1)).measure()
+        return cls(a, A1, eps1, eps2, A, s != 1, A.measure(), tail)
 
 
 def window(lo, hi) -> IntervalSet:
@@ -108,23 +131,8 @@ def tail_cut(a) -> Rational:
     return rational(2, 9) + rational(a) / 3
 
 
-def _require_sum_free(A: IntervalSet) -> None:
-    ok, witness = is_k_sum_free(A, 3)
-    if not ok:
-        raise NotSumFreeError(witness)
-
-
-def _rescaled(A: IntervalSet, rescale: bool) -> tuple[IntervalSet, bool]:
-    if A.is_empty:
-        raise PreconditionError("checker requires a nonempty set")
-    s = A.sup()
-    if s == 1:
-        return A, False
-    if not rescale:
-        raise PreconditionError(f"checker requires sup(A) = 1, got {s} (pass rescale=True)")
-    if s <= 0:
-        raise PreconditionError("cannot rescale a set with sup <= 0")
-    return A.dilate(1 / s), True
+def _context(A: IntervalSet | LemmaContext, rescale: bool) -> LemmaContext:
+    return A if isinstance(A, LemmaContext) else LemmaContext.from_set(A, rescale)
 
 
 class ExtentBound(NamedTuple):
@@ -132,13 +140,20 @@ class ExtentBound(NamedTuple):
     passed: bool
 
 
-def check_extent_bound(A: IntervalSet) -> ExtentBound:
-    """mu(A) <= (2 sup A - inf A) / 4 for bounded 3-sum-free A in R+."""
-    if A.is_empty:
-        raise PreconditionError("extent bound requires a nonempty set")
-    if A.inf() < 0:
-        raise PreconditionError("extent bound requires A inside [0, +inf)")
-    _require_sum_free(A)
+def check_extent_bound(A: IntervalSet | LemmaContext) -> ExtentBound:
+    """mu(A) <= (2 sup A - inf A) / 4 for bounded 3-sum-free A in R+.
+
+    A plain set may have any sup: it is validated with rescaling, as the
+    inequality is scale-free, and bounded as given.
+    """
+    if isinstance(A, LemmaContext):
+        A = A.S
+    else:
+        if A.is_empty:
+            raise PreconditionError("extent bound requires a nonempty set")
+        if A.inf() < 0:
+            raise PreconditionError("extent bound requires A inside [0, +inf)")
+        LemmaContext.from_set(A, rescale=True)
     bound = (2 * A.sup() - A.inf()) / 4
     return ExtentBound(bound, A.measure() <= bound)
 
@@ -148,12 +163,11 @@ class TopWindowBound(NamedTuple):
     passed: bool
 
 
-def check_top_window_bound(A: IntervalSet, rescale: bool = False) -> TopWindowBound:
+def check_top_window_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> TopWindowBound:
     """mu(A) <= 1/3 + mu(A & [2/3,1]) / 2 for 3-sum-free A with sup = 1."""
-    A, _ = _rescaled(A, rescale)
-    _require_sum_free(A)
-    bound = _THIRD + A.intersect(window(_TWO_THIRDS, 1)).measure() / 2
-    return TopWindowBound(bound, A.measure() <= bound)
+    ctx = _context(A, rescale)
+    bound = _THIRD + ctx.A1.measure() / 2
+    return TopWindowBound(bound, ctx.measure <= bound)
 
 
 class TailBound(NamedTuple):
@@ -163,24 +177,21 @@ class TailBound(NamedTuple):
     branch: Optional[str]
 
 
-def check_tail_bound(A: IntervalSet, rescale: bool = False) -> TailBound:
+def check_tail_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> TailBound:
     """Piecewise bound on the tail mass mu(A & [2/9 + a/3, 1]).
 
     Applicable when eps1 + 2*eps2 <= 1/3.  The bound is
     1/3 - eps1/6 when eps1 <= 2a/3 (branch "small-eps1"), and
     1/3 - (eps1 - 2a/3)/24 otherwise (branch "large-eps1").
     """
-    A, _ = _rescaled(A, rescale)
-    _require_sum_free(A)
-    ctx = LemmaContext.from_set(A)
+    ctx = _context(A, rescale)
     if ctx.eps1 + 2 * ctx.eps2 > _THIRD:
         return TailBound(False, None, None, None)
     if ctx.eps1 <= 2 * ctx.a / 3:
         branch, bound = "small-eps1", _THIRD - ctx.eps1 / 6
     else:
         branch, bound = "large-eps1", _THIRD - (ctx.eps1 - 2 * ctx.a / 3) / 24
-    tail = A.intersect(window(tail_cut(ctx.a), 1)).measure()
-    return TailBound(True, bound, tail <= bound, branch)
+    return TailBound(True, bound, ctx.tail <= bound, branch)
 
 
 class TailEquality(NamedTuple):
@@ -188,7 +199,7 @@ class TailEquality(NamedTuple):
     eps_zero: Optional[bool]
 
 
-def check_tail_equality(A: IntervalSet, rescale: bool = False) -> TailEquality:
+def check_tail_equality(A: IntervalSet | LemmaContext, rescale: bool = False) -> TailEquality:
     """Tail mass exactly 1/3 forces eps1 = eps2 = 0.
 
     Rejects inf A <= 0, which for a 3-sum-free finite union means a set
@@ -198,15 +209,12 @@ def check_tail_equality(A: IntervalSet, rescale: bool = False) -> TailEquality:
     A verdict of (triggered=True, eps_zero=False) would falsify the
     rigidity statement; the suite treats it as fatal.
     """
-    A, _ = _rescaled(A, rescale)
-    _require_sum_free(A)
-    ctx = LemmaContext.from_set(A)
+    ctx = _context(A, rescale)
     if ctx.a <= 0:
         raise PreconditionError(f"tail equality requires inf A > 0, got {ctx.a}")
     if ctx.eps1 + 2 * ctx.eps2 > _THIRD:
         raise PreconditionError("tail equality requires eps1 + 2*eps2 <= 1/3")
-    tail = A.intersect(window(tail_cut(ctx.a), 1)).measure()
-    if tail != _THIRD:
+    if ctx.tail != _THIRD:
         return TailEquality(False, None)
     return TailEquality(True, ctx.eps1 == 0 and ctx.eps2 == 0)
 
@@ -216,14 +224,12 @@ class DenseTailBound(NamedTuple):
     passed: Optional[bool]
 
 
-def check_dense_tail_bound(A: IntervalSet, rescale: bool = False) -> DenseTailBound:
+def check_dense_tail_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> DenseTailBound:
     """mu(A) >= 5/12 implies tail mass mu(A & [a/3 + 2/9, 1]) <= 1/3."""
-    A, _ = _rescaled(A, rescale)
-    _require_sum_free(A)
-    if A.measure() < rational(5, 12):
+    ctx = _context(A, rescale)
+    if ctx.measure < rational(5, 12):
         return DenseTailBound(False, None)
-    tail = A.intersect(window(tail_cut(A.inf()), 1)).measure()
-    return DenseTailBound(True, tail <= _THIRD)
+    return DenseTailBound(True, ctx.tail <= _THIRD)
 
 
 def check_superadditivity(A: IntervalSet, B: IntervalSet) -> CheckRecord:
@@ -271,32 +277,30 @@ class LemmaReport:
 def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
     """Run every applicable inequality check on one 3-sum-free set.
 
-    Rejects sets that are not 3-sum-free (with the witness), empty, or
-    not inside [0, +inf).
+    Rejects sets that are empty, not inside [0, +inf), or not 3-sum-free
+    (with the witness).  The set is validated once, into the context
+    every checker is given.
     """
     if A.is_empty:
         raise PreconditionError("lemma report requires a nonempty set")
     if A.inf() < 0:
         raise PreconditionError("lemma report requires A inside [0, +inf)")
-    _require_sum_free(A)
-    S, was_rescaled = _rescaled(A, rescale)
-    ctx = LemmaContext.from_set(S)
+    ctx = LemmaContext.from_set(A, rescale)
     records = []
 
-    extent = check_extent_bound(S)
-    records.append(CheckRecord("extent-bound", S.measure(), extent.bound, extent.passed))
+    extent = check_extent_bound(ctx)
+    records.append(CheckRecord("extent-bound", ctx.measure, extent.bound, extent.passed))
 
-    top = check_top_window_bound(S)
-    records.append(CheckRecord("top-window-bound", S.measure(), top.bound, top.passed))
+    top = check_top_window_bound(ctx)
+    records.append(CheckRecord("top-window-bound", ctx.measure, top.bound, top.passed))
 
-    tail = check_tail_bound(S)
+    tail = check_tail_bound(ctx)
     if tail.applicable:
-        tail_mass = S.intersect(window(tail_cut(ctx.a), 1)).measure()
         records.append(
-            CheckRecord(f"tail-bound[{tail.branch}]", tail_mass, tail.bound, tail.passed)
+            CheckRecord(f"tail-bound[{tail.branch}]", ctx.tail, tail.bound, tail.passed)
         )
         # a > 0 here: inf A >= 0 was checked and a 3-sum-free set misses 0
-        eq = check_tail_equality(S)
+        eq = check_tail_equality(ctx)
         if eq.triggered:
             records.append(
                 CheckRecord(
@@ -308,15 +312,14 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
                 )
             )
 
-    dense = check_dense_tail_bound(S)
+    dense = check_dense_tail_bound(ctx)
     if dense.applicable:
-        tail_mass = S.intersect(window(tail_cut(ctx.a), 1)).measure()
         records.append(
-            CheckRecord("dense-tail-bound", tail_mass, _THIRD, bool(dense.passed),
+            CheckRecord("dense-tail-bound", ctx.tail, _THIRD, bool(dense.passed),
                         note="mu(A) >= 5/12")
         )
 
-    comps = [IntervalSet([c]) for c in S.components]
+    comps = [IntervalSet([c]) for c in ctx.S.components]
     for i in range(len(comps)):
         for j in range(i, len(comps)):
             rec = check_sumset_min_bound(comps[i], comps[j])
@@ -324,4 +327,4 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
                 CheckRecord(f"sumset-min-bound({i},{j})", rec.lhs, rec.rhs, rec.passed)
             )
 
-    return LemmaReport(A, S, was_rescaled, ctx, records)
+    return LemmaReport(A, ctx.S, ctx.rescaled, ctx, records)

@@ -41,12 +41,11 @@ from .lemmas import (
     CheckRecord,
     LemmaContext,
     PreconditionError,
-    _rescaled,
-    _require_sum_free,
     check_tail_bound,
     tail_cut,
     window,
 )
+from .predicates import NotSumFreeError, is_k_sum_free
 from .rationals import MAX_MEASURE, Rational, rational
 
 __all__ = ["TraceCase", "ProofTrace", "trace_measure_bound",
@@ -104,15 +103,15 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     """Certify mu(A) <= 77/177 on a concrete 3-sum-free set with sup = 1.
 
     Pass ``rescale=True`` to work on (1/sup A)*A when sup differs from 1.
+    A is validated once, into one context; the head (1/r)*R gets its own.
     """
-    S, was_rescaled = _rescaled(A, rescale)
-    if S.inf() < 0:
+    if not A.is_empty and A.inf() < 0:
         raise PreconditionError("trace requires A inside [0, 1]")
-    _require_sum_free(S)
-    mu = S.measure()
+    ctx = LemmaContext.from_set(A, rescale)
+    S, mu = ctx.S, ctx.measure
 
     if mu < _DENSE_THRESHOLD:
-        t = ProofTrace(A, S, was_rescaled, mu, TraceCase.EARLY_EXIT)
+        t = ProofTrace(A, S, ctx.rescaled, mu, TraceCase.EARLY_EXIT)
         t.verdicts.append(CheckRecord("below-dense-threshold", mu, _DENSE_THRESHOLD,
                                       mu < _DENSE_THRESHOLD, note="strict"))
         t.verdicts.append(CheckRecord("threshold-vs-ceiling", _DENSE_THRESHOLD,
@@ -120,17 +119,15 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
         t.final_bound = _DENSE_THRESHOLD
         return t
 
-    ctx = LemmaContext.from_set(S)
-    a = ctx.a
+    a, tail = ctx.a, ctx.tail
     cut = tail_cut(a)
-    tail = S.intersect(window(cut, 1)).measure()
     bounds = [MAX_MEASURE]
     verdicts = []
 
-    internal = _window_sets(S, ctx)
+    internal = _window_sets(ctx)
     verdicts.extend(_window_verdicts(internal, ctx))
 
-    tb = check_tail_bound(S)
+    tb = check_tail_bound(ctx)
     if tb.applicable:
         verdicts.append(CheckRecord(f"tail-bound[{tb.branch}]", tail, tb.bound,
                                     bool(tb.passed)))
@@ -145,7 +142,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     bounds.append(_THIRD + muR)
 
     if muR == 0:
-        t = ProofTrace(A, S, was_rescaled, mu, TraceCase.DEGENERATE_R_EMPTY, ctx, R,
+        t = ProofTrace(A, S, ctx.rescaled, mu, TraceCase.DEGENERATE_R_EMPTY, ctx, R,
                        internal_sets=internal, verdicts=verdicts)
         bounds.append(_THIRD)
         verdicts.append(CheckRecord("massless-head", mu, _THIRD, mu <= _THIRD))
@@ -155,32 +152,31 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
         return t
 
     r = R.sup()
-    Rp = R.dilate(1 / r)
-    ctx_r = LemmaContext.from_set(Rp)
+    ctx_r = LemmaContext.from_set(R, rescale=True)  # the head (1/r)*R
     eta1, eta2 = ctx_r.eps1, ctx_r.eps2
 
     if eta1 + 2 * eta2 <= _THIRD:
-        case, extra, final_extra = _case1(S, ctx, R, muR, r, Rp, a)
+        R0 = R.intersect(window(a, 2 * r / 9 + a / 3))
+        case, extra, final_extra = _case1(ctx, ctx_r, muR, r, R0)
     else:
-        case, extra, final_extra = _case2(S, ctx, R, muR, r, a)
+        case, extra, final_extra = _case2(ctx, muR, r)
     verdicts.extend(extra)
     bounds.extend(final_extra)
 
-    t = ProofTrace(A, S, was_rescaled, mu, case, ctx, R, r,
+    t = ProofTrace(A, S, ctx.rescaled, mu, case, ctx, R, r,
                    internal_sets=internal, verdicts=verdicts,
                    eta1=eta1, eta2=eta2)
     if case is TraceCase.CASE1_R0_NONEMPTY:
-        t.R0 = S.intersect(window(a, 2 * r / 9 + a / 3)).intersect(R)
-        t.b = t.R0.sup()
+        t.R0, t.b = R0, R0.sup()
     t.final_bound = min(bounds)
     t.verdicts.append(CheckRecord("final-vs-ceiling", t.final_bound, MAX_MEASURE,
                                   t.final_bound <= MAX_MEASURE))
     return t
 
 
-def _window_sets(S: IntervalSet, ctx: LemmaContext) -> dict:
+def _window_sets(ctx: LemmaContext) -> dict:
     """The five auxiliary windows used to bound the middle of the set."""
-    a, e1 = ctx.a, ctx.eps1
+    S, a, e1 = ctx.S, ctx.a, ctx.eps1
     return {
         "A_2/3": S.intersect(window(rational(4, 9) + 2 * e1 / 3, rational(2, 3))),
         "A_4/9": S.intersect(window(_THIRD + e1 / 2, rational(4, 9) + e1 / 6)),
@@ -215,15 +211,14 @@ def _window_verdicts(internal: dict, ctx: LemmaContext) -> list:
     return out
 
 
-def _case1(S, ctx, R, muR, r, Rp, a):
+def _case1(ctx, ctx_r, muR, r, R0):
     """eta1 + 2*eta2 <= 1/3: recurse the tail bound into the head."""
+    a, mu = ctx.a, ctx.measure
     verdicts = []
     bounds = []
-    tb = check_tail_bound(Rp)
-    tail_p = Rp.intersect(window(tail_cut(Rp.inf()), 1)).measure()
-    verdicts.append(CheckRecord(f"head-tail-bound[{tb.branch}]", tail_p, tb.bound,
+    tb = check_tail_bound(ctx_r)
+    verdicts.append(CheckRecord(f"head-tail-bound[{tb.branch}]", ctx_r.tail, tb.bound,
                                 bool(tb.passed), note="on (1/r)*R"))
-    R0 = R.intersect(window(a, 2 * r / 9 + a / 3))
     muR0 = R0.measure()
     verdicts.append(CheckRecord("head-split-again", muR, r / 3 + muR0,
                                 muR <= r / 3 + muR0))
@@ -249,8 +244,8 @@ def _case1(S, ctx, R, muR, r, Rp, a):
     combined = min(4 * r / 9 - a / 12, 5 * r / 9 - 2 * a / 3)
     verdicts.append(CheckRecord("head-combined", muR, combined, muR <= combined))
     linear = min(rational(8, 81) + 7 * a / 108, rational(10, 81) - 13 * a / 27)
-    verdicts.append(CheckRecord("measure-linear", S.measure(), _THIRD + linear,
-                                S.measure() <= _THIRD + linear))
+    verdicts.append(CheckRecord("measure-linear", mu, _THIRD + linear,
+                                mu <= _THIRD + linear))
     verdicts.append(CheckRecord("linear-vs-ceiling", _THIRD + linear, MAX_MEASURE,
                                 _THIRD + linear <= MAX_MEASURE,
                                 note="equality only at a = 8/177"))
@@ -258,8 +253,9 @@ def _case1(S, ctx, R, muR, r, Rp, a):
     return TraceCase.CASE1_R0_NONEMPTY, verdicts, bounds
 
 
-def _case2(S, ctx, R, muR, r, a):
+def _case2(ctx, muR, r):
     """eta1 + 2*eta2 > 1/3: the head is sparse enough to bound directly."""
+    a, mu = ctx.a, ctx.measure
     verdicts = []
     bounds = []
     top = 5 * r / 12
@@ -272,8 +268,8 @@ def _case2(S, ctx, R, muR, r, a):
         max(rational(1, 9) - a / 3, rational(2, 27) - a / 18),
         rational(5, 54) + 5 * a / 36,
     )
-    verdicts.append(CheckRecord("measure-linear", S.measure(), _THIRD + linear,
-                                S.measure() <= _THIRD + linear))
+    verdicts.append(CheckRecord("measure-linear", mu, _THIRD + linear,
+                                mu <= _THIRD + linear))
     if a < rational(2, 15):
         const = rational(22, 51)
         note = "a < 2/15"
@@ -316,7 +312,9 @@ def check_extremal_containment(A: IntervalSet) -> ContainmentReport:
     """
     if not A.is_empty and (A.inf() < 0 or A.sup() > 1):
         raise PreconditionError("containment check requires A inside [0, 1]")
-    _require_sum_free(A)
+    ok, witness = is_k_sum_free(A, 3)
+    if not ok:
+        raise NotSumFreeError(witness)
     mu = A.measure()
     if mu != MAX_MEASURE:
         return ContainmentReport(mu, False)

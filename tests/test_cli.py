@@ -20,6 +20,13 @@ class TestSumFreeViolation:
         assert capsys.readouterr().out == "sum-free\tk=3\tx=1/8,y=1/8,z=1/12\tfail\n"
 
 
+    @pytest.mark.parametrize("raw", [[], ["--raw"]], ids=["rescale", "raw"])
+    def test_trace_witness_is_in_the_input(self, raw, capsys):
+        # sup 1/2: the witness comes from the set as given, not its rescaling
+        assert run(["trace", *raw, "(0,1/8)|(1/3,1/2)"]) == CHECK_FAILED
+        assert "witness x=1/16, y=1/16, z=1/24" in capsys.readouterr().out
+
+
 class TestUsageErrors:
     def test_other_precondition_is_usage_error(self, capsys):
         assert run(["lemmas", "[-1,-1]|[1,1]"]) == USAGE_ERROR
@@ -43,3 +50,11 @@ def test_module_entry_point(monkeypatch, capsys):
         runpy.run_module("sumfree.cli", run_name="__main__")
     assert exc.value.code == CHECK_FAILED
     assert "witness" in capsys.readouterr().out
+
+
+def test_set_free_verb_takes_common_options(capsys):
+    assert run(["density", "-k", "4", "-n", "20", "--format", "records", "--decimal", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "search-ratio\t3/5 ~0.600\t-\tpass\n"
+        "asymptotic-density\t63/110 ~0.573\t-\tpass\n"
+    )

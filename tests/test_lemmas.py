@@ -228,6 +228,28 @@ class TestErrorContract:
         assert isinstance(err.value, ValueError)
         assert err.value.witness.holds_in(s)
 
+    SUP_HALF = "(0,1/8)|(1/3,1/2)"  # 1/16 + 1/16 = 3 * 1/24, sup 1/2
+
+    @pytest.mark.parametrize("rescale", [False, True])
+    @pytest.mark.parametrize(
+        "checker",
+        [
+            check_top_window_bound,
+            check_tail_bound,
+            check_tail_equality,
+            check_dense_tail_bound,
+            lemma_report,
+            trace_measure_bound,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_witness_in_input_when_sup_not_one(self, checker, rescale):
+        # sum-freeness is checked before the sup, on the set as given
+        s = S(self.SUP_HALF)
+        with pytest.raises(NotSumFreeError) as err:
+            checker(s, rescale=rescale)
+        assert err.value.witness.holds_in(s)
+
     def test_one_precondition_error(self):
         assert issubclass(NotSumFreeError, PreconditionError)
         assert sumfree.PreconditionError is sumfree.lemmas.PreconditionError

@@ -1,6 +1,7 @@
 import pytest
 
-from sumfree.constructions import construct_extremal, extremal_base
+import sumfree.lemmas
+from sumfree.constructions import construct_extremal, extremal_base, random_sum_free
 from sumfree.lemmas import lemma_report
 from sumfree.rationals import MAX_MEASURE
 from sumfree.trace import TraceCase, trace_measure_bound
@@ -57,3 +58,34 @@ class TestPinnedVerdicts:
         assert len(t.verdicts) == 16 and t.all_passed
         rep = lemma_report(A)
         assert len(rep.records) == 11 and rep.all_passed
+
+
+class TestValidateOnce:
+    """A set is checked for 3-sum-freeness once per report or trace."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        real = sumfree.lemmas.is_k_sum_free
+
+        def counting(A, k):
+            calls.append(A)
+            return real(A, k)
+
+        monkeypatch.setattr(sumfree.lemmas, "is_k_sum_free", counting)
+        return calls
+
+    def test_extremal_set(self, checks):
+        lemma_report(extremal_base())
+        assert len(checks) == 1
+        t = trace_measure_bound(extremal_base())
+        assert t.case is TraceCase.CASE1_R0_NONEMPTY
+        assert len(checks) == 3  # the set, then the head (1/r)*R
+
+    def test_generated_set(self, checks):
+        A = random_sum_free(1, 4)
+        lemma_report(A)
+        assert len(checks) == 1
+        t = trace_measure_bound(A, rescale=True)
+        assert t.case is TraceCase.EARLY_EXIT
+        assert len(checks) == 2
