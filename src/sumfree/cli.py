@@ -279,7 +279,7 @@ def _cmd_discrete_max(args, stdin) -> int:
     else:
         print(f"n={result.n} k={result.k}: max size {result.max_size}, "
               f"{result.extremal_count} extremal set(s), "
-              f"{result.nodes_explored} nodes [{result.backend} kernel]")
+              f"{result.nodes_explored} nodes")
     if args.all and result.extremal_sets:
         for s in result.extremal_sets:
             print(s)

@@ -18,8 +18,6 @@ plus remaining unforbidden candidates cannot tie the incumbent.
 The naive searcher shares none of that machinery: it walks the full
 include/exclude tree, testing each inclusion directly, and serves as
 the oracle for the pruned search.
-
-This module mirrors the compiled kernel exactly; see _kernel.pyx.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Exact search for maximum k-sum-free subsets of {1..n}.
 
-The heavy lifting happens in a bitmask kernel: a compiled extension
-when available, otherwise a pure-Python twin with identical semantics.
-The backend is chosen once at import; set ``SUMFREE_PURE_KERNEL=1`` to
-force the pure one.  Results never depend on the backend.
+The heavy lifting happens in the pure-Python bitmask kernel
+(``_kernel_py``): a pruned branch-and-bound, and an unpruned naive
+search that serves as its oracle.
 
 Searches are exhaustive with a guaranteed-correct answer, so they are
 gated by a size budget and refuse loudly beyond it rather than degrade
@@ -12,25 +11,12 @@ into heuristics.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 from ..intervals import IntervalSet
 from ..rationals import Rational, rational
 from . import _kernel_py
-
-if os.environ.get("SUMFREE_PURE_KERNEL", "") == "1":
-    _kernel = _kernel_py
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        _kernel = _kernel_py
-        KERNEL_BACKEND = "python"
 
 __all__ = [
     "IntSet",
@@ -48,6 +34,8 @@ __all__ = [
     "density_report",
 ]
 
+#: name of the integer kernel in use, recorded by benchmark runs
+KERNEL_BACKEND = "python"
 #: largest n the pruned search accepts by default
 DEFAULT_BUDGET = 34
 #: largest n the unpruned oracle accepts by default
@@ -110,7 +98,6 @@ class SearchResult:
     extremal_count: int
     extremal_sets: Optional[tuple]
     nodes_explored: int
-    backend: str = KERNEL_BACKEND
 
 
 @dataclass(frozen=True)
@@ -164,8 +151,7 @@ def max_k_sum_free(n: int, k: int, enumerate_sets: bool = False,
         raise ValueError("k must be >= 1")
     if n > budget:
         raise BudgetError(n, budget)
-    kern = _kernel if n <= getattr(_kernel, "MAX_N", n) else _kernel_py
-    best, count, masks, nodes = kern.search(n, k, enumerate_sets, cap)
+    best, count, masks, nodes = _kernel_py.search(n, k, enumerate_sets, cap)
     sets = tuple(IntSet.from_mask(m, n) for m in masks) if enumerate_sets else None
     return SearchResult(n, k, best, count, sets, nodes)
 
@@ -176,8 +162,7 @@ def max_k_sum_free_naive(n: int, k: int, budget: int = NAIVE_BUDGET):
         raise ValueError("n must be >= 1")
     if n > budget:
         raise BudgetError(n, budget)
-    kern = _kernel if n <= getattr(_kernel, "MAX_N", n) else _kernel_py
-    return kern.search_naive(n, k)
+    return _kernel_py.search_naive(n, k)
 
 
 def discretize(A: IntervalSet, n: int) -> IntSet:

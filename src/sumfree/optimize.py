@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intervals import Interval, IntervalSet
 from .predicates import forbidden_region, is_k_sum_free
@@ -391,10 +390,8 @@ def _bracket_candidates(lo_t, hi_t, c, side):
     seen = set()
     vals = []
     for probe in (v_infe, (v_feas + v_infe) / 2):
-        f = Fraction(int(probe.numerator), int(probe.denominator))
         for d in _SNAP_DENS:
-            cand = f.limit_denominator(d)
-            r = rational(cand.numerator, cand.denominator)
+            r = probe.limit_denominator(d)
             t = base - r if side == "lo" else r - base
             if lo_t < t <= hi_t and t not in seen:
                 seen.add(t)
@@ -443,11 +440,9 @@ def _snap(S: IntervalSet, m: int, denominators: tuple, tol=None) -> IntervalSet:
 
 def _approximants(v, denominators):
     """Simple rationals near v, best approximations first."""
-    f = Fraction(int(v.numerator), int(v.denominator))
     out = []
     for d in denominators:
-        c = f.limit_denominator(d)
-        r = rational(c.numerator, c.denominator)
+        r = v.limit_denominator(d)
         if r not in out:
             out.append(r)
     return out

@@ -1,55 +1,25 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
-Every number in this package is an exact fraction; no floating point is
-used anywhere in the core algebra.  We prefer gmpy2's mpq (GMP-backed,
-roughly an order of magnitude faster) and fall back to the stdlib
-fractions.Fraction, which implements identical semantics.  Both types
-canonicalize to lowest terms with a positive denominator and print as
-``p/q`` (or ``p`` when the denominator is 1), which is the canonical
-text form used throughout.
-
-Set ``SUMFREE_RATIONAL=fractions`` to force the stdlib backend.
+Every number in this package is an exact ``fractions.Fraction``; no
+floating point is used anywhere in the core algebra.  A fraction is
+kept in lowest terms with a positive denominator and prints as ``p/q``
+(or ``p`` when the denominator is 1), which is the canonical text form
+used throughout.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-_choice = os.environ.get("SUMFREE_RATIONAL", "").strip().lower()
+#: name of the rational type in use, recorded by benchmark runs
+RATIONAL_BACKEND = "fractions"
 
-if _choice in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _make_rational
+#: the rational type (for isinstance checks)
+Rational = Fraction
 
-        RATIONAL_BACKEND = "gmpy2"
-    except ImportError:
-        if _choice == "gmpy2":
-            raise
-        _make_rational = Fraction
-        RATIONAL_BACKEND = "fractions"
-elif _choice in ("fraction", "fractions"):
-    _make_rational = Fraction
-    RATIONAL_BACKEND = "fractions"
-else:
-    raise RuntimeError(f"unknown SUMFREE_RATIONAL backend {_choice!r}")
-
-#: the concrete rational type in use (for isinstance checks)
-Rational = type(_make_rational(0))
-
-
-def rational(numerator, denominator=1):
-    """Build an exact rational, reduced to lowest terms.
-
-    Accepts ints, an existing rational, or a ``p/q`` string.
-    """
-    return _make_rational(numerator, denominator)
-
-
-ZERO = rational(0)
-ONE = rational(1)
-THIRD = rational(1, 3)
-TWO_THIRDS = rational(2, 3)
+#: build an exact rational in lowest terms from ints, a rational or a
+#: ``p/q`` string
+rational = Fraction
 
 #: the optimal measure of a 3-sum-free subset of [0,1]
 MAX_MEASURE = rational(77, 177)
@@ -57,7 +27,7 @@ MAX_MEASURE = rational(77, 177)
 
 def format_rational(value) -> str:
     """Canonical text form: ``p/q`` in lowest terms, ``p`` when q = 1."""
-    return str(_make_rational(value))
+    return str(Fraction(value))
 
 
 def to_decimal(value, places: int) -> str:
@@ -66,8 +36,8 @@ def to_decimal(value, places: int) -> str:
     """
     if places < 0:
         raise ValueError("places must be >= 0")
-    v = _make_rational(value)
-    num, den = int(v.numerator), int(v.denominator)
+    v = Fraction(value)
+    num, den = v.numerator, v.denominator
     sign = "-" if num < 0 else ""
     num = abs(num)
     scaled, rem = divmod(num * 10**places, den)

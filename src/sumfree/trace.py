@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .constructions import construct_extremal, extremal_base
+from .constructions import construct_extremal
 from .intervals import IntervalSet
 from .lemmas import (
     CheckRecord,
@@ -318,7 +318,7 @@ def check_extremal_containment(A: IntervalSet) -> ContainmentReport:
     mu = A.measure()
     if mu != MAX_MEASURE:
         return ContainmentReport(mu, False)
-    sym_zero = A.symmetric_difference(extremal_base()).measure() == 0
+    sym_zero = A.symmetric_difference(construct_extremal(0)).measure() == 0
     containers = tuple(
         i for i in range(1, 8) if A.is_subset_of(construct_extremal(i))
     )

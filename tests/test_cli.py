@@ -58,3 +58,8 @@ def test_set_free_verb_takes_common_options(capsys):
         "search-ratio\t3/5 ~0.600\t-\tpass\n"
         "asymptotic-density\t63/110 ~0.573\t-\tpass\n"
     )
+
+
+def test_discrete_max(capsys):
+    assert run(["discrete", "max", "-n", "20", "-k", "3"]) == 0
+    assert capsys.readouterr().out == "n=20 k=3: max size 10, 4 extremal set(s), 885 nodes\n"

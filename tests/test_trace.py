@@ -2,9 +2,15 @@ import pytest
 
 import sumfree.lemmas
 from sumfree.constructions import construct_extremal, extremal_base, random_sum_free
+from sumfree.intervals import IntervalSet
 from sumfree.lemmas import lemma_report
 from sumfree.rationals import MAX_MEASURE
-from sumfree.trace import TraceCase, trace_measure_bound
+from sumfree.trace import (
+    ContainmentReport,
+    TraceCase,
+    check_extremal_containment,
+    trace_measure_bound,
+)
 
 A0_RECORDS = [
     "[PASS] extent-bound: 77/177 <= 173/354",
@@ -89,3 +95,27 @@ class TestValidateOnce:
         t = trace_measure_bound(A, rescale=True)
         assert t.case is TraceCase.EARLY_EXIT
         assert len(checks) == 2
+
+
+class TestContainment:
+    """The inverse-statement check compares against the cached extremal sets."""
+
+    def test_a0_fits_every_augmentation(self):
+        assert check_extremal_containment(construct_extremal(0)) == ContainmentReport(
+            MAX_MEASURE, True, True, (1, 2, 3, 4, 5, 6, 7), 1)
+
+    def test_warm_checks_parse_nothing(self, monkeypatch):
+        for i in range(8):
+            construct_extremal(i)  # warm the cache
+        parses = []
+        real = IntervalSet.parse
+
+        def counting(text):
+            parses.append(text)
+            return real(text)
+
+        monkeypatch.setattr(IntervalSet, "parse", staticmethod(counting))
+        reports = [check_extremal_containment(construct_extremal(i)) for i in range(1, 8)]
+        assert parses == []
+        assert reports == [ContainmentReport(MAX_MEASURE, True, True, (i,), i)
+                           for i in range(1, 8)]
