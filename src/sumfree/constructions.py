@@ -24,7 +24,7 @@ import functools
 import logging
 import random
 
-from .intervals import IntervalSet
+from .intervals import Interval, IntervalSet
 from .predicates import is_k_sum_free
 from .rationals import rational
 
@@ -128,7 +128,7 @@ def random_sum_free(seed: int, max_components: int) -> IntervalSet:
     cuts.sort()
     pieces = IntervalSet(
         [
-            _piece(cuts[2 * j], cuts[2 * j + 1], rng.random() < 0.5, rng.random() < 0.5)
+            Interval(cuts[2 * j], cuts[2 * j + 1], rng.random() < 0.5, rng.random() < 0.5)
             for j in range(ncomp)
         ]
     )
@@ -142,9 +142,3 @@ def random_sum_free(seed: int, max_components: int) -> IntervalSet:
         A = A.difference(removable)
     log.warning("random_sum_free(seed=%s) did not converge; returning empty set", seed)
     return IntervalSet.empty()
-
-
-def _piece(lo, hi, lo_closed, hi_closed):
-    from .intervals import Interval
-
-    return Interval(lo, hi, lo_closed, hi_closed)

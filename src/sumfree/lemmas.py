@@ -1,10 +1,11 @@
 """Executable verifiers for the measure inequalities of 3-sum-free sets.
 
 Each checker evaluates one proved inequality on a concrete interval
-set, with exact rational arithmetic and no tolerance.  The inequalities
-are theorems, so a failing verdict on a genuinely 3-sum-free input
-means an implementation bug (or a falsified theorem) and the caller is
-expected to treat it as fatal.
+set, with exact rational arithmetic and no tolerance, and returns its
+verdict as a ``CheckRecord`` (lhs <= rhs), or None when the inequality
+does not apply to the set.  The inequalities are theorems, so a failing
+verdict on a genuinely 3-sum-free input means an implementation bug (or
+a falsified theorem) and the caller is expected to treat it as fatal.
 
 Every checker of a single set requires a 3-sum-free input with
 sup(A) = 1, and ``LemmaContext.from_set`` is the one place that checks
@@ -30,8 +31,7 @@ input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field, replace
 
 from .intervals import IntervalSet
 from .predicates import NotSumFreeError, PreconditionError, Witness, is_k_sum_free
@@ -101,6 +101,18 @@ class LemmaContext:
         ok, witness = is_k_sum_free(A, 3)
         if not ok:
             raise NotSumFreeError(witness)
+        return cls._of(A, rescale)
+
+    def head(self, R: IntervalSet) -> "LemmaContext":
+        """The context of (1/sup R) * R for a nonempty subset R of S.
+
+        R is 3-sum-free because S is, so it is not checked again.
+        """
+        return self._of(R, rescale=True)
+
+    @classmethod
+    def _of(cls, A: IntervalSet, rescale: bool) -> "LemmaContext":
+        """The quantities of a nonempty set already known to be 3-sum-free."""
         s = A.sup()
         if s != 1:
             if not rescale:
@@ -135,12 +147,7 @@ def _context(A: IntervalSet | LemmaContext, rescale: bool) -> LemmaContext:
     return A if isinstance(A, LemmaContext) else LemmaContext.from_set(A, rescale)
 
 
-class ExtentBound(NamedTuple):
-    bound: Rational
-    passed: bool
-
-
-def check_extent_bound(A: IntervalSet | LemmaContext) -> ExtentBound:
+def check_extent_bound(A: IntervalSet | LemmaContext) -> CheckRecord:
     """mu(A) <= (2 sup A - inf A) / 4 for bounded 3-sum-free A in R+.
 
     A plain set may have any sup: it is validated with rescaling, as the
@@ -154,60 +161,45 @@ def check_extent_bound(A: IntervalSet | LemmaContext) -> ExtentBound:
         if A.inf() < 0:
             raise PreconditionError("extent bound requires A inside [0, +inf)")
         LemmaContext.from_set(A, rescale=True)
-    bound = (2 * A.sup() - A.inf()) / 4
-    return ExtentBound(bound, A.measure() <= bound)
+    mu, bound = A.measure(), (2 * A.sup() - A.inf()) / 4
+    return CheckRecord("extent-bound", mu, bound, mu <= bound)
 
 
-class TopWindowBound(NamedTuple):
-    bound: Rational
-    passed: bool
-
-
-def check_top_window_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> TopWindowBound:
+def check_top_window_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> CheckRecord:
     """mu(A) <= 1/3 + mu(A & [2/3,1]) / 2 for 3-sum-free A with sup = 1."""
     ctx = _context(A, rescale)
     bound = _THIRD + ctx.A1.measure() / 2
-    return TopWindowBound(bound, ctx.measure <= bound)
+    return CheckRecord("top-window-bound", ctx.measure, bound, ctx.measure <= bound)
 
 
-class TailBound(NamedTuple):
-    applicable: bool
-    bound: Optional[Rational]
-    passed: Optional[bool]
-    branch: Optional[str]
-
-
-def check_tail_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> TailBound:
+def check_tail_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> CheckRecord | None:
     """Piecewise bound on the tail mass mu(A & [2/9 + a/3, 1]).
 
-    Applicable when eps1 + 2*eps2 <= 1/3.  The bound is
-    1/3 - eps1/6 when eps1 <= 2a/3 (branch "small-eps1"), and
-    1/3 - (eps1 - 2a/3)/24 otherwise (branch "large-eps1").
+    Applicable when eps1 + 2*eps2 <= 1/3, else None.  The bound is
+    1/3 - eps1/6 when eps1 <= 2a/3 (named "tail-bound[small-eps1]"), and
+    1/3 - (eps1 - 2a/3)/24 otherwise ("tail-bound[large-eps1]").
     """
     ctx = _context(A, rescale)
     if ctx.eps1 + 2 * ctx.eps2 > _THIRD:
-        return TailBound(False, None, None, None)
+        return None
     if ctx.eps1 <= 2 * ctx.a / 3:
         branch, bound = "small-eps1", _THIRD - ctx.eps1 / 6
     else:
         branch, bound = "large-eps1", _THIRD - (ctx.eps1 - 2 * ctx.a / 3) / 24
-    return TailBound(True, bound, ctx.tail <= bound, branch)
+    return CheckRecord(f"tail-bound[{branch}]", ctx.tail, bound, ctx.tail <= bound)
 
 
-class TailEquality(NamedTuple):
-    triggered: bool
-    eps_zero: Optional[bool]
-
-
-def check_tail_equality(A: IntervalSet | LemmaContext, rescale: bool = False) -> TailEquality:
+def check_tail_equality(A: IntervalSet | LemmaContext,
+                        rescale: bool = False) -> CheckRecord | None:
     """Tail mass exactly 1/3 forces eps1 = eps2 = 0.
 
-    Rejects inf A <= 0, which for a 3-sum-free finite union means a set
-    with negative points (0 in A gives 0 + 0 = 3*0, and an interval
+    The verdict is eps1 + eps2 <= 0, and None when the tail mass is not
+    1/3.  Rejects inf A <= 0, which for a 3-sum-free finite union means
+    a set with negative points (0 in A gives 0 + 0 = 3*0, and an interval
     (0, e) gives x = y = 3z/2), and eps1 + 2*eps2 > 1/3.
 
-    A verdict of (triggered=True, eps_zero=False) would falsify the
-    rigidity statement; the suite treats it as fatal.
+    A failing verdict would falsify the rigidity statement; the suite
+    treats it as fatal.
     """
     ctx = _context(A, rescale)
     if ctx.a <= 0:
@@ -215,21 +207,22 @@ def check_tail_equality(A: IntervalSet | LemmaContext, rescale: bool = False) ->
     if ctx.eps1 + 2 * ctx.eps2 > _THIRD:
         raise PreconditionError("tail equality requires eps1 + 2*eps2 <= 1/3")
     if ctx.tail != _THIRD:
-        return TailEquality(False, None)
-    return TailEquality(True, ctx.eps1 == 0 and ctx.eps2 == 0)
+        return None
+    return CheckRecord("tail-equality-rigidity", ctx.eps1 + ctx.eps2, rational(0),
+                       ctx.eps1 == 0 and ctx.eps2 == 0, note="tail mass is exactly 1/3")
 
 
-class DenseTailBound(NamedTuple):
-    applicable: bool
-    passed: Optional[bool]
+def check_dense_tail_bound(A: IntervalSet | LemmaContext,
+                           rescale: bool = False) -> CheckRecord | None:
+    """mu(A) >= 5/12 implies tail mass mu(A & [a/3 + 2/9, 1]) <= 1/3.
 
-
-def check_dense_tail_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> DenseTailBound:
-    """mu(A) >= 5/12 implies tail mass mu(A & [a/3 + 2/9, 1]) <= 1/3."""
+    None when mu(A) < 5/12.
+    """
     ctx = _context(A, rescale)
     if ctx.measure < rational(5, 12):
-        return DenseTailBound(False, None)
-    return DenseTailBound(True, ctx.tail <= _THIRD)
+        return None
+    return CheckRecord("dense-tail-bound", ctx.tail, _THIRD, ctx.tail <= _THIRD,
+                       note="mu(A) >= 5/12")
 
 
 def check_superadditivity(A: IntervalSet, B: IntervalSet) -> CheckRecord:
@@ -286,45 +279,18 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
     if A.inf() < 0:
         raise PreconditionError("lemma report requires A inside [0, +inf)")
     ctx = LemmaContext.from_set(A, rescale)
-    records = []
-
-    extent = check_extent_bound(ctx)
-    records.append(CheckRecord("extent-bound", ctx.measure, extent.bound, extent.passed))
-
-    top = check_top_window_bound(ctx)
-    records.append(CheckRecord("top-window-bound", ctx.measure, top.bound, top.passed))
-
-    tail = check_tail_bound(ctx)
-    if tail.applicable:
-        records.append(
-            CheckRecord(f"tail-bound[{tail.branch}]", ctx.tail, tail.bound, tail.passed)
-        )
-        # a > 0 here: inf A >= 0 was checked and a 3-sum-free set misses 0
-        eq = check_tail_equality(ctx)
-        if eq.triggered:
-            records.append(
-                CheckRecord(
-                    "tail-equality-rigidity",
-                    ctx.eps1 + ctx.eps2,
-                    rational(0),
-                    bool(eq.eps_zero),
-                    note="tail mass is exactly 1/3",
-                )
-            )
-
-    dense = check_dense_tail_bound(ctx)
-    if dense.applicable:
-        records.append(
-            CheckRecord("dense-tail-bound", ctx.tail, _THIRD, bool(dense.passed),
-                        note="mu(A) >= 5/12")
-        )
+    records = [check_extent_bound(ctx), check_top_window_bound(ctx), check_tail_bound(ctx)]
+    if records[-1] is not None:
+        # a > 0 here: inf A >= 0 was checked and a 3-sum-free set misses 0;
+        # eps1 + 2*eps2 <= 1/3 because the tail bound applies
+        records.append(check_tail_equality(ctx))
+    records.append(check_dense_tail_bound(ctx))
+    records = [r for r in records if r is not None]
 
     comps = [IntervalSet([c]) for c in ctx.S.components]
     for i in range(len(comps)):
         for j in range(i, len(comps)):
             rec = check_sumset_min_bound(comps[i], comps[j])
-            records.append(
-                CheckRecord(f"sumset-min-bound({i},{j})", rec.lhs, rec.rhs, rec.passed)
-            )
+            records.append(replace(rec, name=f"sumset-min-bound({i},{j})"))
 
     return LemmaReport(A, ctx.S, ctx.rescaled, ctx, records)

@@ -39,9 +39,19 @@ __all__ = ["OptimizeResult", "optimize"]
 
 #: nudge grid refines from 1/(177*2) down to 1/(177*2**GRID_STAGES)
 GRID_STAGES = 18
-#: every search step is a multiple of 1/_GRID_DEN, so endpoint
-#: denominators stay machine-word sized instead of compounding under
-#: repeated bisection
+#: every PUSH_EVERY-th iteration pushes and snaps the current state
+PUSH_EVERY = 1500
+#: bisection rounds per endpoint in a push
+PUSH_ROUNDS = 30
+#: the iteration budget is split into this many restart chunks
+RESTARTS = 6
+#: denominators a snap tries for each endpoint
+SNAP_DENOMINATORS = (3, 59, 177, 354, 708, 2832, 10000)
+#: bisection midpoints and stack scales are quantized down to multiples
+#: of 1/_GRID_DEN.  This does not bound endpoint denominators: the
+#: unquantized push dilation, the repair endpoints (x+y)/3 and 3x-y,
+#: split's twelfths and stack's dilation still compound them, and
+#: optimize(3, 2, 1600) returns a 22-digit denominator, above 2**63
 _GRID_DEN = 177 * 2**28
 
 
@@ -65,9 +75,7 @@ class OptimizeResult:
                 f"with {len(self.best)} component(s): {self.best}")
 
 
-def optimize(m: int, seed: int, iterations: int, *,
-             push_every: int = 1500, push_rounds: int = 30, restarts: int = 6,
-             snap_denominators: tuple = (3, 59, 177, 354, 708, 2832, 10000)) -> OptimizeResult:
+def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     """Search for a 3-sum-free subset of [0,1] with at most m components.
 
     Deterministic in (m, seed, iterations).  Every returned set passes
@@ -85,16 +93,16 @@ def optimize(m: int, seed: int, iterations: int, *,
     mu = best_mu
     accepted = 0
     evaluated = 0
-    chunk = max(push_every + 1, iterations // max(restarts, 1))
+    chunk = max(PUSH_EVERY + 1, iterations // RESTARTS)
 
     for i in range(iterations):
         if i and i % chunk == 0:
             state = _initial_state(rng, m)
             mu = state.measure()
             continue
-        if push_every and i % push_every == push_every - 1:
-            state = _push(state, m, push_rounds)
-            state = _snap(state, m, snap_denominators)
+        if i % PUSH_EVERY == PUSH_EVERY - 1:
+            state = _push(state, m)
+            state = _snap(state, m)
             mu = state.measure()
             if mu > best_mu:
                 best, best_mu = state, mu
@@ -120,10 +128,10 @@ def optimize(m: int, seed: int, iterations: int, *,
     cand = best
     for _ in range(5):
         before = cand.measure()
-        cand = _push(cand, m, push_rounds)
-        cand = _snap(cand, m, snap_denominators, tol=rational(1, 1 << 22))
-        cand = _push(cand, m, push_rounds)
-        cand = _snap(cand, m, snap_denominators)
+        cand = _push(cand, m)
+        cand = _snap(cand, m, tol=rational(1, 1 << 22))
+        cand = _push(cand, m)
+        cand = _snap(cand, m)
         if cand.measure() > best_mu:
             best, best_mu = cand, cand.measure()
         if cand.measure() <= before:
@@ -311,7 +319,7 @@ def _propose_split(rng, S):
 # -- coordinate ascent and snapping -----------------------------------
 
 
-def _push(S: IntervalSet, m: int, rounds: int) -> IntervalSet:
+def _push(S: IntervalSet, m: int) -> IntervalSet:
     """Expand every endpoint outward to the feasibility frontier.
 
     Growing a set monotonically adds constraints, so bisection against
@@ -327,8 +335,8 @@ def _push(S: IntervalSet, m: int, rounds: int) -> IntervalSet:
     for _ in range(2):
         i = 0
         while i < len(S.components):
-            S = _expand_endpoint(S, i, "lo", rounds)
-            S = _expand_endpoint(S, i, "hi", rounds)
+            S = _expand_endpoint(S, i, "lo")
+            S = _expand_endpoint(S, i, "hi")
             i += 1
         S = _trim(S, m)
     s = S.sup()
@@ -337,7 +345,7 @@ def _push(S: IntervalSet, m: int, rounds: int) -> IntervalSet:
     return S
 
 
-def _expand_endpoint(S: IntervalSet, ci: int, side: str, rounds: int) -> IntervalSet:
+def _expand_endpoint(S: IntervalSet, ci: int, side: str) -> IntervalSet:
     comps = list(S.components)
     c = comps[ci]
     if side == "lo":
@@ -361,7 +369,7 @@ def _expand_endpoint(S: IntervalSet, ci: int, side: str, rounds: int) -> Interva
     if _feasible(full):
         return full
     lo_t, hi_t = rational(0), room
-    for _ in range(rounds):
+    for _ in range(PUSH_ROUNDS):
         mid = _quantize_down((lo_t + hi_t) / 2)
         if mid <= lo_t or mid >= hi_t:
             break
@@ -400,7 +408,7 @@ def _bracket_candidates(lo_t, hi_t, c, side):
     return vals
 
 
-def _snap(S: IntervalSet, m: int, denominators: tuple, tol=None) -> IntervalSet:
+def _snap(S: IntervalSet, m: int, tol=None) -> IntervalSet:
     """Replace endpoints by nearby simple rationals when it costs nothing.
 
     With a nonzero ``tol`` a snap may lose up to that much measure; the
@@ -417,7 +425,7 @@ def _snap(S: IntervalSet, m: int, denominators: tuple, tol=None) -> IntervalSet:
         for ci, c in enumerate(comps):
             for side in ("lo", "hi"):
                 v = getattr(c, side)
-                for cand in _approximants(v, denominators):
+                for cand in _approximants(v):
                     if cand == v or abs(cand - v) > window:
                         continue
                     cc = list(S.components)
@@ -438,10 +446,10 @@ def _snap(S: IntervalSet, m: int, denominators: tuple, tol=None) -> IntervalSet:
     return S
 
 
-def _approximants(v, denominators):
+def _approximants(v):
     """Simple rationals near v, best approximations first."""
     out = []
-    for d in denominators:
+    for d in SNAP_DENOMINATORS:
         r = v.limit_denominator(d)
         if r not in out:
             out.append(r)

@@ -31,7 +31,7 @@ augmentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -41,6 +41,7 @@ from .lemmas import (
     CheckRecord,
     LemmaContext,
     PreconditionError,
+    check_dense_tail_bound,
     check_tail_bound,
     tail_cut,
     window,
@@ -103,7 +104,8 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     """Certify mu(A) <= 77/177 on a concrete 3-sum-free set with sup = 1.
 
     Pass ``rescale=True`` to work on (1/sup A)*A when sup differs from 1.
-    A is validated once, into one context; the head (1/r)*R gets its own.
+    A is validated once, into one context; the context of the head
+    (1/r)*R is derived from it without a second check, as R is a subset.
     """
     if not A.is_empty and A.inf() < 0:
         raise PreconditionError("trace requires A inside [0, 1]")
@@ -119,7 +121,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
         t.final_bound = _DENSE_THRESHOLD
         return t
 
-    a, tail = ctx.a, ctx.tail
+    a = ctx.a
     cut = tail_cut(a)
     bounds = [MAX_MEASURE]
     verdicts = []
@@ -127,12 +129,8 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     internal = _window_sets(ctx)
     verdicts.extend(_window_verdicts(internal, ctx))
 
-    tb = check_tail_bound(ctx)
-    if tb.applicable:
-        verdicts.append(CheckRecord(f"tail-bound[{tb.branch}]", tail, tb.bound,
-                                    bool(tb.passed)))
-    verdicts.append(CheckRecord("dense-tail-bound", tail, _THIRD, tail <= _THIRD,
-                                note="mu(A) >= 5/12"))
+    verdicts += [v for v in (check_tail_bound(ctx), check_dense_tail_bound(ctx))
+                 if v is not None]
 
     R = S.intersect(window(a, cut))
     muR = R.measure()
@@ -152,7 +150,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
         return t
 
     r = R.sup()
-    ctx_r = LemmaContext.from_set(R, rescale=True)  # the head (1/r)*R
+    ctx_r = ctx.head(R)  # the head (1/r)*R
     eta1, eta2 = ctx_r.eps1, ctx_r.eps2
 
     if eta1 + 2 * eta2 <= _THIRD:
@@ -217,8 +215,7 @@ def _case1(ctx, ctx_r, muR, r, R0):
     verdicts = []
     bounds = []
     tb = check_tail_bound(ctx_r)
-    verdicts.append(CheckRecord(f"head-tail-bound[{tb.branch}]", ctx_r.tail, tb.bound,
-                                bool(tb.passed), note="on (1/r)*R"))
+    verdicts.append(replace(tb, name="head-" + tb.name, note="on (1/r)*R"))
     muR0 = R0.measure()
     verdicts.append(CheckRecord("head-split-again", muR, r / 3 + muR0,
                                 muR <= r / 3 + muR0))

@@ -17,6 +17,8 @@ from sumfree.lemmas import (
     check_tail_equality,
     check_top_window_bound,
     lemma_report,
+    tail_cut,
+    window,
 )
 from sumfree.predicates import NotSumFreeError, is_k_sum_free
 from sumfree.rationals import rational
@@ -45,21 +47,29 @@ class TestContext:
         with pytest.raises(PreconditionError):
             LemmaContext.from_set(S("(0,1/2)"))
 
+    def test_head_equals_checked_context_of_the_head(self):
+        ctx = LemmaContext.from_set(extremal_base())
+        R = ctx.S.intersect(window(ctx.a, tail_cut(ctx.a)))
+        assert R == S("(8/177,4/59)|(28/177,14/59)")
+        head = ctx.head(R)
+        assert head == LemmaContext.from_set(R, rescale=True)
+        assert head.rescaled and head.S.sup() == 1
+
 
 class TestExtentBound:
     def test_extremal_base(self):
         res = check_extent_bound(extremal_base())
-        assert res.bound == rational(173, 354)
+        assert res.rhs == rational(173, 354)
         assert res.passed
 
     def test_top_third_saturates(self):
         res = check_extent_bound(S("(2/3,1)"))
-        assert res.bound == rational(1, 3)
-        assert res.passed and S("(2/3,1)").measure() == res.bound
+        assert res.rhs == rational(1, 3)
+        assert res.passed and S("(2/3,1)").measure() == res.rhs
 
     def test_singleton(self):
         res = check_extent_bound(S("[1,1]"))
-        assert res.bound == rational(1, 4)
+        assert res.rhs == rational(1, 4)
         assert res.passed
 
     def test_rejects_violating_input(self):
@@ -71,11 +81,11 @@ class TestExtentBound:
 class TestTopWindowBound:
     def test_extremal_base(self):
         res = check_top_window_bound(extremal_base())
-        assert res.bound == rational(1, 2)
+        assert res.rhs == rational(1, 2)
         assert res.passed
 
     def test_top_third(self):
-        assert check_top_window_bound(S("(2/3,1)")).bound == rational(1, 2)
+        assert check_top_window_bound(S("(2/3,1)")).rhs == rational(1, 2)
 
     def test_sup_enforced_without_rescale(self):
         with pytest.raises(PreconditionError):
@@ -87,8 +97,8 @@ class TestTailBound:
     def test_extremal_base_equality(self):
         a0 = extremal_base()
         res = check_tail_bound(a0)
-        assert res.applicable and res.branch == "small-eps1"
-        assert res.bound == rational(1, 3)
+        assert res.name == "tail-bound[small-eps1]"
+        assert res.rhs == rational(1, 3)
         cut = rational(2, 9) + rational(8, 177) / 3
         assert cut == rational(14, 59)
         tail = a0.intersect(S("[14/59,1]"))
@@ -97,8 +107,8 @@ class TestTailBound:
 
     def test_top_third(self):
         res = check_tail_bound(S("(2/3,1)"))
-        assert res.applicable and res.branch == "small-eps1" and res.passed
-        assert res.bound == rational(1, 3)
+        assert res.name == "tail-bound[small-eps1]" and res.passed
+        assert res.rhs == rational(1, 3)
 
     def test_large_eps1_branch(self):
         # top window starts at 5/6: eps1 = 1/6, eps2 = 0, a = 1/12 < (3/2)eps1
@@ -107,25 +117,25 @@ class TestTailBound:
         ctx = LemmaContext.from_set(s)
         assert ctx.eps1 == rational(1, 6) and ctx.eps2 == 0
         res = check_tail_bound(s)
-        assert res.applicable and res.branch == "large-eps1"
-        assert res.bound == rational(1, 3) - (ctx.eps1 - 2 * ctx.a / 3) / 24
+        assert res.name == "tail-bound[large-eps1]"
+        assert res.rhs == rational(1, 3) - (ctx.eps1 - 2 * ctx.a / 3) / 24
         assert res.passed
 
 
 class TestTailEquality:
     def test_extremal_base_triggered(self):
         res = check_tail_equality(extremal_base())
-        assert res.triggered and res.eps_zero
+        assert res is not None and res.passed
 
     def test_untriggered_when_top_shrinks(self):
         s = S("(8/177,4/59)|(28/177,14/59)|(2/3,99/100)|[1,1]")
         assert is_k_sum_free(s, 3)[0]
         res = check_tail_equality(s)
-        assert not res.triggered and res.eps_zero is None
+        assert res is None
 
     def test_top_third(self):
         res = check_tail_equality(S("(2/3,1)"))
-        assert res.triggered and res.eps_zero
+        assert res is not None and res.passed
 
     def test_precondition_a_positive(self):
         with pytest.raises(PreconditionError):
@@ -145,11 +155,11 @@ class TestTailEquality:
 class TestDenseTailBound:
     def test_extremal_base(self):
         res = check_dense_tail_bound(extremal_base())
-        assert res.applicable and res.passed
+        assert res is not None and res.passed
 
     def test_top_third_not_applicable(self):
         res = check_dense_tail_bound(S("(2/3,1)"))
-        assert not res.applicable
+        assert res is None
 
     def test_measure_threshold_is_exact(self):
         assert rational(77, 177) > rational(5, 12)

@@ -3,7 +3,14 @@ import pytest
 import sumfree.lemmas
 from sumfree.constructions import construct_extremal, extremal_base, random_sum_free
 from sumfree.intervals import IntervalSet
-from sumfree.lemmas import lemma_report
+from sumfree.lemmas import (
+    check_dense_tail_bound,
+    check_extent_bound,
+    check_tail_bound,
+    check_tail_equality,
+    check_top_window_bound,
+    lemma_report,
+)
 from sumfree.rationals import MAX_MEASURE
 from sumfree.trace import (
     ContainmentReport,
@@ -66,6 +73,21 @@ class TestPinnedVerdicts:
         assert len(rep.records) == 11 and rep.all_passed
 
 
+class TestOneVerdictType:
+    """The report and the trace show the checker records as returned."""
+
+    def test_a0_records_are_the_checker_returns(self):
+        rep = lemma_report(extremal_base())
+        ctx = rep.context
+        returned = [check_extent_bound(ctx), check_top_window_bound(ctx),
+                    check_tail_bound(ctx), check_tail_equality(ctx),
+                    check_dense_tail_bound(ctx)]
+        assert rep.records[:5] == returned
+        t = trace_measure_bound(extremal_base())
+        tail, dense = check_tail_bound(t.context), check_dense_tail_bound(t.context)
+        assert [v for v in t.verdicts if v.name in (tail.name, dense.name)] == [tail, dense]
+
+
 class TestValidateOnce:
     """A set is checked for 3-sum-freeness once per report or trace."""
 
@@ -86,7 +108,7 @@ class TestValidateOnce:
         assert len(checks) == 1
         t = trace_measure_bound(extremal_base())
         assert t.case is TraceCase.CASE1_R0_NONEMPTY
-        assert len(checks) == 3  # the set, then the head (1/r)*R
+        assert len(checks) == 2  # the head (1/r)*R is not checked again
 
     def test_generated_set(self, checks):
         A = random_sum_free(1, 4)
