@@ -3,17 +3,21 @@ import random
 
 import pytest
 
-from sumfree.constructions import extremal_base
+from sumfree.cli import USAGE_ERROR, run
+from sumfree.constructions import cg_density, extremal_base
 from sumfree.discrete import (
     DEFAULT_BUDGET,
     NAIVE_BUDGET,
     BudgetError,
+    DensityReport,
     IntSet,
+    density_report,
     discretize,
     is_k_sum_free_int,
     max_k_sum_free,
     max_k_sum_free_naive,
 )
+from sumfree.rationals import rational
 
 
 def has_triple(elems, k):
@@ -107,3 +111,39 @@ class TestDiscretize:
         S = discretize(extremal_base(), n)
         assert S.n == n and len(S) > 0
         assert is_k_sum_free_int(S, 3) == (True, None)
+
+
+class TestDensity:
+    # the search ratio and the asymptotic density sit side by side; they
+    # converge only as n grows, so no test equates them
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_report_fields(self, k):
+        n = 18
+        rep = density_report(k, n)
+        best, _, _ = max_k_sum_free_naive(n, k)
+        assert isinstance(rep, DensityReport)
+        assert (rep.n, rep.k, rep.max_size) == (n, k, best)
+        assert rep.search_ratio == rational(best, n)
+        assert rep.asymptotic_density == cg_density(k)
+
+    @pytest.mark.parametrize("k,text", [
+        (4, "k=4 n=18: search max 10 (ratio 5/9 ~ 0.555556), "
+            "asymptotic density 63/110 ~ 0.572727"),
+        (5, "k=5 n=18: search max 12 (ratio 2/3 ~ 0.666667), "
+            "asymptotic density 1863/2855 ~ 0.652539"),
+    ])
+    def test_cli_text_line(self, k, text, capsys):
+        assert str(density_report(k, 18)) == text
+        assert run(["density", "-k", str(k), "-n", "18"]) == 0
+        assert capsys.readouterr().out == text + "\n"
+
+    def test_cli_records_lines(self, capsys):
+        assert run(["density", "-k", "5", "-n", "18", "--format", "records"]) == 0
+        assert capsys.readouterr().out == (
+            "search-ratio\t2/3\t-\tpass\n"
+            "asymptotic-density\t1863/2855\t-\tpass\n"
+        )
+
+    def test_rejects_n_beyond_budget(self, capsys):
+        assert run(["density", "-k", "4", "-n", str(DEFAULT_BUDGET + 1)]) == USAGE_ERROR
+        assert "error:" in capsys.readouterr().err

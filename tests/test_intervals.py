@@ -1,7 +1,9 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import interval_sets, random_interval_set, random_rational, rationals
+from conftest import interval_sets, random_interval_set, rationals
 from sumfree.intervals import EmptySetError, Interval, IntervalSet, ParseError
 from sumfree.rationals import rational
 
@@ -10,6 +12,62 @@ A0_TEXT = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
 
 def S(text):
     return IntervalSet.parse(text)
+
+
+def _coprime_denominators(count, digits=20):
+    """Pairwise coprime denominators of ``digits`` digits, like the optimizer's."""
+    out, d = [], 10 ** (digits - 1) + 1
+    while len(out) < count:
+        if all(gcd(d, e) == 1 for e in out):
+            out.append(d)
+        d += 2
+    return out
+
+
+BIG_DENOMS = _coprime_denominators(6)
+
+
+def big_rational(rng, lo=-2, hi=3):
+    den = rng.choice(BIG_DENOMS)
+    return rational(rng.randint(lo * den, hi * den), den)
+
+
+def pieces_between(rng, values, count):
+    pieces = []
+    for _ in range(count):
+        a, b = sorted((rng.choice(values), rng.choice(values)))
+        pieces.append(Interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
+    return pieces
+
+
+def small_pair(rng):
+    return random_interval_set(rng), random_interval_set(rng)
+
+
+def big_pair(rng):
+    # large mutually coprime denominators and negative endpoints
+    values = [big_rational(rng) for _ in range(10)]
+    return tuple(IntervalSet(pieces_between(rng, values, rng.randint(1, 4)))
+                 for _ in range(2))
+
+
+def shared_endpoint_pair(rng):
+    # b reuses a's endpoints with fresh open/closed flags, so the operands
+    # touch and overlap exactly at large-denominator points
+    a = IntervalSet(pieces_between(rng, [big_rational(rng) for _ in range(6)], 3))
+    values = [e for c in a.components for e in (c.lo, c.hi)] or [rational(0)]
+    values += [big_rational(rng), -values[0]]
+    return a, IntervalSet(pieces_between(rng, values, rng.randint(1, 4)))
+
+
+def probe_points(sets, pieces=()):
+    """Every endpoint of the given sets and pieces, and every gap midpoint."""
+    ends = sorted({e for s in sets for c in s.components for e in (c.lo, c.hi)}
+                  | {e for c in pieces for e in (c.lo, c.hi)})
+    mids = [(p + q) / 2 for p, q in zip(ends, ends[1:])]
+    if ends:
+        mids += [ends[0] - 1, ends[-1] + 1]
+    return ends + mids
 
 
 class TestNormalize:
@@ -171,18 +229,28 @@ class TestBooleanOps:
         a, b = S("(0,2)"), S("(1,3)")
         assert a.symmetric_difference(b) == a.union(b).difference(a.intersect(b))
 
-    def test_membership_oracle(self, rng):
-        # constructed result sets agree pointwise with direct logic
+    @pytest.mark.parametrize("pair", [small_pair, big_pair, shared_endpoint_pair])
+    def test_membership_oracle(self, rng, pair):
+        # every result agrees pointwise with direct logic on the operands'
+        # components; membership is constant between consecutive probe
+        # points, so probing each of them and each gap midpoint is exhaustive
         for _ in range(60):
-            a, b = random_interval_set(rng), random_interval_set(rng)
-            u, i, d = a.union(b), a.intersect(b), a.difference(b)
-            for _ in range(40):
-                x = random_rational(rng)
+            a, b = pair(rng)
+            ops = {"|": a.union(b), "&": a.intersect(b), "-": a.difference(b),
+                   "^": a.symmetric_difference(b), "+": a.minkowski(b)}
+            sums = [I.sum(J) for I in a.components for J in b.components]
+            probes = probe_points([a, b, *ops.values()], sums)
+            for x in probes:
                 in_a = any(c.contains(x) for c in a.components)
                 in_b = any(c.contains(x) for c in b.components)
-                assert u.contains(x) == (in_a or in_b)
-                assert i.contains(x) == (in_a and in_b)
-                assert d.contains(x) == (in_a and not in_b)
+                assert ops["|"].contains(x) == (in_a or in_b)
+                assert ops["&"].contains(x) == (in_a and in_b)
+                assert ops["-"].contains(x) == (in_a and not in_b)
+                assert ops["^"].contains(x) == (in_a != in_b)
+                assert ops["+"].contains(x) == any(s.contains(x) for s in sums)
+            for sub, sup in ((a, b), (a, ops["|"]), (ops["&"], b), (ops["-"], a)):
+                members = [x for x in probe_points([sub, sup]) if sub.contains(x)]
+                assert sub.is_subset_of(sup) == all(sup.contains(x) for x in members)
 
     @settings(max_examples=100)
     @given(interval_sets(), interval_sets())
