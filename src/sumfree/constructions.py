@@ -35,7 +35,6 @@ __all__ = [
     "FORBIDDEN_COMBINATION_BITS",
     "cg_density",
     "random_sum_free",
-    "REPAIR_ROUND_CAP",
 ]
 
 log = logging.getLogger(__name__)

@@ -1,15 +1,41 @@
 """Exact algebra of finite unions of rational intervals.
 
 An IntervalSet is a canonical, sorted union of disjoint non-adjacent
-intervals with open/closed endpoint flags tracked exactly.  Canonical
-form is unique: two IntervalSets describe the same point set if and
-only if their component tuples are equal.  All operations are pure and
-exact; values are immutable and safe to share between threads.
+intervals with open/closed endpoint flags tracked exactly.  All
+operations are pure and exact; values are immutable and safe to share
+between threads (the only cached value, the component tuple, is the
+same whichever thread builds it).
 
 Endpoint topology matters here: adjoining or removing single endpoints
 changes which sets are sum-free, so measure-only representations are
 not enough.  Measure itself ignores endpoints (a singleton has measure
 zero), and for these sets inner measure coincides with measure.
+
+Encoding.  A set stores one common denominator ``D`` and a flat,
+strictly increasing tuple of int *codes*, two per component.  An
+endpoint ``p/D`` is coded as::
+
+    closed lo -> 2p      open lo -> 2p+1
+    closed hi -> 2p+1    open hi -> 2p
+
+so the integer ``2p`` stands for the point ``p/D`` and ``2p+1`` for the
+open gap ``(p/D, (p+1)/D)``, and every component is the half-open
+integer range ``[lo, hi)``.  Invariants:
+
+* ``c >> 1`` is a code's value ``p`` and ``c & 1`` its flag; the shift
+  floors, so negative values decode right (code -3 is an open lo at
+  -2/D, since -3 >> 1 == -2);
+* codes strictly increase, so components are nonempty, disjoint and
+  not adjacent: ranges that touch, such as [a, b) and [b, c), are one;
+* ``D`` is the least common denominator of the endpoints, that is
+  gcd(D, every c >> 1) == 1.
+
+So each point set has exactly one code list, and two sets are equal if
+and only if their ``(D, codes)`` are.  Boolean operations are one sweep
+over the two code lists put on their least common denominator; the
+sumset adds codes pairwise and sort-merges plain ints.  ``Fraction``
+values are built only when ``components``, ``inf``, ``sup`` or
+``measure`` is read.
 
 Canonical text form, accepted and emitted by :meth:`IntervalSet.parse`
 and ``str()``::
@@ -27,6 +53,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
+from math import gcd, lcm
 
 from .rationals import Rational, rational
 
@@ -56,9 +84,9 @@ class Interval:
     """One connected piece with rational endpoints and open/closed flags.
 
     A raw Interval may be degenerate (lo > hi, or lo == hi without both
-    endpoints closed); normalization drops such pieces.  Inside a
-    canonical IntervalSet every component satisfies lo < hi, or
-    lo == hi with both ends closed (a singleton point).
+    endpoints closed); an IntervalSet drops such pieces.  Every
+    component of an IntervalSet satisfies lo < hi, or lo == hi with
+    both ends closed (a singleton point).
     """
 
     lo: Rational
@@ -71,10 +99,6 @@ class Interval:
         if self.lo > self.hi:
             return True
         return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi and self.lo_closed and self.hi_closed
 
     @property
     def length(self) -> Rational:
@@ -104,39 +128,35 @@ class Interval:
             self.hi_closed and other.hi_closed,
         )
 
-    def scaled(self, alpha) -> "Interval":
-        if alpha <= 0:
-            raise ValueError("dilation factor must be positive")
-        return Interval(self.lo * alpha, self.hi * alpha, self.lo_closed, self.hi_closed)
-
-    def shifted(self, t) -> "Interval":
-        return Interval(self.lo + t, self.hi + t, self.lo_closed, self.hi_closed)
-
-    def reflected(self) -> "Interval":
-        return Interval(-self.hi, -self.lo, self.hi_closed, self.lo_closed)
-
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo},{self.hi}{right}"
 
 
-def _normalize(pieces) -> tuple:
-    """Sort, drop degenerate pieces, merge overlapping/touching ones."""
-    live = [p for p in pieces if not p.is_empty]
-    live.sort(key=lambda p: (p.lo, not p.lo_closed))
-    out: list[Interval] = []
-    for p in live:
-        if out:
-            c = out[-1]
-            # connected iff the pieces overlap or touch at a point that
-            # belongs to at least one side
-            if p.lo < c.hi or (p.lo == c.hi and (p.lo_closed or c.hi_closed)):
-                if p.hi > c.hi or (p.hi == c.hi and p.hi_closed and not c.hi_closed):
-                    out[-1] = Interval(c.lo, p.hi, c.lo_closed, p.hi_closed)
-                continue
-        out.append(p)
-    return tuple(out)
+# truth tables of the boolean operations, indexed by
+# 2 * (inside the left operand) + (inside the right operand)
+_UNION, _INTERSECT, _DIFFERENCE, _XOR = 0b1110, 0b1000, 0b0100, 0b0110
+
+
+def _merge(spans: list) -> list:
+    """Codes of the union of half-open ``(lo, hi)`` code ranges."""
+    spans.sort()
+    out = []
+    for lo, hi in spans:
+        if out and lo <= out[-1]:
+            if hi > out[-1]:
+                out[-1] = hi
+        else:
+            out += (lo, hi)
+    return out
+
+
+def _scaled(codes, k: int):
+    """Codes with every value multiplied by the positive int k."""
+    if k == 1:
+        return codes
+    return [2 * k * (c >> 1) + (c & 1) for c in codes]
 
 
 _PIECE_RE = re.compile(
@@ -147,12 +167,28 @@ _PIECE_RE = re.compile(
 class IntervalSet:
     """Canonical finite union of disjoint, sorted, maximal intervals."""
 
-    __slots__ = ("_components", "_los")
+    __slots__ = ("_den", "_codes", "_components")
 
     def __init__(self, pieces=()):
-        comps = _normalize(list(pieces))
-        object.__setattr__(self, "_components", comps)
-        object.__setattr__(self, "_los", [c.lo for c in comps])
+        pieces = list(pieces)
+        den = lcm(*(x.denominator for p in pieces for x in (p.lo, p.hi)))
+        spans = []
+        for p in pieces:
+            lo = 2 * p.lo.numerator * (den // p.lo.denominator) + (not p.lo_closed)
+            hi = 2 * p.hi.numerator * (den // p.hi.denominator) + p.hi_closed
+            if lo < hi:
+                spans.append((lo, hi))
+        self._init(den, _merge(spans))
+
+    def _init(self, den: int, codes) -> None:
+        """Store canonical codes, dividing out any common factor of D."""
+        g = gcd(den, *[c >> 1 for c in codes])
+        if g > 1:
+            den //= g
+            codes = [2 * ((c >> 1) // g) + (c & 1) for c in codes]
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_codes", tuple(codes))
+        object.__setattr__(self, "_components", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalSet is immutable")
@@ -160,11 +196,11 @@ class IntervalSet:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _wrap(cls, comps: tuple) -> "IntervalSet":
-        """Trusting constructor for component tuples already canonical."""
+    def _of(cls, den: int, codes) -> "IntervalSet":
+        """Trusting constructor for increasing codes of nonempty,
+        non-adjacent ranges over denominator ``den``."""
         s = object.__new__(cls)
-        object.__setattr__(s, "_components", comps)
-        object.__setattr__(s, "_los", [c.lo for c in comps])
+        s._init(den, codes)
         return s
 
     @classmethod
@@ -207,55 +243,67 @@ class IntervalSet:
 
     @property
     def components(self) -> tuple:
-        return self._components
+        """The components as ``Interval`` values, built on first read."""
+        comps = self._components
+        if comps is None:
+            d, c = self._den, self._codes
+            comps = tuple(
+                Interval(rational(lo >> 1, d), rational(hi >> 1, d), not lo & 1, bool(hi & 1))
+                for lo, hi in zip(c[::2], c[1::2])
+            )
+            object.__setattr__(self, "_components", comps)
+        return comps
+
+    def _select(self, indices) -> "IntervalSet":
+        """The set of the components at ``indices``, in increasing order."""
+        c = self._codes
+        return IntervalSet._of(self._den, [x for i in indices for x in c[2 * i:2 * i + 2]])
 
     @property
     def is_empty(self) -> bool:
-        return not self._components
+        return not self._codes
 
     def __len__(self) -> int:
-        return len(self._components)
+        return len(self._codes) // 2
 
     def __iter__(self):
-        return iter(self._components)
+        return iter(self.components)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self._components == other._components
+        return self._den == other._den and self._codes == other._codes
 
     def __hash__(self) -> int:
-        return hash(self._components)
+        return hash((self._den, self._codes))
 
     def __bool__(self) -> bool:
-        return bool(self._components)
+        return bool(self._codes)
 
     def contains(self, x) -> bool:
         """Exact membership of a rational point."""
-        i = bisect_right(self._los, x)
-        return i > 0 and self._components[i - 1].contains(x)
+        q, r = divmod(x.numerator * self._den, x.denominator)
+        return bisect_right(self._codes, 2 * q + (r != 0)) & 1 == 1
 
     __contains__ = contains
 
     def measure(self) -> Rational:
         """Total length of the components (singletons contribute 0)."""
-        total = rational(0)
-        for c in self._components:
-            total += c.hi - c.lo
-        return total
+        c = self._codes
+        return rational(sum(hi >> 1 for hi in c[1::2]) - sum(lo >> 1 for lo in c[::2]), self._den)
 
     def inf(self) -> Rational:
-        if not self._components:
+        if not self._codes:
             raise EmptySetError("inf of the empty set")
-        return self._components[0].lo
+        return rational(self._codes[0] >> 1, self._den)
 
     def sup(self) -> Rational:
-        if not self._components:
+        if not self._codes:
             raise EmptySetError("sup of the empty set")
-        return self._components[-1].hi
+        return rational(self._codes[-1] >> 1, self._den)
 
     def diameter(self) -> Rational:
-        if not self._components:
+        if not self._codes:
             raise EmptySetError("diameter of the empty set")
         return self.sup() - self.inf()
 
@@ -266,69 +314,88 @@ class IntervalSet:
         alpha = rational(alpha)
         if alpha <= 0:
             raise ValueError(f"dilation factor must be positive, got {alpha}")
-        return IntervalSet._wrap(tuple(c.scaled(alpha) for c in self._components))
+        return IntervalSet._of(self._den * alpha.denominator,
+                               _scaled(self._codes, alpha.numerator))
 
     def translate(self, t) -> "IntervalSet":
         t = rational(t)
-        return IntervalSet._wrap(tuple(c.shifted(t) for c in self._components))
+        den = lcm(self._den, t.denominator)
+        shift = 2 * t.numerator * (den // t.denominator)
+        return IntervalSet._of(den, [c + shift for c in _scaled(self._codes, den // self._den)])
 
     def reflect(self) -> "IntervalSet":
-        """{ -x : x in self }."""
-        return IntervalSet._wrap(tuple(c.reflected() for c in reversed(self._components)))
+        """{ -x : x in self }; the half-open range [lo, hi) maps to [1-hi, 1-lo)."""
+        return IntervalSet._of(self._den, [1 - c for c in reversed(self._codes)])
+
+    def _aligned(self, other: "IntervalSet"):
+        """``(den, codes of self, codes of other)`` over their least common denominator."""
+        if self._den == other._den:
+            return self._den, self._codes, other._codes
+        den = lcm(self._den, other._den)
+        return (den, _scaled(self._codes, den // self._den),
+                _scaled(other._codes, den // other._den))
 
     def minkowski(self, other: "IntervalSet") -> "IntervalSet":
-        """Pointwise sumset { a+b }.  Empty if either operand is empty."""
+        """Pointwise sumset { a+b }.  Empty if either operand is empty.
+
+        Values add; the sum's lo is open if either lo is open, its hi is
+        closed only if both his are closed.
+        """
         if self.is_empty or other.is_empty:
             return _EMPTY
-        return IntervalSet(
-            [a.sum(b) for a in self._components for b in other._components]
-        )
+        den, a, b = self._aligned(other)
+        ranges_a = list(zip(a[::2], a[1::2]))
+        if other is self:
+            pairs = combinations_with_replacement(ranges_a, 2)
+        else:
+            pairs = product(ranges_a, zip(b[::2], b[1::2]))
+        spans = [(p + q - (p & q & 1), r + s - ((r | s) & 1)) for (p, r), (q, s) in pairs]
+        return IntervalSet._of(den, _merge(spans))
 
     __add__ = minkowski
 
     # -- boolean operations --------------------------------------------
 
-    def _combine(self, other: "IntervalSet", keep) -> "IntervalSet":
-        """Rebuild the pointwise combination of two sets.
-
-        Membership is constant between consecutive endpoints, so probing
-        every endpoint and one interior point per gap reconstructs the
-        exact result.
-        """
-        pts = sorted(
-            {e for c in self._components for e in (c.lo, c.hi)}
-            | {e for c in other._components for e in (c.lo, c.hi)}
-        )
-        pieces = []
-        for i, p in enumerate(pts):
-            if keep(self.contains(p), other.contains(p)):
-                pieces.append(Interval(p, p, True, True))
-            if i + 1 < len(pts):
-                q = pts[i + 1]
-                mid = (p + q) / 2
-                if keep(self.contains(mid), other.contains(mid)):
-                    pieces.append(Interval(p, q, False, False))
-        return IntervalSet(pieces)
+    def _sweep(self, other: "IntervalSet", table: int) -> "IntervalSet":
+        """The combination of two sets under a truth table, in one pass
+        over both code lists."""
+        den, a, b = self._aligned(other)
+        out = []
+        i = j = state = inside = 0
+        na, nb = len(a), len(b)
+        while i < na or j < nb:
+            x = a[i] if j == nb or (i < na and a[i] <= b[j]) else b[j]
+            if i < na and a[i] == x:
+                state ^= 2
+                i += 1
+            if j < nb and b[j] == x:
+                state ^= 1
+                j += 1
+            keep = table >> state & 1
+            if keep != inside:
+                out.append(x)
+                inside = keep
+        return IntervalSet._of(den, out)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_empty:
             return other
         if other.is_empty:
             return self
-        return self._combine(other, lambda a, b: a or b)
+        return self._sweep(other, _UNION)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_empty or other.is_empty:
             return _EMPTY
-        return self._combine(other, lambda a, b: a and b)
+        return self._sweep(other, _INTERSECT)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_empty or other.is_empty:
             return self
-        return self._combine(other, lambda a, b: a and not b)
+        return self._sweep(other, _DIFFERENCE)
 
     def symmetric_difference(self, other: "IntervalSet") -> "IntervalSet":
-        return self._combine(other, lambda a, b: a != b)
+        return self._sweep(other, _XOR)
 
     __or__ = union
     __and__ = intersect
@@ -341,9 +408,9 @@ class IntervalSet:
     # -- text form ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._components:
+        if not self._codes:
             return "{}"
-        return "|".join(str(c) for c in self._components)
+        return "|".join(str(c) for c in self.components)
 
     def __repr__(self) -> str:
         return f"IntervalSet.parse({str(self)!r})"
@@ -357,4 +424,4 @@ def _parse_rational(token: str):
     return rational(int(token))
 
 
-_EMPTY = IntervalSet._wrap(())
+_EMPTY = IntervalSet._of(1, ())

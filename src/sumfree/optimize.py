@@ -162,8 +162,7 @@ def _trim(S: IntervalSet, m: int) -> IntervalSet:
     if len(S) <= m:
         return S
     ranked = sorted(enumerate(S.components), key=lambda e: (-(e[1].length), e[0]))
-    keep = sorted(idx for idx, _ in ranked[:m])
-    return IntervalSet._wrap(tuple(S.components[i] for i in keep))
+    return S._select(sorted(idx for idx, _ in ranked[:m]))
 
 
 def _initial_state(rng: random.Random, m: int) -> IntervalSet:
@@ -295,9 +294,8 @@ def _propose_insert(rng, S):
 
 
 def _propose_delete(rng, S):
-    comps = list(S.components)
-    del comps[rng.randrange(len(comps))]
-    return IntervalSet._wrap(tuple(comps))
+    drop = rng.randrange(len(S))
+    return S._select(i for i in range(len(S)) if i != drop)
 
 
 def _propose_split(rng, S):
