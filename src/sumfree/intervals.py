@@ -34,8 +34,8 @@ So each point set has exactly one code list, and two sets are equal if
 and only if their ``(D, codes)`` are.  Boolean operations are one sweep
 over the two code lists put on their least common denominator; the
 sumset adds codes pairwise and sort-merges plain ints.  ``Fraction``
-values are built only when ``components``, ``inf``, ``sup`` or
-``measure`` is read.
+values are built only for what a caller reads: ``components``, the
+extrema and ``measure``.
 
 Canonical text form, accepted and emitted by :meth:`IntervalSet.parse`
 and ``str()``::
@@ -53,7 +53,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import gcd, lcm
 
 from .rationals import Rational, rational
@@ -344,11 +344,7 @@ class IntervalSet:
         if self.is_empty or other.is_empty:
             return _EMPTY
         den, a, b = self._aligned(other)
-        ranges_a = list(zip(a[::2], a[1::2]))
-        if other is self:
-            pairs = combinations_with_replacement(ranges_a, 2)
-        else:
-            pairs = product(ranges_a, zip(b[::2], b[1::2]))
+        pairs = product(zip(a[::2], a[1::2]), zip(b[::2], b[1::2]))
         spans = [(p + q - (p & q & 1), r + s - ((r | s) & 1)) for (p, r), (q, s) in pairs]
         return IntervalSet._of(den, _merge(spans))
 
