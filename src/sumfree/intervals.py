@@ -12,7 +12,7 @@ not enough.  Measure itself ignores endpoints (a singleton has measure
 zero), and for these sets inner measure coincides with measure.
 
 Encoding.  A set stores one common denominator ``D`` and a flat,
-strictly increasing tuple of int *codes*, two per component.  An
+strictly increasing list of int *codes*, two per component.  An
 endpoint ``p/D`` is coded as::
 
     closed lo -> 2p      open lo -> 2p+1
@@ -53,7 +53,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, lcm
 
 from .rationals import Rational, rational
@@ -139,11 +138,11 @@ class Interval:
 _UNION, _INTERSECT, _DIFFERENCE, _XOR = 0b1110, 0b1000, 0b0100, 0b0110
 
 
-def _merge(spans: list) -> list:
-    """Codes of the union of half-open ``(lo, hi)`` code ranges."""
-    spans.sort()
+def _merge(los: list, his: list) -> list:
+    """Codes of the union of the half-open code ranges [los[i], his[i])."""
     out = []
-    for lo, hi in spans:
+    for i in sorted(range(len(los)), key=los.__getitem__):
+        lo, hi = los[i], his[i]
         if out and lo <= out[-1]:
             if hi > out[-1]:
                 out[-1] = hi
@@ -171,23 +170,34 @@ class IntervalSet:
 
     def __init__(self, pieces=()):
         pieces = list(pieces)
-        den = lcm(*(x.denominator for p in pieces for x in (p.lo, p.hi)))
-        spans = []
+        den = 1
+        for p in pieces:
+            den = lcm(den, p.lo.denominator, p.hi.denominator)
+        los, his = [], []
         for p in pieces:
             lo = 2 * p.lo.numerator * (den // p.lo.denominator) + (not p.lo_closed)
             hi = 2 * p.hi.numerator * (den // p.hi.denominator) + p.hi_closed
             if lo < hi:
-                spans.append((lo, hi))
-        self._init(den, _merge(spans))
+                los.append(lo)
+                his.append(hi)
+        self._init(den, _merge(los, his))
 
     def _init(self, den: int, codes) -> None:
         """Store canonical codes, dividing out any common factor of D."""
-        g = gcd(den, *[c >> 1 for c in codes])
+        g = den
+        for c in codes:
+            if g == 1:
+                break
+            g = gcd(g, c >> 1)
         if g > 1:
             den //= g
             codes = [2 * ((c >> 1) // g) + (c & 1) for c in codes]
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_codes", tuple(codes))
+        # a list, not a tuple, and no star-args above: the interpreter
+        # keeps up to 2000 freed tuples of each small size for reuse, and
+        # short-lived tuples of many sizes would fill those free lists and
+        # raise peak memory
+        object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_components", None)
 
     def __setattr__(self, name, value):
@@ -247,10 +257,13 @@ class IntervalSet:
         comps = self._components
         if comps is None:
             d, c = self._den, self._codes
-            comps = tuple(
+            # from a list, not a generator: tuple() of a generator over-
+            # allocates and shrinks, and the shrunk tuples pile up in the
+            # interpreter's per-size free lists (see _init)
+            comps = tuple([
                 Interval(rational(lo >> 1, d), rational(hi >> 1, d), not lo & 1, bool(hi & 1))
                 for lo, hi in zip(c[::2], c[1::2])
-            )
+            ])
             object.__setattr__(self, "_components", comps)
         return comps
 
@@ -275,7 +288,7 @@ class IntervalSet:
         return self._den == other._den and self._codes == other._codes
 
     def __hash__(self) -> int:
-        return hash((self._den, self._codes))
+        return hash((self._den, tuple(self._codes)))
 
     def __bool__(self) -> bool:
         return bool(self._codes)
@@ -344,9 +357,9 @@ class IntervalSet:
         if self.is_empty or other.is_empty:
             return _EMPTY
         den, a, b = self._aligned(other)
-        pairs = product(zip(a[::2], a[1::2]), zip(b[::2], b[1::2]))
-        spans = [(p + q - (p & q & 1), r + s - ((r | s) & 1)) for (p, r), (q, s) in pairs]
-        return IntervalSet._of(den, _merge(spans))
+        los = [p + q - (p & q & 1) for p in a[::2] for q in b[::2]]
+        his = [r + s - ((r | s) & 1) for r in a[1::2] for s in b[1::2]]
+        return IntervalSet._of(den, _merge(los, his))
 
     __add__ = minkowski
 
@@ -420,4 +433,4 @@ def _parse_rational(token: str):
     return rational(int(token))
 
 
-_EMPTY = IntervalSet._of(1, ())
+_EMPTY = IntervalSet._of(1, [])
