@@ -21,7 +21,6 @@ A4 = 100, A5 = 101, A6 = 110, A7 = 111.
 from __future__ import annotations
 
 import functools
-import logging
 import random
 
 from .intervals import Interval, IntervalSet
@@ -36,8 +35,6 @@ __all__ = [
     "cg_density",
     "random_sum_free",
 ]
-
-log = logging.getLogger(__name__)
 
 #: bit pattern of the one endpoint combination that is not 3-sum-free
 FORBIDDEN_COMBINATION_BITS = 0b010
@@ -100,21 +97,15 @@ def cg_density(k: int):
     return (k - 2) / (k * k - 2) * (k + 8 / (k * (k**4 - 2 * k**2 - 4)))
 
 
-#: repair rounds allowed before the generator gives up on a sample
-REPAIR_ROUND_CAP = 64
-
 _DENOMINATORS = (24, 36, 48, 60, 90, 120, 177, 236, 354, 360)
 
 
 def random_sum_free(seed: int, max_components: int) -> IntervalSet:
     """A pseudorandom 3-sum-free subset of [0,1], deterministic per seed.
 
-    Samples a random interval union, then repeatedly strips the region
-    (1/3)(A+A) until the set no longer meets it (exact emptiness).
-    Each round removes every point that could serve as the z of a
-    violating triple, so the fixed point is 3-sum-free by construction.
-    If the loop has not converged after REPAIR_ROUND_CAP rounds the
-    sample is abandoned and the empty set returned.
+    Samples a random interval union S and returns S' = S \\ (1/3)(S+S).
+    One strip suffices: if x, y, z in S' had x + y = 3z, then z would
+    lie in (1/3)(S'+S'), a subset of (1/3)(S+S), which S' misses.
     """
     if max_components < 1:
         raise ValueError("max_components must be >= 1")
@@ -131,13 +122,4 @@ def random_sum_free(seed: int, max_components: int) -> IntervalSet:
             for j in range(ncomp)
         ]
     )
-    A = pieces
-    for _ in range(REPAIR_ROUND_CAP):
-        if A.is_empty:
-            return A
-        removable = A.minkowski(A).dilate(rational(1, 3))
-        if removable.intersect(A).is_empty:
-            return A
-        A = A.difference(removable)
-    log.warning("random_sum_free(seed=%s) did not converge; returning empty set", seed)
-    return IntervalSet.empty()
+    return pieces.difference(pieces.minkowski(pieces).dilate(rational(1, 3)))

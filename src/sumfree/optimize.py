@@ -1,9 +1,8 @@
 """Seeded search for 3-sum-free interval sets of maximal measure.
 
 The optimizer walks over exactly-feasible states: every candidate is
-repaired (one pass of stripping its own forbidden region), re-checked
-with the exact predicate, and only then considered.  Infeasible
-proposals are rejected outright, so the returned set is 3-sum-free by
+repaired by one pass of stripping its own forbidden region, which makes
+it 3-sum-free (see ``_repair``), so the returned set is 3-sum-free by
 construction and its measure obeys the 77/177 ceiling exactly.
 
 Three mechanisms cooperate:
@@ -112,10 +111,7 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
         if cand is None:
             continue
         evaluated += 1
-        cand = _repair(cand)
-        if cand is None or not _feasible(cand):
-            continue
-        cand = _trim(cand, m)
+        cand = _trim(_repair(cand), m)
         cmu = cand.measure()
         if cmu >= mu or _anneal_accept(rng, mu, cmu, i, iterations):
             state, mu = cand, cmu
@@ -150,8 +146,13 @@ def _feasible(S: IntervalSet) -> bool:
     return ok
 
 
-def _repair(S: IntervalSet):
-    """One pass of stripping the set's own forbidden region."""
+def _repair(S: IntervalSet) -> IntervalSet:
+    """Strip the set's own forbidden region; the result is 3-sum-free.
+
+    The region contains (1/3)(S+S), so the result is a subset of
+    S' = S \\ (1/3)(S+S), and S' is 3-sum-free: x + y = 3z in S' would
+    put z in (1/3)(S'+S'), a subset of (1/3)(S+S).  No re-check is needed.
+    """
     if S.is_empty:
         return S
     return S.difference(forbidden_region(S))
@@ -172,7 +173,7 @@ def _initial_state(rng: random.Random, m: int) -> IntervalSet:
     hi = lo + rational(rng.randint(1, den // 3), den)
     S = IntervalSet([Interval(lo, min(hi, rational(1)))])
     S = _repair(S)
-    if S is None or S.is_empty or not _feasible(S):
+    if S.is_empty:
         return IntervalSet.interval(rational(2, 3), rational(1))
     return _trim(S, m)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intervals import Interval, IntervalSet
+from .intervals import IntervalSet
 from .rationals import Rational, rational
 
 __all__ = [
@@ -83,43 +83,22 @@ def is_k_sum_free(A: IntervalSet, k: int):
 
 
 def _extract_witness(A: IntervalSet, conflict: IntervalSet, k: int) -> Witness:
-    """Pick z from the first conflict component, then split k*z as x + y.
+    """Pick z in the first conflict component, then split k*z as x + y.
 
-    Midpoints keep the choice deterministic and inside the set: the
-    midpoint of a component is interior (or the point itself for a
-    singleton), and the overlap I & (k*z - J) is nonempty by
-    construction whenever k*z lies in I + J.
+    z is that component's midpoint, so it lies in A and in (1/k)(A+A).
+    The points x of A with k*z - x also in A form A & (k*z - A), which
+    is nonempty because k*z lies in A+A; x is the midpoint of its first
+    component.  That set is symmetric about k*z/2, so x <= y = k*z - x.
     """
     first = conflict.components[0]
     z = (first.lo + first.hi) / 2
     target = k * z
-    comps = A.components
-    for i, I in enumerate(comps):
-        for J in comps[i:]:
-            s = I.sum(J)
-            if not s.contains(target):
-                continue
-            overlap = _intersect_pieces(I, Interval(
-                target - J.hi, target - J.lo, J.hi_closed, J.lo_closed))
-            x = (overlap.lo + overlap.hi) / 2
-            y = target - x
-            w = Witness(min(x, y), max(x, y), z, k)
-            if not w.holds_in(A):
-                raise AssertionError(f"internal witness extraction failed: {w}")
-            return w
-    raise AssertionError("conflict component without a contributing pair")
-
-
-def _intersect_pieces(a: Interval, b: Interval) -> Interval:
-    if a.lo > b.lo or (a.lo == b.lo and not a.lo_closed):
-        lo, lo_closed = a.lo, a.lo_closed
-    else:
-        lo, lo_closed = b.lo, b.lo_closed
-    if a.hi < b.hi or (a.hi == b.hi and not a.hi_closed):
-        hi, hi_closed = a.hi, a.hi_closed
-    else:
-        hi, hi_closed = b.hi, b.hi_closed
-    return Interval(lo, hi, lo_closed, hi_closed)
+    pair = A.intersect(A.reflect().translate(target)).components[0]
+    x = (pair.lo + pair.hi) / 2
+    w = Witness(x, target - x, z, k)
+    if not w.holds_in(A):
+        raise AssertionError(f"internal witness extraction failed: {w}")
+    return w
 
 
 def forbidden_region(A: IntervalSet) -> IntervalSet:

@@ -18,7 +18,6 @@ equality.
 
 Cases:
     early-exit          mu(A) < 5/12, nothing to do
-    degenerate-R-empty  mu(R) = 0, the head carries no mass
     Case1-R0-empty      eta1 + 2*eta2 <= 1/3 and R0 is empty
     Case1-R0-nonempty   eta1 + 2*eta2 <= 1/3 and R0 is nonempty
     Case2               eta1 + 2*eta2 > 1/3
@@ -58,7 +57,6 @@ _DENSE_THRESHOLD = rational(5, 12)
 
 class TraceCase(Enum):
     EARLY_EXIT = "early-exit"
-    DEGENERATE_R_EMPTY = "degenerate-R-empty"
     CASE1_R0_EMPTY = "Case1-R0-empty"
     CASE1_R0_NONEMPTY = "Case1-R0-nonempty"
     CASE2 = "Case2"
@@ -83,7 +81,6 @@ class ProofTrace:
     b: Optional[Rational] = None
     eta1: Optional[Rational] = None
     eta2: Optional[Rational] = None
-    internal_sets: dict = field(default_factory=dict)
     verdicts: list = field(default_factory=list)
     final_bound: Rational = MAX_MEASURE
 
@@ -126,8 +123,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     bounds = [MAX_MEASURE]
     verdicts = []
 
-    internal = _window_sets(ctx)
-    verdicts.extend(_window_verdicts(internal, ctx))
+    verdicts.extend(_window_verdicts(_window_sets(ctx), ctx))
 
     verdicts += [v for v in (check_tail_bound(ctx), check_dense_tail_bound(ctx))
                  if v is not None]
@@ -139,16 +135,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
                                 muR <= rational(2, 9) - 2 * a / 3))
     bounds.append(_THIRD + muR)
 
-    if muR == 0:
-        t = ProofTrace(A, S, ctx.rescaled, mu, TraceCase.DEGENERATE_R_EMPTY, ctx, R,
-                       internal_sets=internal, verdicts=verdicts)
-        bounds.append(_THIRD)
-        verdicts.append(CheckRecord("massless-head", mu, _THIRD, mu <= _THIRD))
-        t.final_bound = min(bounds)
-        verdicts.append(CheckRecord("final-vs-ceiling", t.final_bound, MAX_MEASURE,
-                                    t.final_bound <= MAX_MEASURE))
-        return t
-
+    # dense-tail-bound caps the tail at 1/3, so muR = mu - tail >= 1/12 > 0
     r = R.sup()
     ctx_r = ctx.head(R)  # the head (1/r)*R
     eta1, eta2 = ctx_r.eps1, ctx_r.eps2
@@ -162,8 +149,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     bounds.extend(final_extra)
 
     t = ProofTrace(A, S, ctx.rescaled, mu, case, ctx, R, r,
-                   internal_sets=internal, verdicts=verdicts,
-                   eta1=eta1, eta2=eta2)
+                   verdicts=verdicts, eta1=eta1, eta2=eta2)
     if case is TraceCase.CASE1_R0_NONEMPTY:
         t.R0, t.b = R0, R0.sup()
     t.final_bound = min(bounds)

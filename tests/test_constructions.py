@@ -82,6 +82,15 @@ class TestGenerator:
             ok, witness = is_k_sum_free(out, 3)
             assert ok, f"seed {seed}: {witness}"
 
+    def test_pinned_outputs(self):
+        # one strip of (1/3)(S+S) from the sampled union S
+        assert str(random_sum_free(1, 4)) == "[1/9,1/6)|(97/177,97/118]"
+        assert str(random_sum_free(7, 4)) == (
+            "(1/18,299/5310)|[19/48,37/90)|[4/9,25/48)|[37/60,2/3)")
+        assert str(random_sum_free(11, 4)) == (
+            "[1411/3186,4/9]|[238/531,955/2124]|[14/27,65/118]|(2/3,119/177)|(161/236,7/9)")
+        assert str(random_sum_free(24, 4)) == "[1/54,1/36)|[119/354,119/236)"
+
     def test_deterministic(self):
         for seed in (1, 7, 99):
             assert random_sum_free(seed, 5) == random_sum_free(seed, 5)

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_interval_set
+from conftest import interval_sets, random_interval_set
 from sumfree.constructions import endpoint_combination, extremal_base
 from sumfree.intervals import Interval, IntervalSet
 from sumfree.predicates import forbidden_region, is_k_sum_free
@@ -33,12 +34,13 @@ class TestPredicate:
         assert w.holds_in(S("(0,1)"))
 
     def test_witness_soundness_random(self, rng):
-        for _ in range(300):
-            a = random_interval_set(rng, lo=0, hi=2)
-            for k in (1, 3, 4):
-                ok, w = is_k_sum_free(a, k)
-                if not ok:
-                    assert w.k == k and w.holds_in(a)
+        for lo in (0, -2):
+            for _ in range(300):
+                a = random_interval_set(rng, lo=lo, hi=2)
+                for k in (1, 3, 4):
+                    ok, w = is_k_sum_free(a, k)
+                    if not ok:
+                        assert w.k == k and w.holds_in(a) and w.x <= w.y
 
     def test_k2_trivially_false_for_nonempty(self, rng):
         ok, w = is_k_sum_free(S("(1/4,1/3)"), 2)
@@ -84,6 +86,18 @@ class TestPredicate:
                                 clash = True
                 ok, _ = is_k_sum_free(a, k)
                 assert ok == (not clash)
+
+
+class TestStrip:
+    """S minus (1/3)(S+S) is 3-sum-free, so one strip needs no re-check."""
+
+    @settings(max_examples=150)
+    @given(interval_sets())
+    def test_one_strip_is_sum_free(self, a):
+        third = rational(1, 3)
+        assert is_k_sum_free(a.difference(a.minkowski(a).dilate(third)), 3)[0]
+        if not a.is_empty:
+            assert is_k_sum_free(a.difference(forbidden_region(a)), 3)[0]
 
 
 class TestForbiddenRegion:
