@@ -82,7 +82,8 @@ class LemmaContext:
     itself is 3-sum-free, else ``NotSumFreeError`` with a witness in A;
     sup A = 1, or with ``rescale=True`` S is (1/sup A) * A, flagged by
     ``rescaled``.  a, A1, eps1 and eps2 are those of S, ``measure`` is
-    mu(S) and ``tail`` the tail mass mu(S & [2/9 + a/3, 1]).
+    mu(S), ``R`` the head S & [a, 2/9 + a/3] and ``tail`` the tail mass
+    mu(S & [2/9 + a/3, 1]) = mu(S) - mu(R).
     """
 
     a: Rational
@@ -92,6 +93,7 @@ class LemmaContext:
     S: IntervalSet
     rescaled: bool
     measure: Rational
+    R: IntervalSet
     tail: Rational
 
     @classmethod
@@ -126,8 +128,10 @@ class LemmaContext:
         eps1 = inf_A1 - _TWO_THIRDS
         eps2 = (_THIRD - eps1) - A1.measure()
         a = A.inf()
-        tail = A.intersect(window(tail_cut(a), 1)).measure()
-        return cls(a, A1, eps1, eps2, A, s != 1, A.measure(), tail)
+        # A lies in [a, 1] and the head and tail windows share one point
+        R = A.intersect(window(a, tail_cut(a)))
+        mu = A.measure()
+        return cls(a, A1, eps1, eps2, A, s != 1, mu, R, mu - R.measure())
 
 
 def window(lo, hi) -> IntervalSet:
@@ -148,21 +152,20 @@ def _context(A: IntervalSet | LemmaContext, rescale: bool) -> LemmaContext:
 
 
 def check_extent_bound(A: IntervalSet | LemmaContext) -> CheckRecord:
-    """mu(A) <= (2 sup A - inf A) / 4 for bounded 3-sum-free A in R+.
+    """mu(S) <= (2 - a) / 4 for 3-sum-free S in R+ with sup 1, a = inf S.
 
-    A plain set may have any sup: it is validated with rescaling, as the
-    inequality is scale-free, and bounded as given.
+    This is mu(A) <= (2 sup A - inf A) / 4 at sup A = 1.  The bound is
+    scale-free, so a plain set may have any sup: it is checked as
+    S = (1/sup A) * A.
     """
-    if isinstance(A, LemmaContext):
-        A = A.S
-    else:
+    if not isinstance(A, LemmaContext):
         if A.is_empty:
             raise PreconditionError("extent bound requires a nonempty set")
         if A.inf() < 0:
             raise PreconditionError("extent bound requires A inside [0, +inf)")
-        LemmaContext.from_set(A, rescale=True)
-    mu, bound = A.measure(), (2 * A.sup() - A.inf()) / 4
-    return CheckRecord("extent-bound", mu, bound, mu <= bound)
+        A = LemmaContext.from_set(A, rescale=True)
+    bound = (2 - A.a) / 4
+    return CheckRecord("extent-bound", A.measure, bound, A.measure <= bound)
 
 
 def check_top_window_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> CheckRecord:
@@ -272,7 +275,11 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
 
     Rejects sets that are empty, not inside [0, +inf), or not 3-sum-free
     (with the witness).  The set is validated once, into the context
-    every checker is given.
+    every checker is given.  The records, in order: extent-bound,
+    top-window-bound, then tail-bound, tail-equality-rigidity and
+    dense-tail-bound where they apply, then the sumset bound on the two
+    pairs the proof uses, sumset-min-bound(S,S) and, when the head R is
+    nonempty, sumset-min-bound(R,A1).
     """
     if A.is_empty:
         raise PreconditionError("lemma report requires a nonempty set")
@@ -286,11 +293,9 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
         records.append(check_tail_equality(ctx))
     records.append(check_dense_tail_bound(ctx))
     records = [r for r in records if r is not None]
-
-    comps = [IntervalSet([c]) for c in ctx.S.components]
-    for i in range(len(comps)):
-        for j in range(i, len(comps)):
-            rec = check_sumset_min_bound(comps[i], comps[j])
-            records.append(replace(rec, name=f"sumset-min-bound({i},{j})"))
-
+    records.append(replace(check_sumset_min_bound(ctx.S, ctx.S), name="sumset-min-bound(S,S)"))
+    if not ctx.R.is_empty:
+        # sup S = 1 puts a point of S in [2/3, 1], so A1 is nonempty
+        records.append(replace(check_sumset_min_bound(ctx.R, ctx.A1),
+                               name="sumset-min-bound(R,A1)"))
     return LemmaReport(A, ctx.S, ctx.rescaled, ctx, records)

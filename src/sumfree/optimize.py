@@ -212,17 +212,15 @@ def _propose_stack(S):
     [a, 2/9 + a/3] coexists with (2/3, 1), so good configurations embed
     recursively as the head of better ones.  The scale c is pinned to
     the largest value keeping c*S inside its own head window, which
-    lands stacked local optima exactly on the frontier.
+    lands stacked local optima exactly on the frontier.  S is a nonempty
+    3-sum-free subset of [0, 1] (``_propose`` sends an empty S to
+    insert), so 0 < sup S - inf S / 3 <= 1, and c >= 2/9 stays positive
+    when quantized.
     """
-    if S.is_empty:
-        return None
-    denom = S.sup() - S.inf() / 3
-    if denom <= 0:
-        return None
-    c = rational(2, 9) / denom
+    c = rational(2, 9) / (S.sup() - S.inf() / 3)
     if c.denominator > 10**7:
         c = _quantize_down(c)
-    if c <= 0 or c * S.sup() >= rational(2, 3):
+    if c * S.sup() >= rational(2, 3):
         return None
     return S.dilate(c).union(IntervalSet.interval(rational(2, 3), rational(1)))
 

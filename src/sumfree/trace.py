@@ -42,7 +42,6 @@ from .lemmas import (
     PreconditionError,
     check_dense_tail_bound,
     check_tail_bound,
-    tail_cut,
     window,
 )
 from .predicates import NotSumFreeError, is_k_sum_free
@@ -118,17 +117,12 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
         t.final_bound = _DENSE_THRESHOLD
         return t
 
-    a = ctx.a
-    cut = tail_cut(a)
+    a, R = ctx.a, ctx.R
     bounds = [MAX_MEASURE]
-    verdicts = []
-
-    verdicts.extend(_window_verdicts(_window_sets(ctx), ctx))
-
+    verdicts = _window_verdicts(ctx)
     verdicts += [v for v in (check_tail_bound(ctx), check_dense_tail_bound(ctx))
                  if v is not None]
 
-    R = S.intersect(window(a, cut))
     muR = R.measure()
     verdicts.append(CheckRecord("head-split", mu, _THIRD + muR, mu <= _THIRD + muR))
     verdicts.append(CheckRecord("head-window-cap", muR, rational(2, 9) - 2 * a / 3,
@@ -158,35 +152,28 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     return t
 
 
-def _window_sets(ctx: LemmaContext) -> dict:
-    """The five auxiliary windows used to bound the middle of the set."""
-    S, a, e1 = ctx.S, ctx.a, ctx.eps1
-    return {
-        "A_2/3": S.intersect(window(rational(4, 9) + 2 * e1 / 3, rational(2, 3))),
-        "A_4/9": S.intersect(window(_THIRD + e1 / 2, rational(4, 9) + e1 / 6)),
-        "A_1/3": S.intersect(window(rational(2, 9) + (a + e1) / 3, _THIRD + a / 3)),
-        "B_1/3": S.intersect(window(_THIRD + a / 3, _THIRD + e1 / 2)),
-        "C_1/3": S.intersect(window(rational(2, 9) + 2 * a / 9, rational(2, 9) + e1 / 3)),
-    }
+def _window_verdicts(ctx: LemmaContext) -> list:
+    """Mass bounds for the auxiliary windows that bound the middle of S.
 
-
-def _window_verdicts(internal: dict, ctx: LemmaContext) -> list:
-    """Mass bounds for the auxiliary windows.
-
-    The B and C bounds are only derived on the large-eps1 branch
-    (eps1 > 2a/3); outside it their windows are degenerate and the
-    bounds' right-hand sides go negative, so they are not claims there.
+    None apply when eps1 + 2*eps2 > 1/3.  The B and C bounds are only
+    derived on the large-eps1 branch (eps1 > 2a/3); outside it their
+    windows are degenerate and the bounds' right-hand sides go negative,
+    so they are not claims there.
     """
-    a, e1, e2 = ctx.a, ctx.eps1, ctx.eps2
+    S, a, e1, e2 = ctx.S, ctx.a, ctx.eps1, ctx.eps2
     if e1 + 2 * e2 > _THIRD:
         return []
     out = []
-    for key in ("A_2/3", "A_4/9", "A_1/3"):
-        m = internal[key].measure()
-        out.append(CheckRecord(f"window-{key[2:]}-mass", m, e2 / 3, m <= e2 / 3))
+    for name, lo, hi in (
+        ("2/3", rational(4, 9) + 2 * e1 / 3, rational(2, 3)),
+        ("4/9", _THIRD + e1 / 2, rational(4, 9) + e1 / 6),
+        ("1/3", rational(2, 9) + (a + e1) / 3, _THIRD + a / 3),
+    ):
+        m = S.intersect(window(lo, hi)).measure()
+        out.append(CheckRecord(f"window-{name}-mass", m, e2 / 3, m <= e2 / 3))
     if e1 > 2 * a / 3:
-        mB = internal["B_1/3"].measure()
-        mC = internal["C_1/3"].measure()
+        mB = S.intersect(window(_THIRD + a / 3, _THIRD + e1 / 2)).measure()
+        mC = S.intersect(window(rational(2, 9) + 2 * a / 9, rational(2, 9) + e1 / 3)).measure()
         rhsB = rational(3, 4) * (e1 / 2 - a / 3)
         out.append(CheckRecord("window-B_1/3-mass", mB, rhsB, mB <= rhsB))
         rhsBC = e1 / 3 - 2 * a / 9

@@ -42,6 +42,19 @@ def test_lemmas_passes_on_extremal_set(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_lemmas_records_on_extremal_set(capsys):
+    assert run(["lemmas", "--format", "records", "(8/177,4/59)|(28/177,14/59)|(2/3,1)"]) == 0
+    assert capsys.readouterr().out == (
+        "extent-bound\t77/177\t173/354\tpass\n"
+        "top-window-bound\t77/177\t1/2\tpass\n"
+        "tail-bound[small-eps1]\t1/3\t1/3\tpass\n"
+        "tail-equality-rigidity\t0\t0\tpass\n"
+        "dense-tail-bound\t1/3\t1/3\tpass\n"
+        "sumset-min-bound(S,S)\t77/59\t265/177\tpass\n"
+        "sumset-min-bound(R,A1)\t77/177\t31/59\tpass\n"
+    )
+
+
 def test_module_entry_point(monkeypatch, capsys):
     # run the module fresh, as `python -m sumfree.cli` does
     monkeypatch.delitem(sys.modules, "sumfree.cli")

@@ -55,6 +55,19 @@ class TestContext:
         assert head == LemmaContext.from_set(R, rescale=True)
         assert head.rescaled and head.S.sup() == 1
 
+    def test_head_and_tail_windows(self):
+        # R and tail are the two windows split at 2/9 + a/3, heads included
+        for seed in range(1, 120):
+            A = random_sum_free(seed, 4)
+            if A.is_empty:
+                continue
+            ctx = LemmaContext.from_set(A, rescale=True)
+            contexts = [ctx] if ctx.R.is_empty else [ctx, ctx.head(ctx.R)]
+            for c in contexts:
+                cut = tail_cut(c.a)
+                assert c.R == c.S.intersect(window(c.a, cut))
+                assert c.tail == c.S.intersect(window(cut, 1)).measure()
+
 
 class TestExtentBound:
     def test_extremal_base(self):
@@ -197,6 +210,13 @@ class TestLemmaReport:
         assert "dense-tail-bound" in names
         assert "tail-equality-rigidity" in names
         assert any(n.startswith("sumset-min-bound") for n in names)
+
+    def test_empty_head_has_no_head_pair(self):
+        # a = 2/3 > 1/3, so the head window [a, 2/9 + a/3] is empty
+        rep = lemma_report(S("(2/3,1)"))
+        assert rep.context.R.is_empty
+        assert [r.name for r in rep.records if r.name.startswith("sumset")] == [
+            "sumset-min-bound(S,S)"]
 
     def test_generated_sets_always_pass(self):
         for seed in range(1, 300):

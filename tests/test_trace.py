@@ -11,7 +11,7 @@ from sumfree.lemmas import (
     check_top_window_bound,
     lemma_report,
 )
-from sumfree.rationals import MAX_MEASURE
+from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import (
     ContainmentReport,
     TraceCase,
@@ -25,12 +25,8 @@ A0_RECORDS = [
     "[PASS] tail-bound[small-eps1]: 1/3 <= 1/3",
     "[PASS] tail-equality-rigidity: 0 <= 0  (tail mass is exactly 1/3)",
     "[PASS] dense-tail-bound: 1/3 <= 1/3  (mu(A) >= 5/12)",
-    "[PASS] sumset-min-bound(0,0): 8/177 <= 8/177",
-    "[PASS] sumset-min-bound(0,1): 6/59 <= 6/59",
-    "[PASS] sumset-min-bound(0,2): 21/59 <= 21/59",
-    "[PASS] sumset-min-bound(1,1): 28/177 <= 28/177",
-    "[PASS] sumset-min-bound(1,2): 73/177 <= 73/177",
-    "[PASS] sumset-min-bound(2,2): 2/3 <= 2/3",
+    "[PASS] sumset-min-bound(S,S): 77/59 <= 265/177",
+    "[PASS] sumset-min-bound(R,A1): 77/177 <= 31/59",
 ]
 
 A0_VERDICTS = [
@@ -52,15 +48,41 @@ A0_VERDICTS = [
     "[PASS] final-vs-ceiling: 77/177 <= 77/177",
 ]
 
+# reached by the optimizer; R0 = R & [a, 2r/9 + a/3] is empty
+CASE1_R0_EMPTY_SET = ("[640/3357,952/3357]|(2860/10071,2876/10071)"
+                      "|(8633/30213,2878/10071)|(2/3,1)")
+
+CASE1_R0_EMPTY_VERDICTS = [
+    "[PASS] window-2/3-mass: 0 <= 0",
+    "[PASS] window-4/9-mass: 0 <= 0",
+    "[PASS] window-1/3-mass: 0 <= 0",
+    "[PASS] tail-bound[small-eps1]: 1/3 <= 1/3",
+    "[PASS] dense-tail-bound: 1/3 <= 1/3  (mu(A) >= 5/12)",
+    "[PASS] head-split: 12928/30213 <= 12928/30213",
+    "[PASS] head-window-cap: 2857/30213 <= 958/10071",
+    "[PASS] head-tail-bound[small-eps1]: 2857/8634 <= 4316/12951  (on (1/r)*R)",
+    "[PASS] head-split-again: 2857/30213 <= 2878/30213",
+    "[PASS] head-cap-combined: 2857/30213 <= 958/10071",
+    "[PASS] head-cap-linear: 2857/30213 <= 958/10071",
+    "[PASS] head-cap-constant: 958/10071 <= 2/21",
+    "[PASS] final-vs-ceiling: 12928/30213 <= 77/177",
+]
+
 
 class TestPinnedVerdicts:
-    """The exact output on the extremal sets, character for character."""
+    """The exact output on the extremal sets and one Case1-R0-empty set."""
 
     def test_a0_lemma_records(self):
         assert [str(r) for r in lemma_report(extremal_base()).records] == A0_RECORDS
 
     def test_a0_trace_verdicts(self):
         assert [str(v) for v in trace_measure_bound(extremal_base()).verdicts] == A0_VERDICTS
+
+    def test_case1_r0_empty_trace(self):
+        t = trace_measure_bound(IntervalSet.parse(CASE1_R0_EMPTY_SET))
+        assert [str(v) for v in t.verdicts] == CASE1_R0_EMPTY_VERDICTS
+        assert t.case is TraceCase.CASE1_R0_EMPTY and t.R0.is_empty
+        assert t.final_bound == rational(12928, 30213) and t.equality_attained
 
     @pytest.mark.parametrize("i", range(8))
     def test_extremal_family(self, i):
@@ -70,7 +92,7 @@ class TestPinnedVerdicts:
         assert t.final_bound == MAX_MEASURE and t.equality_attained
         assert len(t.verdicts) == 16 and t.all_passed
         rep = lemma_report(A)
-        assert len(rep.records) == 11 and rep.all_passed
+        assert len(rep.records) == 7 and rep.all_passed
 
 
 class TestOneVerdictType:
