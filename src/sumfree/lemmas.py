@@ -7,14 +7,13 @@ does not apply to the set.  The inequalities are theorems, so a failing
 verdict on a genuinely 3-sum-free input means an implementation bug (or
 a falsified theorem) and the caller is expected to treat it as fatal.
 
-Every checker of a single set requires a 3-sum-free input with
-sup(A) = 1, and ``LemmaContext.from_set`` is the one place that checks
-it.  A set that is not 3-sum-free raises ``NotSumFreeError``, a
-``PreconditionError`` whose ``witness`` is a violating triple of the
-caller's set.  Pass ``rescale=True`` to work on (1/sup A) * A instead,
-which is flagged in the aggregate report.  Each single-set checker takes
-a plain set, which it validates, or a ``LemmaContext``, which it uses as
-it is: ``lemma_report`` and the tracer validate a set once and hand the
+Every checker of a single set takes a ``LemmaContext``: a nonempty
+3-sum-free set inside [0, +inf) with sup 1.  ``LemmaContext.from_set``
+is the one place that checks a set.  A set that is not 3-sum-free
+raises ``NotSumFreeError``, a ``PreconditionError`` whose ``witness`` is
+a violating triple of the caller's set.  Pass ``rescale=True`` to work
+on (1/sup A) * A instead, which is flagged in the aggregate report.
+``lemma_report`` and the tracer validate a set once and hand the
 context to every checker.
 
 Notation used throughout (all exact rationals):
@@ -23,10 +22,6 @@ Notation used throughout (all exact rationals):
     A1   = A & [2/3, 1]          the top window
     eps1 = inf(A1) - 2/3         slack before the top window starts
     eps2 = (1/3 - eps1) - mu(A1) mass missing from the top window
-
-When A1 is empty its infimum is taken to be 1, so eps1 = 1/3 and
-eps2 = 0; this keeps eps2 = 1/3 - eps1 - mu(A1) an identity for every
-input.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .intervals import IntervalSet
-from .predicates import NotSumFreeError, PreconditionError, Witness, is_k_sum_free
+from .predicates import NotSumFreeError, PreconditionError, is_k_sum_free
 from .rationals import Rational, rational
 
 __all__ = [
@@ -79,10 +74,11 @@ class LemmaContext:
     """A checked set S with sup 1, and the quantities every checker reads.
 
     ``from_set`` runs the shared checks in this order: A is nonempty; A
-    itself is 3-sum-free, else ``NotSumFreeError`` with a witness in A;
-    sup A = 1, or with ``rescale=True`` S is (1/sup A) * A, flagged by
-    ``rescaled``.  a, A1, eps1 and eps2 are those of S, ``measure`` is
-    mu(S), ``R`` the head S & [a, 2/9 + a/3] and ``tail`` the tail mass
+    lies inside [0, +inf); A itself is 3-sum-free, else
+    ``NotSumFreeError`` with a witness in A; sup A = 1, or with
+    ``rescale=True`` S is (1/sup A) * A, flagged by ``rescaled``.  a,
+    A1, eps1 and eps2 are those of S, ``measure`` is mu(S), ``R`` the
+    head S & [a, 2/9 + a/3] and ``tail`` the tail mass
     mu(S & [2/9 + a/3, 1]) = mu(S) - mu(R).
     """
 
@@ -100,6 +96,8 @@ class LemmaContext:
     def from_set(cls, A: IntervalSet, rescale: bool = False) -> "LemmaContext":
         if A.is_empty:
             raise PreconditionError("checker requires a nonempty set")
+        if A.inf() < 0:
+            raise PreconditionError("checker requires A inside [0, +inf)")
         ok, witness = is_k_sum_free(A, 3)
         if not ok:
             raise NotSumFreeError(witness)
@@ -114,18 +112,19 @@ class LemmaContext:
 
     @classmethod
     def _of(cls, A: IntervalSet, rescale: bool) -> "LemmaContext":
-        """The quantities of a nonempty set already known to be 3-sum-free."""
+        """The quantities of a nonempty 3-sum-free set inside [0, +inf).
+
+        0 is not in such a set (0 + 0 = 3*0), so sup A > 0.  After scaling
+        sup S = 1, so S has points in [2/3, 1] and A1 is nonempty.
+        """
         s = A.sup()
         if s != 1:
             if not rescale:
                 raise PreconditionError(
                     f"checker requires sup(A) = 1, got {s} (pass rescale=True)")
-            if s <= 0:
-                raise PreconditionError("cannot rescale a set with sup <= 0")
             A = A.dilate(1 / s)
         A1 = A.intersect(window(_TWO_THIRDS, rational(1)))
-        inf_A1 = rational(1) if A1.is_empty else A1.inf()
-        eps1 = inf_A1 - _TWO_THIRDS
+        eps1 = A1.inf() - _TWO_THIRDS
         eps2 = (_THIRD - eps1) - A1.measure()
         a = A.inf()
         # A lies in [a, 1] and the head and tail windows share one point
@@ -147,42 +146,28 @@ def tail_cut(a) -> Rational:
     return rational(2, 9) + rational(a) / 3
 
 
-def _context(A: IntervalSet | LemmaContext, rescale: bool) -> LemmaContext:
-    return A if isinstance(A, LemmaContext) else LemmaContext.from_set(A, rescale)
-
-
-def check_extent_bound(A: IntervalSet | LemmaContext) -> CheckRecord:
+def check_extent_bound(ctx: LemmaContext) -> CheckRecord:
     """mu(S) <= (2 - a) / 4 for 3-sum-free S in R+ with sup 1, a = inf S.
 
-    This is mu(A) <= (2 sup A - inf A) / 4 at sup A = 1.  The bound is
-    scale-free, so a plain set may have any sup: it is checked as
-    S = (1/sup A) * A.
+    This is mu(A) <= (2 sup A - inf A) / 4 at sup A = 1.
     """
-    if not isinstance(A, LemmaContext):
-        if A.is_empty:
-            raise PreconditionError("extent bound requires a nonempty set")
-        if A.inf() < 0:
-            raise PreconditionError("extent bound requires A inside [0, +inf)")
-        A = LemmaContext.from_set(A, rescale=True)
-    bound = (2 - A.a) / 4
-    return CheckRecord("extent-bound", A.measure, bound, A.measure <= bound)
+    bound = (2 - ctx.a) / 4
+    return CheckRecord("extent-bound", ctx.measure, bound, ctx.measure <= bound)
 
 
-def check_top_window_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> CheckRecord:
-    """mu(A) <= 1/3 + mu(A & [2/3,1]) / 2 for 3-sum-free A with sup = 1."""
-    ctx = _context(A, rescale)
+def check_top_window_bound(ctx: LemmaContext) -> CheckRecord:
+    """mu(S) <= 1/3 + mu(S & [2/3,1]) / 2 for 3-sum-free S with sup = 1."""
     bound = _THIRD + ctx.A1.measure() / 2
     return CheckRecord("top-window-bound", ctx.measure, bound, ctx.measure <= bound)
 
 
-def check_tail_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> CheckRecord | None:
-    """Piecewise bound on the tail mass mu(A & [2/9 + a/3, 1]).
+def check_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
+    """Piecewise bound on the tail mass mu(S & [2/9 + a/3, 1]).
 
     Applicable when eps1 + 2*eps2 <= 1/3, else None.  The bound is
     1/3 - eps1/6 when eps1 <= 2a/3 (named "tail-bound[small-eps1]"), and
     1/3 - (eps1 - 2a/3)/24 otherwise ("tail-bound[large-eps1]").
     """
-    ctx = _context(A, rescale)
     if ctx.eps1 + 2 * ctx.eps2 > _THIRD:
         return None
     if ctx.eps1 <= 2 * ctx.a / 3:
@@ -192,36 +177,28 @@ def check_tail_bound(A: IntervalSet | LemmaContext, rescale: bool = False) -> Ch
     return CheckRecord(f"tail-bound[{branch}]", ctx.tail, bound, ctx.tail <= bound)
 
 
-def check_tail_equality(A: IntervalSet | LemmaContext,
-                        rescale: bool = False) -> CheckRecord | None:
+def check_tail_equality(ctx: LemmaContext) -> CheckRecord | None:
     """Tail mass exactly 1/3 forces eps1 = eps2 = 0.
 
-    The verdict is eps1 + eps2 <= 0, and None when the tail mass is not
-    1/3.  Rejects inf A <= 0, which for a 3-sum-free finite union means
-    a set with negative points (0 in A gives 0 + 0 = 3*0, and an interval
-    (0, e) gives x = y = 3z/2), and eps1 + 2*eps2 > 1/3.
+    The verdict is eps1 + eps2 <= 0.  None where the tail bound does not
+    apply (eps1 + 2*eps2 > 1/3) and when the tail mass is not 1/3.  The
+    statement needs a > 0, which every context has: 0 in S gives
+    0 + 0 = 3*0, and an interval (0, e) in S gives x = y = 3z/2.
 
     A failing verdict would falsify the rigidity statement; the suite
     treats it as fatal.
     """
-    ctx = _context(A, rescale)
-    if ctx.a <= 0:
-        raise PreconditionError(f"tail equality requires inf A > 0, got {ctx.a}")
-    if ctx.eps1 + 2 * ctx.eps2 > _THIRD:
-        raise PreconditionError("tail equality requires eps1 + 2*eps2 <= 1/3")
-    if ctx.tail != _THIRD:
+    if ctx.eps1 + 2 * ctx.eps2 > _THIRD or ctx.tail != _THIRD:
         return None
     return CheckRecord("tail-equality-rigidity", ctx.eps1 + ctx.eps2, rational(0),
                        ctx.eps1 == 0 and ctx.eps2 == 0, note="tail mass is exactly 1/3")
 
 
-def check_dense_tail_bound(A: IntervalSet | LemmaContext,
-                           rescale: bool = False) -> CheckRecord | None:
-    """mu(A) >= 5/12 implies tail mass mu(A & [a/3 + 2/9, 1]) <= 1/3.
+def check_dense_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
+    """mu(S) >= 5/12 implies tail mass mu(S & [a/3 + 2/9, 1]) <= 1/3.
 
-    None when mu(A) < 5/12.
+    None when mu(S) < 5/12.
     """
-    ctx = _context(A, rescale)
     if ctx.measure < rational(5, 12):
         return None
     return CheckRecord("dense-tail-bound", ctx.tail, _THIRD, ctx.tail <= _THIRD,
@@ -273,29 +250,19 @@ class LemmaReport:
 def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
     """Run every applicable inequality check on one 3-sum-free set.
 
-    Rejects sets that are empty, not inside [0, +inf), or not 3-sum-free
-    (with the witness).  The set is validated once, into the context
-    every checker is given.  The records, in order: extent-bound,
+    The set is validated once by ``LemmaContext.from_set``, into the
+    context every checker is given.  The records, in order: extent-bound,
     top-window-bound, then tail-bound, tail-equality-rigidity and
     dense-tail-bound where they apply, then the sumset bound on the two
     pairs the proof uses, sumset-min-bound(S,S) and, when the head R is
     nonempty, sumset-min-bound(R,A1).
     """
-    if A.is_empty:
-        raise PreconditionError("lemma report requires a nonempty set")
-    if A.inf() < 0:
-        raise PreconditionError("lemma report requires A inside [0, +inf)")
     ctx = LemmaContext.from_set(A, rescale)
-    records = [check_extent_bound(ctx), check_top_window_bound(ctx), check_tail_bound(ctx)]
-    if records[-1] is not None:
-        # a > 0 here: inf A >= 0 was checked and a 3-sum-free set misses 0;
-        # eps1 + 2*eps2 <= 1/3 because the tail bound applies
-        records.append(check_tail_equality(ctx))
-    records.append(check_dense_tail_bound(ctx))
-    records = [r for r in records if r is not None]
+    records = [r for r in (check_extent_bound(ctx), check_top_window_bound(ctx),
+                           check_tail_bound(ctx), check_tail_equality(ctx),
+                           check_dense_tail_bound(ctx)) if r is not None]
     records.append(replace(check_sumset_min_bound(ctx.S, ctx.S), name="sumset-min-bound(S,S)"))
     if not ctx.R.is_empty:
-        # sup S = 1 puts a point of S in [2/3, 1], so A1 is nonempty
         records.append(replace(check_sumset_min_bound(ctx.R, ctx.A1),
                                name="sumset-min-bound(R,A1)"))
     return LemmaReport(A, ctx.S, ctx.rescaled, ctx, records)

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 
 from .intervals import Interval, IntervalSet
-from .predicates import forbidden_region, is_k_sum_free
+from .predicates import conflicts, forbidden_region, is_k_sum_free
 from .rationals import Rational, rational
 
 __all__ = ["OptimizeResult", "optimize"]
@@ -142,8 +142,7 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
 
 
 def _feasible(S: IntervalSet) -> bool:
-    ok, _ = is_k_sum_free(S, 3)
-    return ok
+    return conflicts(S, 3).is_empty
 
 
 def _repair(S: IntervalSet) -> IntervalSet:
@@ -215,13 +214,13 @@ def _propose_stack(S):
     lands stacked local optima exactly on the frontier.  S is a nonempty
     3-sum-free subset of [0, 1] (``_propose`` sends an empty S to
     insert), so 0 < sup S - inf S / 3 <= 1, and c >= 2/9 stays positive
-    when quantized.
+    when quantized.  c*S stays below the top block: c * sup S =
+    (2/9) sup S / (sup S - inf S / 3) < 2/3 because inf S < 2 sup S,
+    and rounding c down keeps it below.
     """
     c = rational(2, 9) / (S.sup() - S.inf() / 3)
     if c.denominator > 10**7:
         c = _quantize_down(c)
-    if c * S.sup() >= rational(2, 3):
-        return None
     return S.dilate(c).union(IntervalSet.interval(rational(2, 3), rational(1)))
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "Witness",
     "PreconditionError",
     "NotSumFreeError",
+    "conflicts",
     "is_k_sum_free",
     "forbidden_region",
 ]
@@ -66,6 +67,11 @@ class NotSumFreeError(PreconditionError):
         super().__init__(f"set is not {witness.k}-sum-free: {witness}")
 
 
+def conflicts(A: IntervalSet, k: int) -> IntervalSet:
+    """The z in A with k*z in A+A; empty iff A is k-sum-free (k >= 1)."""
+    return A.minkowski(A).dilate(rational(1, k)).intersect(A)
+
+
 def is_k_sum_free(A: IntervalSet, k: int):
     """Exact predicate; returns (True, None) or (False, witness).
 
@@ -73,10 +79,7 @@ def is_k_sum_free(A: IntervalSet, k: int):
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if A.is_empty:
-        return True, None
-    sums = A.minkowski(A)
-    conflict = sums.dilate(rational(1, k)).intersect(A)
+    conflict = conflicts(A, k)
     if conflict.is_empty:
         return True, None
     return False, _extract_witness(A, conflict, k)

@@ -22,10 +22,14 @@ Cases:
     Case1-R0-nonempty   eta1 + 2*eta2 <= 1/3 and R0 is nonempty
     Case2               eta1 + 2*eta2 > 1/3
 
+The tracer validates its set once, with ``LemmaContext.from_set``, and
+hands that context to the checkers it reuses.
+
 Also here: the inverse-statement checker, which asserts that any set of
 measure exactly 77/177 coincides with the three-interval extremal set
 up to measure zero and is contained in one of the seven maximal
-augmentations.
+augmentations.  It needs sup A <= 1 without rescaling, so it checks
+[0, 1] and 3-sum-freeness itself.
 """
 
 from __future__ import annotations
@@ -100,11 +104,10 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     """Certify mu(A) <= 77/177 on a concrete 3-sum-free set with sup = 1.
 
     Pass ``rescale=True`` to work on (1/sup A)*A when sup differs from 1.
-    A is validated once, into one context; the context of the head
-    (1/r)*R is derived from it without a second check, as R is a subset.
+    A is validated once, by ``LemmaContext.from_set``; the context of the
+    head (1/r)*R is derived from it without a second check, as R is a
+    subset.
     """
-    if not A.is_empty and A.inf() < 0:
-        raise PreconditionError("trace requires A inside [0, 1]")
     ctx = LemmaContext.from_set(A, rescale)
     S, mu = ctx.S, ctx.measure
 

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings
 
 import sumfree
 import sumfree.lemmas
 import sumfree.predicates
-from conftest import random_interval_set
+from conftest import interval_sets, random_interval_set
 from sumfree.constructions import extremal_base, random_sum_free
 from sumfree.intervals import IntervalSet
 from sumfree.lemmas import (
@@ -29,6 +30,10 @@ def S(text):
     return IntervalSet.parse(text)
 
 
+def C(text, rescale=False):
+    return LemmaContext.from_set(S(text), rescale)
+
+
 class TestContext:
     def test_extremal_base(self):
         ctx = LemmaContext.from_set(extremal_base())
@@ -36,9 +41,10 @@ class TestContext:
         assert ctx.eps1 == 0 and ctx.eps2 == 0
         assert ctx.A1 == S("(2/3,1)")
 
-    def test_empty_top_window_convention(self):
-        # inf of an empty top window is taken as 1: eps1 = 1/3, eps2 = 0
-        ctx = LemmaContext.from_set(S("(1/12,1/9)|[1,1]"))
+    def test_point_top_window(self):
+        # A1 = {1}: inf 1 and measure 0, so eps1 = 1/3, eps2 = 0
+        ctx = C("(1/12,1/9)|[1,1]")
+        assert ctx.A1 == S("[1,1]")
         assert ctx.eps1 == rational(1, 3)
         assert ctx.eps2 == 0
         assert ctx.eps2 == rational(1, 3) - ctx.eps1 - ctx.A1.measure()
@@ -46,6 +52,16 @@ class TestContext:
     def test_requires_sup_one(self):
         with pytest.raises(PreconditionError):
             LemmaContext.from_set(S("(0,1/2)"))
+
+    @settings(max_examples=150)
+    @given(interval_sets(min_value=0))
+    def test_stripped_set_has_positive_inf_and_top_window(self, a):
+        # one strip leaves a 3-sum-free set, whose context has a > 0 and A1 nonempty
+        stripped = a.difference(a.minkowski(a).dilate(rational(1, 3)))
+        if stripped.is_empty:
+            return
+        ctx = LemmaContext.from_set(stripped, rescale=True)
+        assert ctx.a > 0 and not ctx.A1.is_empty
 
     def test_head_equals_checked_context_of_the_head(self):
         ctx = LemmaContext.from_set(extremal_base())
@@ -71,45 +87,45 @@ class TestContext:
 
 class TestExtentBound:
     def test_extremal_base(self):
-        res = check_extent_bound(extremal_base())
+        res = check_extent_bound(LemmaContext.from_set(extremal_base()))
         assert res.rhs == rational(173, 354)
         assert res.passed
 
     def test_top_third_saturates(self):
-        res = check_extent_bound(S("(2/3,1)"))
+        res = check_extent_bound(C("(2/3,1)"))
         assert res.rhs == rational(1, 3)
         assert res.passed and S("(2/3,1)").measure() == res.rhs
 
     def test_singleton(self):
-        res = check_extent_bound(S("[1,1]"))
+        res = check_extent_bound(C("[1,1]"))
         assert res.rhs == rational(1, 4)
         assert res.passed
 
     def test_rejects_violating_input(self):
         with pytest.raises(NotSumFreeError) as err:
-            check_extent_bound(S("(0,1)"))
+            LemmaContext.from_set(S("(0,1)"))
         assert err.value.witness.holds_in(S("(0,1)"))
 
 
 class TestTopWindowBound:
     def test_extremal_base(self):
-        res = check_top_window_bound(extremal_base())
+        res = check_top_window_bound(LemmaContext.from_set(extremal_base()))
         assert res.rhs == rational(1, 2)
         assert res.passed
 
     def test_top_third(self):
-        assert check_top_window_bound(S("(2/3,1)")).rhs == rational(1, 2)
+        assert check_top_window_bound(C("(2/3,1)")).rhs == rational(1, 2)
 
     def test_sup_enforced_without_rescale(self):
         with pytest.raises(PreconditionError):
-            check_top_window_bound(S("(1/3,1/2)"))
-        assert check_top_window_bound(S("(1/3,1/2)"), rescale=True).passed
+            C("(1/3,1/2)")
+        assert check_top_window_bound(C("(1/3,1/2)", rescale=True)).passed
 
 
 class TestTailBound:
     def test_extremal_base_equality(self):
         a0 = extremal_base()
-        res = check_tail_bound(a0)
+        res = check_tail_bound(LemmaContext.from_set(a0))
         assert res.name == "tail-bound[small-eps1]"
         assert res.rhs == rational(1, 3)
         cut = rational(2, 9) + rational(8, 177) / 3
@@ -119,7 +135,7 @@ class TestTailBound:
         assert res.passed
 
     def test_top_third(self):
-        res = check_tail_bound(S("(2/3,1)"))
+        res = check_tail_bound(C("(2/3,1)"))
         assert res.name == "tail-bound[small-eps1]" and res.passed
         assert res.rhs == rational(1, 3)
 
@@ -129,7 +145,7 @@ class TestTailBound:
         assert is_k_sum_free(s, 3)[0]
         ctx = LemmaContext.from_set(s)
         assert ctx.eps1 == rational(1, 6) and ctx.eps2 == 0
-        res = check_tail_bound(s)
+        res = check_tail_bound(ctx)
         assert res.name == "tail-bound[large-eps1]"
         assert res.rhs == rational(1, 3) - (ctx.eps1 - 2 * ctx.a / 3) / 24
         assert res.passed
@@ -137,41 +153,47 @@ class TestTailBound:
 
 class TestTailEquality:
     def test_extremal_base_triggered(self):
-        res = check_tail_equality(extremal_base())
+        res = check_tail_equality(LemmaContext.from_set(extremal_base()))
         assert res is not None and res.passed
 
     def test_untriggered_when_top_shrinks(self):
         s = S("(8/177,4/59)|(28/177,14/59)|(2/3,99/100)|[1,1]")
         assert is_k_sum_free(s, 3)[0]
-        res = check_tail_equality(s)
+        res = check_tail_equality(LemmaContext.from_set(s))
         assert res is None
 
     def test_top_third(self):
-        res = check_tail_equality(S("(2/3,1)"))
+        res = check_tail_equality(C("(2/3,1)"))
         assert res is not None and res.passed
 
     def test_precondition_a_positive(self):
-        with pytest.raises(PreconditionError):
-            check_tail_equality(S("(0,1/4)|(2/3,1)"))
+        # inf A = 0 is no context: (0, 1/4) holds 1/8 + 1/8 = 3 * 1/12
+        with pytest.raises(NotSumFreeError):
+            C("(0,1/4)|(2/3,1)")
 
     def test_rejects_negative_inf(self):
-        # 3-sum-free with sup 1 and eps1 + 2*eps2 = 1/3: only inf A > 0 fails
+        # 3-sum-free with sup 1, yet outside [0, +inf): no context is built
         s = S("[-1,-1]|[1,1]")
         assert is_k_sum_free(s, 3)[0]
-        ctx = LemmaContext.from_set(s)
-        assert ctx.eps1 + 2 * ctx.eps2 == rational(1, 3)
-        with pytest.raises(PreconditionError, match="inf A > 0") as err:
-            check_tail_equality(s)
+        with pytest.raises(PreconditionError, match=r"inside \[0, \+inf\)") as err:
+            LemmaContext.from_set(s)
         assert not isinstance(err.value, NotSumFreeError)
+
+    def test_not_applicable_where_tail_bound_is_not(self):
+        # eps1 = 0 and mu(A1) = 1/12, so eps1 + 2*eps2 = 1/2 > 1/3
+        ctx = C("(2/3,3/4)|[1,1]")
+        assert ctx.eps1 + 2 * ctx.eps2 == rational(1, 2)
+        assert check_tail_bound(ctx) is None
+        assert check_tail_equality(ctx) is None
 
 
 class TestDenseTailBound:
     def test_extremal_base(self):
-        res = check_dense_tail_bound(extremal_base())
+        res = check_dense_tail_bound(LemmaContext.from_set(extremal_base()))
         assert res is not None and res.passed
 
     def test_top_third_not_applicable(self):
-        res = check_dense_tail_bound(S("(2/3,1)"))
+        res = check_dense_tail_bound(C("(2/3,1)"))
         assert res is None
 
     def test_measure_threshold_is_exact(self):
@@ -230,30 +252,45 @@ class TestLemmaReport:
         with pytest.raises(NotSumFreeError):
             lemma_report(S("(0,1)"))
 
+    def test_sparse_top_window_drops_both_tail_records(self):
+        # eps1 + 2*eps2 = 1/2 > 1/3: neither tail record applies
+        rep = lemma_report(S("(2/3,3/4)|[1,1]"))
+        assert [r.name for r in rep.records] == [
+            "extent-bound", "top-window-bound", "sumset-min-bound(S,S)"]
+
+    def test_calls_each_checker_through_its_module_binding(self, monkeypatch):
+        # patching a checker's module name reaches every call the report makes
+        names = ["check_extent_bound", "check_top_window_bound", "check_tail_bound",
+                 "check_tail_equality", "check_dense_tail_bound"]
+        called = []
+
+        def counting(name, real):
+            def call(ctx):
+                called.append(name)
+                return real(ctx)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(sumfree.lemmas, name, counting(name, getattr(sumfree.lemmas, name)))
+        lemma_report(extremal_base())
+        assert called == names
+
 
 class TestErrorContract:
-    """A non-3-sum-free input is a precondition failure of every checker."""
+    """A set passes one check, ``LemmaContext.from_set``, before the lemma
+    code; every entry point that takes a set reports the same errors."""
 
     NOT_SUM_FREE = "(0,1/4)|(2/3,1)"  # 1/8 + 1/8 = 3 * 1/12
 
     @pytest.mark.parametrize(
-        "checker",
-        [
-            check_extent_bound,
-            check_top_window_bound,
-            check_tail_bound,
-            check_tail_equality,
-            check_dense_tail_bound,
-            lemma_report,
-            trace_measure_bound,
-            check_extremal_containment,
-        ],
+        "entry",
+        [LemmaContext.from_set, lemma_report, trace_measure_bound, check_extremal_containment],
         ids=lambda f: f.__name__,
     )
-    def test_checker_raises_witness(self, checker):
+    def test_checker_raises_witness(self, entry):
         s = S(self.NOT_SUM_FREE)
         with pytest.raises(NotSumFreeError) as err:
-            checker(s)
+            entry(s)
         assert isinstance(err.value, PreconditionError)
         assert isinstance(err.value, ValueError)
         assert err.value.witness.holds_in(s)
@@ -262,23 +299,32 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("rescale", [False, True])
     @pytest.mark.parametrize(
-        "checker",
-        [
-            check_top_window_bound,
-            check_tail_bound,
-            check_tail_equality,
-            check_dense_tail_bound,
-            lemma_report,
-            trace_measure_bound,
-        ],
+        "entry", [LemmaContext.from_set, lemma_report, trace_measure_bound],
         ids=lambda f: f.__name__,
     )
-    def test_witness_in_input_when_sup_not_one(self, checker, rescale):
+    def test_witness_in_input_when_sup_not_one(self, entry, rescale):
         # sum-freeness is checked before the sup, on the set as given
         s = S(self.SUP_HALF)
         with pytest.raises(NotSumFreeError) as err:
-            checker(s, rescale=rescale)
+            entry(s, rescale=rescale)
         assert err.value.witness.holds_in(s)
+
+    @pytest.mark.parametrize(
+        "A, match",
+        [
+            # 3-sum-free with sup 1, but outside [0, +inf)
+            pytest.param(S("[-1,-1]|[1,1]"), r"inside \[0, \+inf\)", id="negative"),
+            pytest.param(IntervalSet.empty(), "nonempty", id="empty"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "entry", [LemmaContext.from_set, lemma_report, trace_measure_bound],
+        ids=lambda f: f.__name__,
+    )
+    def test_outside_the_domain_is_not_a_sum_free_failure(self, entry, A, match):
+        with pytest.raises(PreconditionError, match=match) as err:
+            entry(A)
+        assert not isinstance(err.value, NotSumFreeError)
 
     def test_one_precondition_error(self):
         assert issubclass(NotSumFreeError, PreconditionError)

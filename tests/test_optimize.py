@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
 
-from sumfree.optimize import optimize
+from conftest import interval_sets
+from sumfree.intervals import Interval
+from sumfree.optimize import _propose_stack, optimize
 from sumfree.predicates import is_k_sum_free
 from sumfree.rationals import MAX_MEASURE, rational
 
@@ -52,3 +55,15 @@ def test_single_interval_lands_on_exact_optimum():
 def test_rejects_bad_arguments(m, iterations):
     with pytest.raises(ValueError):
         optimize(m, 1, iterations)
+
+
+@settings(max_examples=150)
+@given(interval_sets(min_value=0, max_value=1))
+def test_stack_stays_below_the_top_block(a):
+    # a state is a nonempty 3-sum-free subset of [0, 1], so c * sup S < 2/3
+    S = a.difference(a.minkowski(a).dilate(rational(1, 3)))
+    if S.is_empty:
+        return
+    out = _propose_stack(S)
+    assert len(out) == len(S) + 1
+    assert out.components[-1] == Interval(rational(2, 3), rational(1), False, False)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from conftest import interval_sets, random_interval_set
 from sumfree.constructions import endpoint_combination, extremal_base
 from sumfree.intervals import Interval, IntervalSet
-from sumfree.predicates import forbidden_region, is_k_sum_free
+from sumfree.predicates import conflicts, forbidden_region, is_k_sum_free
 from sumfree.rationals import rational
 
 
@@ -98,6 +98,16 @@ class TestStrip:
         assert is_k_sum_free(a.difference(a.minkowski(a).dilate(third)), 3)[0]
         if not a.is_empty:
             assert is_k_sum_free(a.difference(forbidden_region(a)), 3)[0]
+
+
+class TestConflicts:
+    """The conflict set is empty exactly when the predicate holds."""
+
+    @settings(max_examples=150)
+    @given(interval_sets())
+    def test_empty_iff_sum_free(self, a):
+        for k in range(1, 6):
+            assert conflicts(a, k).is_empty == is_k_sum_free(a, k)[0]
 
 
 class TestForbiddenRegion:
