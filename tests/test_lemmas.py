@@ -280,11 +280,31 @@ class TestErrorContract:
     """A set passes one check, ``LemmaContext.from_set``, before the lemma
     code; every entry point that takes a set reports the same errors."""
 
+    @staticmethod
+    def via_context(checker):
+        """A set reaches a single-set checker only through ``from_set``."""
+
+        def entry(A, rescale=False):
+            return checker(LemmaContext.from_set(A, rescale))
+
+        entry.__name__ = checker.__name__
+        return entry
+
     NOT_SUM_FREE = "(0,1/4)|(2/3,1)"  # 1/8 + 1/8 = 3 * 1/12
 
     @pytest.mark.parametrize(
         "entry",
-        [LemmaContext.from_set, lemma_report, trace_measure_bound, check_extremal_containment],
+        [
+            LemmaContext.from_set,
+            via_context(check_extent_bound),
+            via_context(check_top_window_bound),
+            via_context(check_tail_bound),
+            via_context(check_tail_equality),
+            via_context(check_dense_tail_bound),
+            lemma_report,
+            trace_measure_bound,
+            check_extremal_containment,
+        ],
         ids=lambda f: f.__name__,
     )
     def test_checker_raises_witness(self, entry):
@@ -299,7 +319,16 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("rescale", [False, True])
     @pytest.mark.parametrize(
-        "entry", [LemmaContext.from_set, lemma_report, trace_measure_bound],
+        "entry",
+        [
+            LemmaContext.from_set,
+            via_context(check_top_window_bound),
+            via_context(check_tail_bound),
+            via_context(check_tail_equality),
+            via_context(check_dense_tail_bound),
+            lemma_report,
+            trace_measure_bound,
+        ],
         ids=lambda f: f.__name__,
     )
     def test_witness_in_input_when_sup_not_one(self, entry, rescale):
