@@ -157,6 +157,15 @@ def _repair(S: IntervalSet) -> IntervalSet:
     return S.difference(forbidden_region(S))
 
 
+def _moved(S: IntervalSet, ci: int, lo=None, hi=None) -> IntervalSet:
+    """S with component ci's lo and/or hi moved; its closedness is kept."""
+    comps = list(S.components)
+    c = comps[ci]
+    comps[ci] = Interval(c.lo if lo is None else lo, c.hi if hi is None else hi,
+                         c.lo_closed, c.hi_closed)
+    return IntervalSet(comps)
+
+
 def _trim(S: IntervalSet, m: int) -> IntervalSet:
     """Keep the m longest components (leftmost wins ties)."""
     if len(S) <= m:
@@ -227,9 +236,8 @@ def _propose_stack(S):
 def _propose_shift(rng, S, stage):
     """Translate one whole component; measure-neutral, so always accepted
     when the shifted set stays feasible after repair."""
-    comps = list(S.components)
-    ci = rng.randrange(len(comps))
-    c = comps[ci]
+    ci = rng.randrange(len(S))
+    c = S.components[ci]
     step = _rand_step(rng, stage)
     if rng.random() < 0.4:
         step = -step
@@ -237,8 +245,7 @@ def _propose_shift(rng, S, stage):
     hi = c.hi + step
     if lo < 0 or hi > 1:
         return None
-    comps[ci] = Interval(lo, hi, c.lo_closed, c.hi_closed)
-    return IntervalSet(comps)
+    return _moved(S, ci, lo, hi)
 
 
 def _rand_step(rng, stage):
@@ -253,19 +260,14 @@ def _rand_step(rng, stage):
 
 
 def _propose_nudge(rng, S, stage):
-    comps = list(S.components)
-    ci = rng.randrange(len(comps))
-    c = comps[ci]
+    ci = rng.randrange(len(S))
+    c = S.components[ci]
     step = _rand_step(rng, stage)
     if rng.random() < 0.5:
         step = -step
     if rng.random() < 0.5:
-        lo = min(max(c.lo + step, rational(0)), rational(1))
-        comps[ci] = Interval(lo, c.hi, c.lo_closed, c.hi_closed)
-    else:
-        hi = min(max(c.hi + step, rational(0)), rational(1))
-        comps[ci] = Interval(c.lo, hi, c.lo_closed, c.hi_closed)
-    return IntervalSet(comps)
+        return _moved(S, ci, lo=min(max(c.lo + step, rational(0)), rational(1)))
+    return _moved(S, ci, hi=min(max(c.hi + step, rational(0)), rational(1)))
 
 
 def _propose_insert(rng, S):
@@ -274,8 +276,6 @@ def _propose_insert(rng, S):
         allowed = IntervalSet.interval(0, 1)
     else:
         allowed = IntervalSet.interval(0, 1).difference(S.union(forbidden_region(S)))
-    if allowed.is_empty:
-        return None
     gaps = [c for c in allowed.components if c.length > 0]
     if not gaps:
         return None
@@ -308,7 +308,7 @@ def _propose_split(rng, S):
     b = c.lo + c.length * f2
     left = Interval(c.lo, a, c.lo_closed, False)
     right = Interval(b, c.hi, False, c.hi_closed)
-    comps[ci:ci + 1] = [p for p in (left, right) if not p.is_empty]
+    comps[ci:ci + 1] = [left, right]
     return IntervalSet(comps)
 
 
@@ -342,7 +342,7 @@ def _push(S: IntervalSet, m: int) -> IntervalSet:
 
 
 def _expand_endpoint(S: IntervalSet, ci: int, side: str) -> IntervalSet:
-    comps = list(S.components)
+    comps = S.components
     c = comps[ci]
     if side == "lo":
         limit = comps[ci - 1].hi if ci > 0 else rational(0)
@@ -352,12 +352,7 @@ def _expand_endpoint(S: IntervalSet, ci: int, side: str) -> IntervalSet:
         room = limit - c.hi
 
     def moved(t):
-        cc = list(comps)
-        if side == "lo":
-            cc[ci] = Interval(c.lo - t, c.hi, c.lo_closed, c.hi_closed)
-        else:
-            cc[ci] = Interval(c.lo, c.hi + t, c.lo_closed, c.hi_closed)
-        return IntervalSet(cc)
+        return _moved(S, ci, lo=c.lo - t) if side == "lo" else _moved(S, ci, hi=c.hi + t)
 
     if room <= 0:
         return S
@@ -411,35 +406,29 @@ def _snap(S: IntervalSet, m: int, tol=None) -> IntervalSet:
     caller is expected to push afterwards so the loss is recovered on a
     simpler frontier point.
     """
-    window = rational(1, 1 << 18)
     tol = rational(0) if tol is None else rational(tol)
-    budget = 24
-    changed = True
-    while changed and budget > 0:
-        changed = False
-        comps = list(S.components)
-        for ci, c in enumerate(comps):
-            for side in ("lo", "hi"):
-                v = getattr(c, side)
-                for cand in _approximants(v):
-                    if cand == v or abs(cand - v) > window:
-                        continue
-                    cc = list(S.components)
-                    if side == "lo":
-                        cc[ci] = Interval(cand, c.hi, c.lo_closed, c.hi_closed)
-                    else:
-                        cc[ci] = Interval(c.lo, cand, c.lo_closed, c.hi_closed)
-                    trial = IntervalSet(cc)
-                    if trial.measure() >= S.measure() - tol and _feasible(trial):
-                        S = _trim(trial, m)
-                        changed = True
-                        budget -= 1
-                        break
-                if changed:
-                    break
-            if changed:
-                break
+    for _ in range(24):
+        trial = next(_snaps(S, tol), None)
+        if trial is None:
+            break
+        S = _trim(trial, m)
     return S
+
+
+def _snaps(S: IntervalSet, tol):
+    """Feasible one-endpoint snaps of S within 2**-18 that lose at most
+    tol measure, in component, side and approximant order."""
+    window = rational(1, 1 << 18)
+    floor = S.measure() - tol
+    for ci, c in enumerate(S.components):
+        for side in ("lo", "hi"):
+            v = getattr(c, side)
+            for cand in _approximants(v):
+                if cand == v or abs(cand - v) > window:
+                    continue
+                trial = _moved(S, ci, **{side: cand})
+                if trial.measure() >= floor and _feasible(trial):
+                    yield trial
 
 
 def _approximants(v):
