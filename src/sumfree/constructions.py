@@ -24,7 +24,7 @@ import functools
 import random
 
 from .intervals import Interval, IntervalSet
-from .predicates import is_k_sum_free
+from .predicates import is_k_sum_free, strip
 from .rationals import rational
 
 __all__ = [
@@ -103,9 +103,7 @@ _DENOMINATORS = (24, 36, 48, 60, 90, 120, 177, 236, 354, 360)
 def random_sum_free(seed: int, max_components: int) -> IntervalSet:
     """A pseudorandom 3-sum-free subset of [0,1], deterministic per seed.
 
-    Samples a random interval union S and returns S' = S \\ (1/3)(S+S).
-    One strip suffices: if x, y, z in S' had x + y = 3z, then z would
-    lie in (1/3)(S'+S'), a subset of (1/3)(S+S), which S' misses.
+    Samples a random interval union S and returns ``strip(S)``.
     """
     if max_components < 1:
         raise ValueError("max_components must be >= 1")
@@ -122,4 +120,4 @@ def random_sum_free(seed: int, max_components: int) -> IntervalSet:
             for j in range(ncomp)
         ]
     )
-    return pieces.difference(pieces.minkowski(pieces).dilate(rational(1, 3)))
+    return strip(pieces)

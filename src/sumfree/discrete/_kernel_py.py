@@ -22,6 +22,9 @@ the oracle for the pruned search.
 
 from __future__ import annotations
 
+#: extremal sets stored per search (the exact count is always kept)
+EXTREMAL_CAP = 10000
+
 
 def check_violation(mask: int, e: int, k: int, n: int):
     """Witness (x, y, z) created by adding e to the mask-set, or None."""
@@ -65,12 +68,12 @@ def new_forbidden(mask: int, e: int, k: int, n: int) -> int:
     return forb
 
 
-def search(n: int, k: int, enumerate_all: bool = False, cap: int = 10000):
+def search(n: int, k: int, enumerate_all: bool = False):
     """Exact maximum k-sum-free subset of {1..n} with extremal counting.
 
     Returns (max_size, extremal_count, stored_masks, nodes).  The exact
     count is always maintained; masks are stored only when
-    enumerate_all is set, up to cap of them in discovery order.
+    enumerate_all is set, up to EXTREMAL_CAP of them in discovery order.
     """
     full = (1 << n) - 1
     best = 0
@@ -92,7 +95,7 @@ def search(n: int, k: int, enumerate_all: bool = False, cap: int = 10000):
                     stored.append(mask)
             elif size == best:
                 count += 1
-                if enumerate_all and len(stored) < cap:
+                if enumerate_all and len(stored) < EXTREMAL_CAP:
                     stored.append(mask)
             return
         rem = (~forb & full & (full << (pos - 1))).bit_count()

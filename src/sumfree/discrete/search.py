@@ -17,6 +17,7 @@ from typing import Optional
 from ..intervals import IntervalSet
 from ..rationals import Rational, rational
 from . import _kernel_py
+from ._kernel_py import EXTREMAL_CAP
 
 __all__ = [
     "IntSet",
@@ -40,8 +41,6 @@ KERNEL_BACKEND = "python"
 DEFAULT_BUDGET = 34
 #: largest n the unpruned oracle accepts by default
 NAIVE_BUDGET = 26
-#: extremal sets stored per search (the exact count is always kept)
-EXTREMAL_CAP = 10000
 
 
 class BudgetError(ValueError):
@@ -129,9 +128,10 @@ def is_k_sum_free_int(S, k: int):
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     elems = set(S.elements if isinstance(S, IntSet) else S)
-    for z in sorted(elems):
+    ordered = sorted(elems)
+    for z in ordered:
         target = k * z
-        for x in sorted(elems):
+        for x in ordered:
             y = target - x
             if y >= x and y in elems:
                 return False, (x, y, z)
@@ -139,10 +139,10 @@ def is_k_sum_free_int(S, k: int):
 
 
 def max_k_sum_free(n: int, k: int, enumerate_sets: bool = False,
-                   budget: int = DEFAULT_BUDGET, cap: int = EXTREMAL_CAP) -> SearchResult:
+                   budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Exact maximum k-sum-free subset of {1..n}, with extremal census.
 
-    The extremal count is exact; listed sets are capped at ``cap``.
+    The extremal count is exact; listed sets are capped at ``EXTREMAL_CAP``.
     Refuses n beyond ``budget`` (raise it explicitly to go further).
     """
     if n < 1:
@@ -151,7 +151,7 @@ def max_k_sum_free(n: int, k: int, enumerate_sets: bool = False,
         raise ValueError("k must be >= 1")
     if n > budget:
         raise BudgetError(n, budget)
-    best, count, masks, nodes = _kernel_py.search(n, k, enumerate_sets, cap)
+    best, count, masks, nodes = _kernel_py.search(n, k, enumerate_sets)
     sets = tuple(IntSet.from_mask(m, n) for m in masks) if enumerate_sets else None
     return SearchResult(n, k, best, count, sets, nodes)
 
@@ -176,10 +176,10 @@ def discretize(A: IntervalSet, n: int) -> IntSet:
     return IntSet(n, tuple(i for i in range(1, n + 1) if A.contains(rational(i, n))))
 
 
-def density_report(k: int, n: int, budget: int = DEFAULT_BUDGET) -> DensityReport:
+def density_report(k: int, n: int) -> DensityReport:
     """Exhaustive desk-scale maximum next to the k >= 4 asymptotic density."""
     from ..constructions import cg_density
 
-    result = max_k_sum_free(n, k, budget=budget)
+    result = max_k_sum_free(n, k)
     return DensityReport(n, k, result.max_size,
                          rational(result.max_size, n), cg_density(k))

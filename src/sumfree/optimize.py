@@ -1,9 +1,9 @@
 """Seeded search for 3-sum-free interval sets of maximal measure.
 
-The optimizer walks over exactly-feasible states: every candidate is
-repaired by one pass of stripping its own forbidden region, which makes
-it 3-sum-free (see ``_repair``), so the returned set is 3-sum-free by
-construction and its measure obeys the 77/177 ceiling exactly.
+The optimizer walks over exactly-feasible states: every candidate
+passes through ``predicates.strip``, which removes (1/3)(S+S) and so
+makes it 3-sum-free, so the returned set is 3-sum-free by construction
+and its measure obeys the 77/177 ceiling exactly.
 
 Three mechanisms cooperate:
 
@@ -18,7 +18,7 @@ Three mechanisms cooperate:
   * a final snap replaces endpoints by the simplest nearby rationals
     (continued-fraction approximants) when that keeps feasibility and
     does not lose measure, so converged runs land on exact optima such
-    as (2/3, 1) with measure exactly 1/3.
+    as [2/3, 1) with measure exactly 1/3.
 
 The walk is a pure function of (m, seed, iterations); no state is
 shared across calls and no parallelism is used.
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 
 from .intervals import Interval, IntervalSet
-from .predicates import conflicts, forbidden_region, is_k_sum_free
+from .predicates import conflicts, forbidden_region, is_k_sum_free, strip
 from .rationals import Rational, rational
 
 __all__ = ["OptimizeResult", "optimize"]
@@ -48,9 +48,9 @@ RESTARTS = 6
 SNAP_DENOMINATORS = (3, 59, 177, 354, 708, 2832, 10000)
 #: bisection midpoints and stack scales are quantized down to multiples
 #: of 1/_GRID_DEN.  This does not bound endpoint denominators: the
-#: unquantized push dilation, the repair endpoints (x+y)/3 and 3x-y,
-#: split's twelfths and stack's dilation still compound them, and
-#: optimize(3, 2, 1600) returns a 22-digit denominator, above 2**63
+#: unquantized push dilation, the strip endpoints (x+y)/3, split's
+#: twelfths and stack's dilation still compound them, and
+#: optimize(3, 2, 1600) returns a 37-digit denominator, above 2**63
 _GRID_DEN = 177 * 2**28
 
 
@@ -86,7 +86,7 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     rng = random.Random(seed)
-    state = _initial_state(rng, m)
+    state = _initial_state(rng)
     best = state
     best_mu = state.measure()
     mu = best_mu
@@ -96,7 +96,7 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
 
     for i in range(iterations):
         if i and i % chunk == 0:
-            state = _initial_state(rng, m)
+            state = _initial_state(rng)
             mu = state.measure()
             continue
         if i % PUSH_EVERY == PUSH_EVERY - 1:
@@ -111,7 +111,7 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
         if cand is None:
             continue
         evaluated += 1
-        cand = _trim(_repair(cand), m)
+        cand = _trim(strip(cand), m)
         cmu = cand.measure()
         if cmu >= mu or _anneal_accept(rng, mu, cmu, i, iterations):
             state, mu = cand, cmu
@@ -145,18 +145,6 @@ def _feasible(S: IntervalSet) -> bool:
     return conflicts(S, 3).is_empty
 
 
-def _repair(S: IntervalSet) -> IntervalSet:
-    """Strip the set's own forbidden region; the result is 3-sum-free.
-
-    The region contains (1/3)(S+S), so the result is a subset of
-    S' = S \\ (1/3)(S+S), and S' is 3-sum-free: x + y = 3z in S' would
-    put z in (1/3)(S'+S'), a subset of (1/3)(S+S).  No re-check is needed.
-    """
-    if S.is_empty:
-        return S
-    return S.difference(forbidden_region(S))
-
-
 def _moved(S: IntervalSet, ci: int, lo=None, hi=None) -> IntervalSet:
     """S with component ci's lo and/or hi moved; its closedness is kept."""
     comps = list(S.components)
@@ -174,16 +162,14 @@ def _trim(S: IntervalSet, m: int) -> IntervalSet:
     return S._select(sorted(idx for idx, _ in ranked[:m]))
 
 
-def _initial_state(rng: random.Random, m: int) -> IntervalSet:
+def _initial_state(rng: random.Random) -> IntervalSet:
     """A small random feasible seed; the walk grows it from there."""
     den = rng.choice((90, 120, 177, 240))
     lo = rational(rng.randint(1, den - 2), den)
     hi = lo + rational(rng.randint(1, den // 3), den)
-    S = IntervalSet([Interval(lo, min(hi, rational(1)))])
-    S = _repair(S)
-    if S.is_empty:
-        return IntervalSet.interval(rational(2, 3), rational(1))
-    return _trim(S, m)
+    # for 0 < lo < hi the strip of (lo, hi) is (lo, hi) or [2hi/3, hi),
+    # one component, so no trim is needed
+    return strip(IntervalSet.interval(lo, min(hi, 1)))
 
 
 def _anneal_accept(rng, mu, cmu, i, iterations) -> bool:
@@ -235,7 +221,7 @@ def _propose_stack(S):
 
 def _propose_shift(rng, S, stage):
     """Translate one whole component; measure-neutral, so always accepted
-    when the shifted set stays feasible after repair."""
+    when the shifted set stays feasible after the strip."""
     ci = rng.randrange(len(S))
     c = S.components[ci]
     step = _rand_step(rng, stage)

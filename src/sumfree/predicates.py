@@ -26,6 +26,7 @@ __all__ = [
     "conflicts",
     "is_k_sum_free",
     "forbidden_region",
+    "strip",
 ]
 
 
@@ -70,6 +71,15 @@ class NotSumFreeError(PreconditionError):
 def conflicts(A: IntervalSet, k: int) -> IntervalSet:
     """The z in A with k*z in A+A; empty iff A is k-sum-free (k >= 1)."""
     return A.minkowski(A).dilate(rational(1, k)).intersect(A)
+
+
+def strip(A: IntervalSet) -> IntervalSet:
+    """A' = A \\ (1/3)(A+A), which is 3-sum-free for every A.
+
+    x + y = 3z in A' would put z in (1/3)(A'+A'), a subset of
+    (1/3)(A+A), which A' misses.
+    """
+    return A.difference(A.minkowski(A).dilate(rational(1, 3)))
 
 
 def is_k_sum_free(A: IntervalSet, k: int):

@@ -121,7 +121,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
         return t
 
     a, R = ctx.a, ctx.R
-    bounds = [MAX_MEASURE]
+    bounds = []
     verdicts = _window_verdicts(ctx)
     verdicts += [v for v in (check_tail_bound(ctx), check_dense_tail_bound(ctx))
                  if v is not None]

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from conftest import interval_sets
 from sumfree.intervals import Interval
 from sumfree.optimize import _propose_stack, optimize
-from sumfree.predicates import is_k_sum_free
+from sumfree.predicates import is_k_sum_free, strip
 from sumfree.rationals import MAX_MEASURE, rational
+from sumfree.trace import check_extremal_containment
 
 ITERATIONS = 300
 
@@ -23,10 +24,11 @@ def test_deterministic_in_its_arguments(run):
 
 # exact outputs, so a change to the interval core that alters the walk fails
 PINNED = {
-    1: ("(1343/28131,12400916605085/178720434290688)|(244/1521,2233/9377]|(2/3,1)",
-        rational(367644177034416676943, 849661786758297157632), 64, 269),
-    2: ("[842/16179,1457068592899/20541486399488]|(1029/6401,1292/5393)|(2/3,1)",
-        rational(305650335798421190963, 709104291611760656384), 82, 279),
+    1: ("[198969412842361962695/4514984727228488613888,198969412842361962695/3009989818152325742592)"
+        "|[11240145691/71269613568,11240145691/47513075712)|[2/3,1)",
+        rational(3921031088635212447943, 9029969454456977227776), 88, 264),
+    2: ("[1046/23091,523/7697)|[3661/23091,5480/23091)|[2/3,1)",
+        rational(10039, 23091), 85, 280),
 }
 
 
@@ -47,8 +49,15 @@ def test_result_is_feasible_and_under_the_ceiling(run):
 
 def test_single_interval_lands_on_exact_optimum():
     result = optimize(1, 1, ITERATIONS)
-    assert str(result.best) == "(2/3,1)"
+    assert str(result.best) == "[2/3,1)"
     assert result.measure == rational(1, 3)
+
+
+def test_rediscovers_the_optimum():
+    result = optimize(3, 4, 6000)
+    assert result.measure == MAX_MEASURE
+    report = check_extremal_containment(result.best)
+    assert report.is_extremal and report.consistent
 
 
 @pytest.mark.parametrize("m,iterations", [(0, 10), (-1, 10), (3, -1)])
@@ -61,7 +70,7 @@ def test_rejects_bad_arguments(m, iterations):
 @given(interval_sets(min_value=0, max_value=1))
 def test_stack_stays_below_the_top_block(a):
     # a state is a nonempty 3-sum-free subset of [0, 1], so c * sup S < 2/3
-    S = a.difference(a.minkowski(a).dilate(rational(1, 3)))
+    S = strip(a)
     if S.is_empty:
         return
     out = _propose_stack(S)

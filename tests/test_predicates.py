@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from conftest import interval_sets, random_interval_set
 from sumfree.constructions import endpoint_combination, extremal_base
 from sumfree.intervals import Interval, IntervalSet
-from sumfree.predicates import conflicts, forbidden_region, is_k_sum_free
+from sumfree.predicates import conflicts, forbidden_region, is_k_sum_free, strip
 from sumfree.rationals import rational
 
 
@@ -94,10 +94,18 @@ class TestStrip:
     @settings(max_examples=150)
     @given(interval_sets())
     def test_one_strip_is_sum_free(self, a):
-        third = rational(1, 3)
-        assert is_k_sum_free(a.difference(a.minkowski(a).dilate(third)), 3)[0]
+        assert is_k_sum_free(strip(a), 3)[0]
         if not a.is_empty:
             assert is_k_sum_free(a.difference(forbidden_region(a)), 3)[0]
+
+    @settings(max_examples=150)
+    @given(interval_sets())
+    def test_strip_fixes_exactly_the_sum_free_sets(self, a):
+        assert (strip(a) == a) == is_k_sum_free(a, 3)[0]
+
+    def test_strip_of_an_interval(self):
+        assert strip(S("(1/3,1)")) == S("[2/3,1)")
+        assert strip(S("(1/2,3/4)")) == S("(1/2,3/4)")
 
 
 class TestConflicts:
