@@ -20,7 +20,7 @@ from .optimize import optimize
 from .predicates import NotSumFreeError, forbidden_region, is_k_sum_free
 from .rationals import format_rational, to_decimal
 from .trace import check_extremal_containment, trace_measure_bound
-from .discrete import BudgetError, density_report, max_k_sum_free
+from .discrete import DEFAULT_BUDGET, BudgetError, density_report, max_k_sum_free
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("-n", type=int, required=True)
     pm.add_argument("-k", type=int, default=3)
     pm.add_argument("--all", action="store_true", help="list extremal sets")
-    pm.add_argument("--budget", type=int, default=None)
+    pm.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common(pm, with_set=False)
     pm.set_defaults(handler=_cmd_discrete_max)
 
@@ -269,10 +269,7 @@ def _cmd_optimize(args, stdin) -> int:
 
 
 def _cmd_discrete_max(args, stdin) -> int:
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    result = max_k_sum_free(args.n, args.k, enumerate_sets=args.all, **kwargs)
+    result = max_k_sum_free(args.n, args.k, enumerate_sets=args.all, budget=args.budget)
     if args.format == "records":
         print(f"max-size\t{result.max_size}\t-\tpass")
         print(f"extremal-count\t{result.extremal_count}\t-\tpass")

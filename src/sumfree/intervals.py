@@ -94,12 +94,6 @@ class Interval:
     hi_closed: bool = False
 
     @property
-    def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-
-    @property
     def length(self) -> Rational:
         return self.hi - self.lo
 

@@ -12,13 +12,15 @@ Three mechanisms cooperate:
     currently allowed space, deletion, splitting) explore the topology
     of configurations; shifts cost no measure, so configurations drift
     freely along the feasibility frontier;
-  * periodic coordinate ascent ("push") expands each endpoint outward
-    by exact bisection against the feasibility frontier, which is
-    monotone: growing a set can only add violations;
+  * periodic coordinate ascent ("push") moves each endpoint outward
+    exactly onto its feasibility frontier: growing a set can only add
+    violations, and the first one appears at a root of a + b = 3c
+    among the endpoints, so a bisection over those roots finds it;
   * a final snap replaces endpoints by the simplest nearby rationals
     (continued-fraction approximants) when that keeps feasibility and
-    does not lose measure, so converged runs land on exact optima such
-    as [2/3, 1) with measure exactly 1/3.
+    loses at most ``SNAP_TOLERANCE`` measure, and a push after it wins
+    the loss back on a simpler frontier point, so converged runs land
+    on exact optima such as [2/3, 1) with measure exactly 1/3.
 
 The walk is a pure function of (m, seed, iterations); no state is
 shared across calls and no parallelism is used.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .intervals import Interval, IntervalSet
@@ -38,19 +41,19 @@ __all__ = ["OptimizeResult", "optimize"]
 
 #: nudge grid refines from 1/(177*2) down to 1/(177*2**GRID_STAGES)
 GRID_STAGES = 18
-#: every PUSH_EVERY-th iteration pushes and snaps the current state
+#: every PUSH_EVERY-th iteration pushes the current state
 PUSH_EVERY = 1500
-#: bisection rounds per endpoint in a push
-PUSH_ROUNDS = 30
 #: the iteration budget is split into this many restart chunks
 RESTARTS = 6
 #: denominators a snap tries for each endpoint
 SNAP_DENOMINATORS = (3, 59, 177, 354, 708, 2832, 10000)
-#: bisection midpoints and stack scales are quantized down to multiples
-#: of 1/_GRID_DEN.  This does not bound endpoint denominators: the
-#: unquantized push dilation, the strip endpoints (x+y)/3, split's
-#: twelfths and stack's dilation still compound them, and
-#: optimize(3, 2, 1600) returns a 37-digit denominator, above 2**63
+#: measure a snap may give up; the push after it wins it back
+SNAP_TOLERANCE = rational(1, 1 << 22)
+#: stack scales are quantized down to multiples of 1/_GRID_DEN.  This
+#: does not bound endpoint denominators: the push roots and dilation,
+#: the strip endpoints (x+y)/3, split's twelfths and stack's dilation
+#: still compound them, and optimize(3, 3, 1600) returns a 23-digit
+#: denominator, above 2**63
 _GRID_DEN = 177 * 2**28
 
 
@@ -100,8 +103,7 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
             mu = state.measure()
             continue
         if i % PUSH_EVERY == PUSH_EVERY - 1:
-            state = _push(state, m)
-            state = _snap(state, m)
+            state = _push(state)
             mu = state.measure()
             if mu > best_mu:
                 best, best_mu = state, mu
@@ -119,15 +121,12 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
             if cmu > best_mu:
                 best, best_mu = cand, cmu
 
-    # polish: tolerance snaps may dip slightly, pushes recover on a
-    # simpler frontier point; keep whichever candidate measures best
+    # polish: snaps may dip slightly, pushes recover on a simpler
+    # frontier point; keep whichever candidate measures best
     cand = best
     for _ in range(5):
         before = cand.measure()
-        cand = _push(cand, m)
-        cand = _snap(cand, m, tol=rational(1, 1 << 22))
-        cand = _push(cand, m)
-        cand = _snap(cand, m)
+        cand = _push(_snap(_push(cand)))
         if cand.measure() > best_mu:
             best, best_mu = cand, cand.measure()
         if cand.measure() <= before:
@@ -145,12 +144,14 @@ def _feasible(S: IntervalSet) -> bool:
     return conflicts(S, 3).is_empty
 
 
-def _moved(S: IntervalSet, ci: int, lo=None, hi=None) -> IntervalSet:
-    """S with component ci's lo and/or hi moved; its closedness is kept."""
+def _moved(S: IntervalSet, ci: int, lo=None, hi=None,
+           lo_closed=None, hi_closed=None) -> IntervalSet:
+    """S with component ci's endpoints and flags replaced where given."""
     comps = list(S.components)
     c = comps[ci]
     comps[ci] = Interval(c.lo if lo is None else lo, c.hi if hi is None else hi,
-                         c.lo_closed, c.hi_closed)
+                         c.lo_closed if lo_closed is None else lo_closed,
+                         c.hi_closed if hi_closed is None else hi_closed)
     return IntervalSet(comps)
 
 
@@ -301,26 +302,22 @@ def _propose_split(rng, S):
 # -- coordinate ascent and snapping -----------------------------------
 
 
-def _push(S: IntervalSet, m: int) -> IntervalSet:
-    """Expand every endpoint outward to the feasibility frontier.
+def _push(S: IntervalSet) -> IntervalSet:
+    """Move every endpoint outward onto its feasibility frontier.
 
-    Growing a set monotonically adds constraints, so bisection against
-    the exact predicate converges to the frontier from the feasible
-    side.  Two sweeps settle interactions between endpoints.  Finally
-    the whole set is rescaled so its supremum is 1: dilation preserves
-    sum-freeness and multiplies measure by 1/sup, so this is always a
-    win and lifts configurations stuck on the dilation ridge of the
-    frontier.
+    One pass, right to left and hi before lo, so a merge with a
+    neighbour never shifts the index of a component still to come.
+    Growing the other components only adds constraints, so an endpoint
+    already on its frontier stays there.  Finally the whole set is
+    rescaled so its supremum is 1: dilation preserves sum-freeness and
+    multiplies measure by 1/sup, so this is always a win and lifts
+    configurations stuck on the dilation ridge of the frontier.
     """
     if S.is_empty:
         return S
-    for _ in range(2):
-        i = 0
-        while i < len(S.components):
-            S = _expand_endpoint(S, i, "lo")
-            S = _expand_endpoint(S, i, "hi")
-            i += 1
-        S = _trim(S, m)
+    for i in reversed(range(len(S))):
+        S = _expand_endpoint(S, i, "hi")
+        S = _expand_endpoint(S, i, "lo")
     s = S.sup()
     if s < 1:
         S = S.dilate(1 / s)
@@ -328,84 +325,74 @@ def _push(S: IntervalSet, m: int) -> IntervalSet:
 
 
 def _expand_endpoint(S: IntervalSet, ci: int, side: str) -> IntervalSet:
+    """S with one endpoint moved outward exactly onto its frontier.
+
+    Growing a set only adds solutions of x + y = 3z, so feasibility is
+    monotone in the move t.  A first solution appears where an endpoint
+    of S+S meets one of 3S, that is where a + b = 3c for endpoints a, b,
+    c with the moving one among them.  So the frontier is the room or a
+    root from ``_roots``, and a bisection over those moves finds it.
+    With the endpoint open, the set at the frontier is the union of the
+    feasible sets before it, so it is feasible too.  A closed endpoint
+    stays closed when that is still feasible.
+    """
     comps = S.components
     c = comps[ci]
     if side == "lo":
-        limit = comps[ci - 1].hi if ci > 0 else rational(0)
-        room = c.lo - limit
+        base, was_closed, sign = c.lo, c.lo_closed, -1
+        room = base - (comps[ci - 1].hi if ci > 0 else 0)
     else:
-        limit = comps[ci + 1].lo if ci + 1 < len(comps) else rational(1)
-        room = limit - c.hi
-
-    def moved(t):
-        return _moved(S, ci, lo=c.lo - t) if side == "lo" else _moved(S, ci, hi=c.hi + t)
-
+        base, was_closed, sign = c.hi, c.hi_closed, 1
+        room = (comps[ci + 1].lo if ci + 1 < len(comps) else 1) - base
     if room <= 0:
         return S
-    full = moved(room)
-    if _feasible(full):
-        return full
-    lo_t, hi_t = rational(0), room
-    for _ in range(PUSH_ROUNDS):
-        mid = _quantize_down((lo_t + hi_t) / 2)
-        if mid <= lo_t or mid >= hi_t:
-            break
-        if _feasible(moved(mid)):
-            lo_t = mid
-        else:
-            hi_t = mid
-    # The frontier lies in (lo_t, hi_t]; when it is a simple rational
-    # (binding constraints are linear with small coefficients), land on
-    # it exactly instead of keeping the bisection approximation.
-    for t in _bracket_candidates(lo_t, hi_t, c, side):
-        if _feasible(moved(t)):
-            return moved(t)
-    return moved(lo_t) if lo_t > 0 else S
+
+    def moved(t, closed):
+        return _moved(S, ci, **{side: base + sign * t, f"{side}_closed": closed})
+
+    others = [x for d in comps for x in (d.lo, d.hi)]
+    del others[2 * ci + (side == "hi")]
+    moves = sorted({t for t in (sign * (v - base) for v in _roots(others)) if 0 < t < room})
+    moves.append(room)
+    k = bisect_left(moves, True, key=lambda t: not _feasible(moved(t, False)))
+    if k == 0:
+        return S
+    t = moves[k - 1]
+    if was_closed and _feasible(moved(t, True)):
+        return moved(t, True)
+    return moved(t, False)
 
 
-_SNAP_DENS = (2, 3, 4, 6, 9, 12, 24, 59, 118, 177, 354, 531, 708, 1062,
-              2124, 4248, 10000, 100000)
+def _roots(F):
+    """Every v with a + b = 3c where v is one or more of a, b, c and the
+    others are in F."""
+    for b in F:
+        yield b / 2
+        yield 3 * b / 2
+        for c in F:
+            yield 3 * c - b
+            yield (b + c) / 3
 
 
-def _bracket_candidates(lo_t, hi_t, c, side):
-    """Simple move distances inside (lo_t, hi_t], largest value first."""
-    base = c.lo if side == "lo" else c.hi
-    v_feas = base - lo_t if side == "lo" else base + lo_t
-    v_infe = base - hi_t if side == "lo" else base + hi_t
-    seen = set()
-    vals = []
-    for probe in (v_infe, (v_feas + v_infe) / 2):
-        for d in _SNAP_DENS:
-            r = probe.limit_denominator(d)
-            t = base - r if side == "lo" else r - base
-            if lo_t < t <= hi_t and t not in seen:
-                seen.add(t)
-                vals.append(t)
-    vals.sort(reverse=True)
-    return vals
+def _snap(S: IntervalSet) -> IntervalSet:
+    """Replace endpoints by nearby simple rationals.
 
-
-def _snap(S: IntervalSet, m: int, tol=None) -> IntervalSet:
-    """Replace endpoints by nearby simple rationals when it costs nothing.
-
-    With a nonzero ``tol`` a snap may lose up to that much measure; the
-    caller is expected to push afterwards so the loss is recovered on a
-    simpler frontier point.
+    A snap may lose up to ``SNAP_TOLERANCE`` measure; the caller pushes
+    afterwards so the loss is recovered on a simpler frontier point.
     """
-    tol = rational(0) if tol is None else rational(tol)
     for _ in range(24):
-        trial = next(_snaps(S, tol), None)
+        trial = next(_snaps(S), None)
         if trial is None:
             break
-        S = _trim(trial, m)
+        S = trial
     return S
 
 
-def _snaps(S: IntervalSet, tol):
+def _snaps(S: IntervalSet):
     """Feasible one-endpoint snaps of S within 2**-18 that lose at most
-    tol measure, in component, side and approximant order."""
+    ``SNAP_TOLERANCE`` measure, in component, side and approximant order."""
     window = rational(1, 1 << 18)
-    floor = S.measure() - tol
+    floor = S.measure() - SNAP_TOLERANCE
     for ci, c in enumerate(S.components):
         for side in ("lo", "hi"):
             v = getattr(c, side)

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from sumfree.cli import CHECK_FAILED, USAGE_ERROR, run
+from sumfree.discrete import DEFAULT_BUDGET
 
 NOT_SUM_FREE = "(0,1/4)|(2/3,1)"  # 1/8 + 1/8 = 3 * 1/12
 
@@ -76,3 +77,9 @@ def test_set_free_verb_takes_common_options(capsys):
 def test_discrete_max(capsys):
     assert run(["discrete", "max", "-n", "20", "-k", "3"]) == 0
     assert capsys.readouterr().out == "n=20 k=3: max size 10, 4 extremal set(s), 885 nodes\n"
+
+
+@pytest.mark.parametrize("args,budget", [([], DEFAULT_BUDGET), (["--budget", "10"], 10)])
+def test_discrete_max_budget(args, budget, capsys):
+    assert run(["discrete", "max", "-n", str(budget + 1), *args]) == USAGE_ERROR
+    assert f"exceeds the exhaustive budget ({budget})" in capsys.readouterr().err

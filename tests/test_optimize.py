@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import interval_sets
-from sumfree.intervals import Interval
-from sumfree.optimize import _propose_stack, optimize
+from sumfree.intervals import Interval, IntervalSet
+from sumfree.optimize import _moved, _propose_stack, _push, optimize
 from sumfree.predicates import is_k_sum_free, strip
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
@@ -27,8 +27,8 @@ PINNED = {
     1: ("[198969412842361962695/4514984727228488613888,198969412842361962695/3009989818152325742592)"
         "|[11240145691/71269613568,11240145691/47513075712)|[2/3,1)",
         rational(3921031088635212447943, 9029969454456977227776), 88, 264),
-    2: ("[1046/23091,523/7697)|[3661/23091,5480/23091)|[2/3,1)",
-        rational(10039, 23091), 85, 280),
+    2: ("[53/1170,227/3344)|[309769/1956240,833/3510)|[2/3,1)",
+        rational(1276123, 2934360), 85, 280),
 }
 
 
@@ -76,3 +76,32 @@ def test_stack_stays_below_the_top_block(a):
     out = _propose_stack(S)
     assert len(out) == len(S) + 1
     assert out.components[-1] == Interval(rational(2, 3), rational(1), False, False)
+
+
+def test_push_survives_a_merge():
+    # random_sum_free(6, 5); pushing a lo endpoint merges two components
+    S = IntervalSet.parse("[1/9,1/6)|(2/3,23/30)|[137/177,31/36]|(205/236,349/354]")
+    assert str(_push(S)) == "[1/9,1/6)|(2/3,1]"
+
+
+EPS = rational(1, 10**40)
+
+
+@settings(max_examples=200)
+@given(interval_sets(min_value=0, max_value=1))
+def test_push_puts_every_endpoint_on_its_frontier(a):
+    S = strip(a)
+    if S.is_empty:
+        return
+    P = _push(S)
+    assert is_k_sum_free(P, 3) == (True, None)
+    assert P.measure() >= S.measure() and P.sup() == 1
+    assert _push(P) == P
+    comps = P.components
+    for ci, c in enumerate(comps):
+        lo_room = c.lo - (comps[ci - 1].hi if ci else 0)
+        hi_room = (comps[ci + 1].lo if ci + 1 < len(comps) else 1) - c.hi
+        if lo_room >= EPS:
+            assert not is_k_sum_free(_moved(P, ci, lo=c.lo - EPS, lo_closed=False), 3)[0]
+        if hi_room >= EPS:
+            assert not is_k_sum_free(_moved(P, ci, hi=c.hi + EPS, hi_closed=False), 3)[0]
