@@ -7,11 +7,12 @@ and its measure obeys the 77/177 ceiling exactly.
 
 Three mechanisms cooperate:
 
-  * simulated-annealing proposals (endpoint nudges on a shrinking
-    rational grid, whole-component shifts, interval insertion into
-    currently allowed space, deletion, splitting) explore the topology
-    of configurations; shifts cost no measure, so configurations drift
-    freely along the feasibility frontier;
+  * a hill climb over proposals (outward endpoint nudges on a
+    shrinking rational grid, whole-component shifts, interval insertion
+    into currently allowed space, stacking) accepts every candidate that
+    measures no less; shifts cost no measure, so configurations drift
+    freely along the feasibility frontier, and a move that loses measure
+    would only be undone by the next push;
   * periodic coordinate ascent ("push") moves each endpoint outward
     exactly onto its feasibility frontier: growing a set can only add
     violations, and the first one appears at a root of a + b = 3c
@@ -20,7 +21,9 @@ Three mechanisms cooperate:
     (continued-fraction approximants) when that keeps feasibility and
     loses at most ``SNAP_TOLERANCE`` measure, and a push after it wins
     the loss back on a simpler frontier point, so converged runs land
-    on exact optima such as [2/3, 1) with measure exactly 1/3.
+    on exact optima such as [2/3, 1) with measure exactly 1/3; a last
+    pass closes every endpoint that can be closed, so a set of measure
+    77/177 comes back as one of the maximal sets A1..A7.
 
 The walk is a pure function of (m, seed, iterations); no state is
 shared across calls and no parallelism is used.
@@ -28,7 +31,6 @@ shared across calls and no parallelism is used.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -43,17 +45,15 @@ __all__ = ["OptimizeResult", "optimize"]
 GRID_STAGES = 18
 #: every PUSH_EVERY-th iteration pushes the current state
 PUSH_EVERY = 1500
-#: the iteration budget is split into this many restart chunks
-RESTARTS = 6
 #: denominators a snap tries for each endpoint
 SNAP_DENOMINATORS = (3, 59, 177, 354, 708, 2832, 10000)
 #: measure a snap may give up; the push after it wins it back
 SNAP_TOLERANCE = rational(1, 1 << 22)
 #: stack scales are quantized down to multiples of 1/_GRID_DEN.  This
 #: does not bound endpoint denominators: the push roots and dilation,
-#: the strip endpoints (x+y)/3, split's twelfths and stack's dilation
-#: still compound them, and optimize(3, 3, 1600) returns a 23-digit
-#: denominator, above 2**63
+#: the strip endpoints (x+y)/3, insert's twelfths and stack's dilation
+#: still compound them, and optimize(3, 2, 1600) returns a 13-digit
+#: denominator
 _GRID_DEN = 177 * 2**28
 
 
@@ -81,8 +81,8 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     """Search for a 3-sum-free subset of [0,1] with at most m components.
 
     Deterministic in (m, seed, iterations).  Every returned set passes
-    the exact 3-sum-free predicate.  The iteration budget is split into
-    independent restart chunks; the best state across all chunks wins.
+    the exact 3-sum-free predicate.  One walk uses the whole budget; it
+    accepts no loss of measure, so its last state is its best.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -90,47 +90,37 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
         raise ValueError("iterations must be >= 0")
     rng = random.Random(seed)
     state = _initial_state(rng)
-    best = state
-    best_mu = state.measure()
-    mu = best_mu
+    mu = state.measure()
     accepted = 0
     evaluated = 0
-    chunk = max(PUSH_EVERY + 1, iterations // RESTARTS)
 
     for i in range(iterations):
-        if i and i % chunk == 0:
-            state = _initial_state(rng)
-            mu = state.measure()
-            continue
         if i % PUSH_EVERY == PUSH_EVERY - 1:
             state = _push(state)
             mu = state.measure()
-            if mu > best_mu:
-                best, best_mu = state, mu
             continue
-        stage = 1 + (GRID_STAGES * i) // max(iterations, 1)
+        stage = 1 + (GRID_STAGES * i) // iterations
         cand = _propose(rng, state, m, stage)
         if cand is None:
             continue
         evaluated += 1
         cand = _trim(strip(cand), m)
         cmu = cand.measure()
-        if cmu >= mu or _anneal_accept(rng, mu, cmu, i, iterations):
+        if cmu >= mu:
             state, mu = cand, cmu
             accepted += 1
-            if cmu > best_mu:
-                best, best_mu = cand, cmu
 
     # polish: snaps may dip slightly, pushes recover on a simpler
     # frontier point; keep whichever candidate measures best
-    cand = best
+    best = cand = state
     for _ in range(5):
         before = cand.measure()
         cand = _push(_snap(_push(cand)))
-        if cand.measure() > best_mu:
-            best, best_mu = cand, cand.measure()
+        if cand.measure() > best.measure():
+            best = cand
         if cand.measure() <= before:
             break
+    best = _close(best)
     ok, witness = is_k_sum_free(best, 3)
     if not ok:
         raise AssertionError(f"optimizer produced an infeasible set: {witness}")
@@ -173,30 +163,18 @@ def _initial_state(rng: random.Random) -> IntervalSet:
     return strip(IntervalSet.interval(lo, min(hi, 1)))
 
 
-def _anneal_accept(rng, mu, cmu, i, iterations) -> bool:
-    t0, t1 = 2e-2, 1e-7
-    frac = i / max(iterations - 1, 1)
-    temp = t0 * (t1 / t0) ** frac
-    delta = float(cmu - mu)
-    return rng.random() < math.exp(delta / temp)
-
-
 # -- proposals ---------------------------------------------------------
 
 
 def _propose(rng: random.Random, S: IntervalSet, m: int, stage: int):
     roll = rng.random()
-    if S.is_empty or (roll < 0.18 and len(S) < m):
+    if roll < 0.18 and len(S) < m:
         return _propose_insert(rng, S)
     if roll < 0.40:
         return _propose_shift(rng, S, stage)
     if roll < 0.75:
         return _propose_nudge(rng, S, stage)
-    if roll < 0.80:
-        return _propose_stack(S)
-    if roll < 0.87 and len(S) > 1:
-        return _propose_delete(rng, S)
-    return _propose_split(rng, S)
+    return _propose_stack(S)
 
 
 def _propose_stack(S):
@@ -207,12 +185,12 @@ def _propose_stack(S):
     [a, 2/9 + a/3] coexists with (2/3, 1), so good configurations embed
     recursively as the head of better ones.  The scale c is pinned to
     the largest value keeping c*S inside its own head window, which
-    lands stacked local optima exactly on the frontier.  S is a nonempty
-    3-sum-free subset of [0, 1] (``_propose`` sends an empty S to
-    insert), so 0 < sup S - inf S / 3 <= 1, and c >= 2/9 stays positive
-    when quantized.  c*S stays below the top block: c * sup S =
-    (2/9) sup S / (sup S - inf S / 3) < 2/3 because inf S < 2 sup S,
-    and rounding c down keeps it below.
+    lands stacked local optima exactly on the frontier.  S is a state, a
+    3-sum-free subset of [0, 1] of positive measure (the first state has
+    one and the walk never loses measure), so 0 < sup S - inf S / 3 <= 1,
+    and c >= 2/9 stays positive when quantized.  c*S stays below the top
+    block: c * sup S = (2/9) sup S / (sup S - inf S / 3) < 2/3 because
+    inf S < 2 sup S, and rounding c down keeps it below.
     """
     c = rational(2, 9) / (S.sup() - S.inf() / 3)
     if c.denominator > 10**7:
@@ -247,22 +225,20 @@ def _rand_step(rng, stage):
 
 
 def _propose_nudge(rng, S, stage):
+    """Move one endpoint outward.  An inward move gives a subset of the
+    3-sum-free S, which the strip keeps and which measures less, so it
+    could never be accepted."""
     ci = rng.randrange(len(S))
     c = S.components[ci]
     step = _rand_step(rng, stage)
     if rng.random() < 0.5:
-        step = -step
-    if rng.random() < 0.5:
-        return _moved(S, ci, lo=min(max(c.lo + step, rational(0)), rational(1)))
-    return _moved(S, ci, hi=min(max(c.hi + step, rational(0)), rational(1)))
+        return _moved(S, ci, lo=max(c.lo - step, rational(0)))
+    return _moved(S, ci, hi=min(c.hi + step, rational(1)))
 
 
 def _propose_insert(rng, S):
     """Drop a new interval into space not obviously excluded."""
-    if S.is_empty:
-        allowed = IntervalSet.interval(0, 1)
-    else:
-        allowed = IntervalSet.interval(0, 1).difference(S.union(forbidden_region(S)))
+    allowed = IntervalSet.interval(0, 1).difference(S.union(forbidden_region(S)))
     gaps = [c for c in allowed.components if c.length > 0]
     if not gaps:
         return None
@@ -276,27 +252,6 @@ def _propose_insert(rng, S):
         return None
     piece = Interval(g.lo + span * f1, g.lo + span * f2)
     return S.union(IntervalSet([piece]))
-
-
-def _propose_delete(rng, S):
-    drop = rng.randrange(len(S))
-    return S._select(i for i in range(len(S)) if i != drop)
-
-
-def _propose_split(rng, S):
-    comps = list(S.components)
-    ci = rng.randrange(len(comps))
-    c = comps[ci]
-    if c.length == 0:
-        return None
-    f1 = rational(rng.randint(1, 10), 12)
-    f2 = min(f1 + rational(rng.randint(0, 2), 12), rational(11, 12))
-    a = c.lo + c.length * f1
-    b = c.lo + c.length * f2
-    left = Interval(c.lo, a, c.lo_closed, False)
-    right = Interval(b, c.hi, False, c.hi_closed)
-    comps[ci:ci + 1] = [left, right]
-    return IntervalSet(comps)
 
 
 # -- coordinate ascent and snapping -----------------------------------
@@ -313,8 +268,6 @@ def _push(S: IntervalSet) -> IntervalSet:
     multiplies measure by 1/sup, so this is always a win and lifts
     configurations stuck on the dilation ridge of the frontier.
     """
-    if S.is_empty:
-        return S
     for i in reversed(range(len(S))):
         S = _expand_endpoint(S, i, "hi")
         S = _expand_endpoint(S, i, "lo")
@@ -372,6 +325,23 @@ def _roots(F):
         for c in F:
             yield 3 * c - b
             yield (b + c) / 3
+
+
+def _close(S: IntervalSet) -> IntervalSet:
+    """S with every endpoint closed whose closing keeps S feasible.
+
+    ``_expand_endpoint`` leaves a frontier endpoint open when it was
+    open, so a pushed optimum such as A0 is not maximal.  One pass,
+    right to left and hi before lo as in ``_push``, suffices: closing
+    adds points, and adding points only adds constraints, so an endpoint
+    that cannot be closed now cannot be closed later either.
+    """
+    for i in reversed(range(len(S))):
+        for side in ("hi", "lo"):
+            trial = _moved(S, i, **{f"{side}_closed": True})
+            if trial != S and _feasible(trial):
+                S = trial
+    return S
 
 
 def _snap(S: IntervalSet) -> IntervalSet:

@@ -83,3 +83,31 @@ def test_discrete_max(capsys):
 def test_discrete_max_budget(args, budget, capsys):
     assert run(["discrete", "max", "-n", str(budget + 1), *args]) == USAGE_ERROR
     assert f"exceeds the exhaustive budget ({budget})" in capsys.readouterr().err
+
+
+A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["optimize", "-m", "1", "--iters", "300", "--format", "records"],
+     "optimize\t1/3\t77/177\tpass\n[2/3,1)\n"),
+    (["optimize", "-m", "1", "--iters", "300"],
+     "best set: [2/3,1)\nmeasure: 1/3\naccepted 172 of 218 evaluated moves\n"),
+    (["construct", "a3"], "[8/177,4/59)|(28/177,14/59]|(2/3,1]\n"),
+    (["measure", A0], "77/177\n"),
+    (["measure", "--decimal", "4", "(0,1/3)"], "1/3 ~0.3333\n"),
+    (["gen", "--seed", "1"], "[1/9,1/6)|(97/177,97/118]\n"),
+    (["forbidden", "(2/3,1)"], "(4/9,2/3)|(1,7/3)\n"),
+    (["extremal", "--format", "records", "[8/177,4/59)|(28/177,14/59]|(2/3,1]"],
+     "extremal-measure\t77/177\t77/177\tpass\n"
+     "sym-diff-zero\t-\t-\tpass\n"
+     "containment\tA3\t-\tpass\n"),
+    (["extremal", A0],
+     "extremal: measure 77/177\n"
+     "symmetric difference with base set has measure zero: True\n"
+     "contained in a1 (all containers: a1, a2, a3, a4, a5, a6, a7)\n"),
+], ids=["optimize-records", "optimize-text", "construct", "measure", "measure-decimal",
+        "gen", "forbidden", "extremal-records", "extremal-text"])
+def test_passing_verbs(argv, out, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out

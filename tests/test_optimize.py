@@ -3,7 +3,8 @@ from hypothesis import given, settings
 
 from conftest import interval_sets
 from sumfree.intervals import Interval, IntervalSet
-from sumfree.optimize import _moved, _propose_stack, _push, optimize
+from sumfree.constructions import construct_extremal
+from sumfree.optimize import _close, _moved, _propose_stack, _push, optimize
 from sumfree.predicates import is_k_sum_free, strip
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
@@ -24,11 +25,10 @@ def test_deterministic_in_its_arguments(run):
 
 # exact outputs, so a change to the interval core that alters the walk fails
 PINNED = {
-    1: ("[198969412842361962695/4514984727228488613888,198969412842361962695/3009989818152325742592)"
-        "|[11240145691/71269613568,11240145691/47513075712)|[2/3,1)",
-        rational(3921031088635212447943, 9029969454456977227776), 88, 264),
-    2: ("[53/1170,227/3344)|[309769/1956240,833/3510)|[2/3,1)",
-        rational(1276123, 2934360), 85, 280),
+    1: ("(445/9824,587/8651]|[13450369/84987424,20983/88416]|[2/3,1)",
+        rational(332685821, 764886816), 58, 274),
+    2: ("(77/1766,231/3532]|(307/1948,921/3896]|[2/3,1)",
+        rational(4478405, 10320504), 78, 264),
 }
 
 
@@ -58,6 +58,17 @@ def test_rediscovers_the_optimum():
     assert result.measure == MAX_MEASURE
     report = check_extremal_containment(result.best)
     assert report.is_extremal and report.consistent
+    # maximal: every endpoint that can be closed is closed
+    assert result.best in [construct_extremal(i) for i in range(1, 8)]
+
+
+@pytest.mark.parametrize("text,index", [
+    ("(8/177,4/59)|(28/177,14/59)|(2/3,1)", 7),
+    # A0 with 8/177 closed, as a push leaves it; it lies in A1, A2 and A3
+    ("[8/177,4/59)|(28/177,14/59)|(2/3,1)", 3),
+])
+def test_close_returns_a_maximal_set(text, index):
+    assert _close(IntervalSet.parse(text)) == construct_extremal(index)
 
 
 @pytest.mark.parametrize("m,iterations", [(0, 10), (-1, 10), (3, -1)])
