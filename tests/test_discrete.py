@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -25,6 +26,112 @@ def has_triple(elems, k):
     return any(x + y == k * z for x, y, z in itertools.product(elems, repeat=3))
 
 
+#: (n, k) -> (max_size, extremal_count, SHA-256 of the listed sets in
+#: listing order, one ``{a,b,...}`` per line), for n past the oracle test
+LISTED_PINS = {
+    (19, 1): (10, 2, "02b92f31b7e1fa2083543ddd797e6e7059f5c6a3662f991d24f579d5384bda94"),
+    (19, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (19, 3): (10, 2, "acdda8e70cfe7434b0b34bc0d97d2b46c7b542f21f3bbcd629d1b1c7b870fc63"),
+    (19, 4): (11, 4, "6ecd52c82b75d4fb3e42442f554eedef37e4db93afd490bff47d66aa9fbb1ff6"),
+    (19, 5): (13, 1, "afa76183bb0989cbdd5575599f86c77036d8afab390b634b8dbed5fc8650de6a"),
+    (19, 6): (14, 1, "8297ea3ed4e8f2be7d49a1c0353c9c57c3551b7da4a554a3308066233509d786"),
+    (20, 1): (10, 3, "435432c68a7481611fa7e78c380f59cd127581a8ecc0c2c8c117735bc0c97281"),
+    (20, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (20, 3): (10, 4, "3921a440c0bf164e1c9243cf2ca70aab2a96fb2866f1edee4159d86e2b768a54"),
+    (20, 4): (12, 1, "d29e6003552752d76aeb3cb9710d054d5a08895a6b178b0dedf282e58340a557"),
+    (20, 5): (13, 4, "7fa386c10559b784cd43d083d359693ec540969ede4fec326c24373eded0ee45"),
+    (20, 6): (15, 1, "9f1810be9ba34e80e85b11c55489311b8178aee5d889f1c226052244995e1f40"),
+    (21, 1): (11, 2, "8c2bb2216b1a0b2f200a1e2dcb730c212c18a7dbefb88dee70d31646d5f6a6ff"),
+    (21, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (21, 3): (11, 1, "6c427d85206f8976c07bba64b08aaece3f73ba3394161ac94e62dc4a1b5f4b36"),
+    (21, 4): (13, 1, "95654c730eab34d29f04e4767f0933187cbf47227e32acfdb6bcd11b62fbdcfb"),
+    (21, 5): (14, 3, "84fb321af928c11d1d4dd664937227adb5478ef530e053ad10d6410bf24a7dbc"),
+    (21, 6): (15, 2, "9ab33aa3f7143178e13531c7b2b5452b3f9851483cb847993c6fd8ea8f9bfe67"),
+    (22, 1): (11, 3, "7f58d0fe938ea02ae85dde8f6224f972a01e8b3461aecf999d2b6278a28a2ab3"),
+    (22, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (22, 3): (11, 5, "415f18e0de63304bd1048abe048658d5178da98abe55466ffd93403a9cffa9da"),
+    (22, 4): (13, 2, "b53feb27959cc97253a47c908c5171614acebe71acbea40f059dd32fae06ec9d"),
+    (22, 5): (15, 3, "2d7c447eec88c7041a80f8579e610de847aad52c1ede797dee0d19ed8cfac774"),
+    (22, 6): (16, 1, "52d25518f59c62371e61e695ef3b40f8c19e827256393f25baa37e671cc49d1c"),
+    (23, 1): (12, 2, "c0922e031f69882a8ae57fa8729e68dd9716118fb74d0c26ade27911640fb4ec"),
+    (23, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (23, 3): (12, 1, "b9e5688888b4986c71e76bc91b3509097c84f50b0658f633413717c1aca7d038"),
+    (23, 4): (14, 1, "b5db7d8ea43bb3a68db38bfff085c909269210ed42cfa318b47b7f19c5646a27"),
+    (23, 5): (16, 1, "8740183648d63ec5eef31e5ff45fa50c2b6b2fab57a9958d68b14c8ed2d259a6"),
+    (23, 6): (17, 1, "8892f5390dacd10950ab54dfe4205e31bbf22fe64b55a1b7aae17f06a44fb665"),
+    (24, 1): (12, 3, "f8af1513b1191e92f02953e9bda0f45f7053f2fcfa0e35076abf54d2a30269bb"),
+    (24, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (24, 3): (12, 1, "b9e5688888b4986c71e76bc91b3509097c84f50b0658f633413717c1aca7d038"),
+    (24, 4): (14, 2, "ff3d0e39746368bf2fc06a69c764592e395e68d6d30fb1a194987b802d4fdb12"),
+    (24, 5): (17, 1, "6d340f704324700bf1376ca36030c26b35e6273b9cd4839555e5b5f6aba3de50"),
+    (24, 6): (17, 2, "25a4d80a37aa97d1d97faab3d36fada51e37506b1a441b3a2f3c9e9c6835ee08"),
+    (25, 1): (13, 2, "5363d2f3281c33b9d2949945145e8c1d8f531784e3ed0e65518b09744cebde3e"),
+    (25, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (25, 3): (13, 1, "e3bb0cc37e0b4874bf975030eca3c3d1fed8e96753d12a1758965c73d095e489"),
+    (25, 4): (15, 1, "db9772619e68c703fe317bb01d5aab2cd71a0edad8a75076d02a886871e1fd9b"),
+    (25, 5): (17, 2, "77237725b0918841f20b608affcdd592eb5b0c97892920c8284e6c7ec8f48331"),
+    (25, 6): (18, 1, "11830f08983205143f46889de26fd437e6822c2bbd9966d6de0ea0a2ed30a8ea"),
+    (26, 1): (13, 3, "021e3002149260a3a83be7c5aca2cd1c99a69dd499f35076fb1e38ff8ec02b16"),
+    (26, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (26, 3): (13, 1, "e3bb0cc37e0b4874bf975030eca3c3d1fed8e96753d12a1758965c73d095e489"),
+    (26, 4): (15, 3, "9e80f14e6f9677cd8c826de9937be555f58a8618d9d5572189f4c77d1729620d"),
+    (26, 5): (18, 1, "b36a9798a5f25aa3b6722faceca7b4621aa1e835cd40026dbb7b525f209c132c"),
+    (26, 6): (19, 1, "ddcbfdac317b7d893388b30e7d94d1d83f63f50c2fe0e9e62263bf50a9310779"),
+    (27, 1): (14, 2, "d1a586e1980394f83e51e183050e1940f59f2eb26ea90e651383dfebdc9ba0b1"),
+    (27, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (27, 3): (14, 1, "5224771aec62aeae0c9359e7e094ae7ee2f31f7c5d0711e94c4cdacb07e18b42"),
+    (27, 4): (16, 2, "04d6440667b801a1e83e947c2504dba2b89967445564372e63a873f2419c707c"),
+    (27, 5): (19, 1, "75c3a217c1ef4e3c58da19f57c909fb8bdbcdc398b12c71df858a8dd8e9d1811"),
+    (27, 6): (19, 2, "585938dd7b9b619d66057c94b554f20f17bad9689806f0f06f86f030c7a2ebd4"),
+    (28, 1): (14, 3, "776090c2280cf997ced8ca9c617c181523eb582269d0d2a52079c42bb6f5f14d"),
+    (28, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (28, 3): (14, 1, "5224771aec62aeae0c9359e7e094ae7ee2f31f7c5d0711e94c4cdacb07e18b42"),
+    (28, 4): (16, 4, "7cff03a3530b25601c9ae538a2e8120aa4f0dde3f628f4c4996b7db87baaa738"),
+    (28, 5): (19, 3, "3ddbb90d5ed163a9ef10e5cbc945c0d270cb3d1fe90278c98fed8d001747acdc"),
+    (28, 6): (20, 1, "99d0bc4fe589eb911e1a4d80ca75585aa7acf34e3738b9b842456fd24630ed46"),
+    (29, 1): (15, 2, "265168fa83bea980b9fa6fbba7d2ea238443ec3b7cc8ff152428288c4f8bc6ef"),
+    (29, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (29, 3): (15, 1, "0770f1e17b4da30979a057547c9736e04e83bcadc6eff1108aaab65f99bb3971"),
+    (29, 4): (17, 2, "0a94eea15ba3d28f62fcc2a6065f58aa770792f62986cc4661272b5e5613116f"),
+    (29, 5): (20, 1, "2f9f7e50f002522b1f8f17209ae83c18ca25e77a498bb96c59bee18c654c0f3e"),
+    (29, 6): (21, 1, "813f609b38a5913fbe8a61d41ee71480d01e3df7087363dfa1642309598e7ddf"),
+    (30, 1): (15, 3, "ba0f685fc14ae92d57b0bddbb3ba07bef132c8c18e73190779aaac422a817efa"),
+    (30, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (30, 3): (15, 1, "0770f1e17b4da30979a057547c9736e04e83bcadc6eff1108aaab65f99bb3971"),
+    (30, 4): (17, 5, "3d0fa874a7ffdea3fe931a4ecffc3266b72e5dbd38ade1577de2e6a956cf6d31"),
+    (30, 5): (20, 2, "6f45d73c2a7beb1654807cdea79dac1353968d2936ca4f1aad49523c49affe09"),
+    (30, 6): (21, 4, "6fd3baa4ef778276c5869157ee61f5064d40ac926ebd6bb8ee34709e0af8c9ae"),
+    (31, 1): (16, 2, "3eaa5165dca880dc66f6458c28ac2b6fb9e9ec76529ef4ca459762598c3aeddd"),
+    (31, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (31, 3): (16, 1, "f8a7a461f8be46c4244d73ae6a66ea05c0124a16c31e566170970bff43f3abe6"),
+    (31, 4): (18, 3, "1cb8e320310631d9ddc86a37b9b6f2e41527710c41d6b6f46433195ca50d74cf"),
+    (31, 5): (21, 1, "3387b75c675f0d49d02fee3bce8d9ef8781e1a93f9fdd1a90e48c97246bd65cb"),
+    (31, 6): (22, 3, "fd6becc7484b6e57dd0717113d0959d8cee7beed775b69efbefe5440422559e1"),
+    (32, 1): (16, 3, "7989d9cce667082b3d62e73db8f46e9184be5f343ff977d65cf6f02f6a836255"),
+    (32, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (32, 3): (16, 1, "f8a7a461f8be46c4244d73ae6a66ea05c0124a16c31e566170970bff43f3abe6"),
+    (32, 4): (18, 9, "1626f30b978e735a1c5e074b68d49784e91fc62f7583716843ad9ce1bee6d6c4"),
+    (32, 5): (22, 1, "16b34f9aabd6e4337197a29346c8c53c61c53e73247b970d2fa52c481469342d"),
+    (32, 6): (23, 3, "ca082ece2cdaf217b4b53ede784adfcf8a09525e3c68a87d0fbf7970dc20cb16"),
+    (33, 1): (17, 2, "72246f05111fd0bca7812be839325172cc9173f3a6cbd24b1924e1812cb14ce7"),
+    (33, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (33, 3): (17, 1, "0bc01b283ce25fc68f507dd6126eee1f5d9a8e40db57283e4b0aed9a90607729"),
+    (33, 4): (19, 6, "ffd789501e3595d7794eb8cf61eafecc12a6e6f30d86f2b23f0070022398c797"),
+    (33, 5): (22, 4, "5ecc8ec1c423f70d3b8e4809b779ed22871797473f06285a4eebb5832e41db57"),
+    (33, 6): (24, 1, "15d871172616bb9570dae7ae17cd0170e8307c4c005eb852038d5babb4e3b53c"),
+    (34, 1): (17, 3, "0b38570ada024983eeec84c62b0815a95f77ad40f723315d5a8b73af339c6281"),
+    (34, 2): (0, 1, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    (34, 3): (17, 1, "0bc01b283ce25fc68f507dd6126eee1f5d9a8e40db57283e4b0aed9a90607729"),
+    (34, 4): (20, 1, "cc17478c4f3c77fe58bd5eb5f1788fa28b924a1fda27b9282f74252eb8e6ab51"),
+    (34, 5): (23, 2, "481f142942469a1602627a4cfc99f84f856d8abb7817df65cc6f56053f3af842"),
+    (34, 6): (25, 1, "3b28d7e2603c82c1cf0199de8aee6bce8ea2b5100b09747e209d336b8c1be5ab"),
+}
+
+
+def listing_digest(result):
+    return hashlib.sha256("\n".join(map(str, result.extremal_sets)).encode()).hexdigest()
+
+
 class TestSearchAgainstOracle:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_pruned_matches_naive(self, k):
@@ -41,6 +148,13 @@ class TestSearchAgainstOracle:
         for s in result.extremal_sets:
             assert len(s) == result.max_size
             assert is_k_sum_free_int(s, k) == (True, None)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_pinned_beyond_the_oracle(self, k):
+        for n in range(19, 35):
+            result = max_k_sum_free(n, k, enumerate_sets=True)
+            got = (result.max_size, result.extremal_count, listing_digest(result))
+            assert got == LISTED_PINS[(n, k)], (n, k)
 
 
 class TestPredicate:
