@@ -12,8 +12,18 @@ x + y = k*z with the chosen ones:
 
 Propagation is exhaustive over violations with exactly one undecided
 member; violations with two future members are forbidden when the first
-of them is included.  The greedy bound prunes nodes whose chosen count
-plus remaining unforbidden candidates cannot tie the incumbent.
+of them is included.
+
+The bound is a Russian-doll table (Ostergard's maximum-clique search):
+R[p] is the size of the largest k-sum-free subset of {p..n}.  The
+elements a node at position pos may still add form a k-sum-free subset
+of the unforbidden candidates in {pos..n}, so the node is pruned when
+its chosen count plus the smaller of R[pos] and the candidate count
+cannot tie the incumbent.  The table is built from p = n down to 2 by
+the same depth-first search: R[p] is R[p+1] or R[p+1] + 1, so level p
+only asks whether some set of size R[p+1] + 1 in {p..n} contains p,
+starting with p chosen and stopping at the first such set.  The last
+level counts and lists from 1 with R[2] as a proven incumbent.
 
 The naive searcher shares none of that machinery: it walks the full
 include/exclude tree, testing each inclusion directly, and serves as
@@ -74,14 +84,21 @@ def search(n: int, k: int, enumerate_all: bool = False):
     Returns (max_size, extremal_count, stored_masks, nodes).  The exact
     count is always maintained; masks are stored only when
     enumerate_all is set, up to EXTREMAL_CAP of them in discovery order.
+    ``nodes`` totals the search nodes of every level: the n - 1 suffix
+    levels that build the table R, then the counting search from 1.
     """
     full = (1 << n) - 1
+    # R[p] for p = 1..n+1; an entry not yet derived holds the trivial bound
+    # |{p..n}|, which is never below the true value
+    R = [n + 1 - p for p in range(n + 2)]
     best = 0
     count = 0
     stored: list[int] = []
     nodes = 0
+    deciding = True
 
-    def dfs(pos: int, mask: int, forb: int, size: int):
+    def dfs(pos: int, mask: int, forb: int, size: int) -> bool:
+        """Explore the subtree; True stops a suffix level at its first hit."""
         nonlocal best, count, nodes
         nodes += 1
         while pos <= n and (forb >> (pos - 1)) & 1:
@@ -97,15 +114,23 @@ def search(n: int, k: int, enumerate_all: bool = False):
                 count += 1
                 if enumerate_all and len(stored) < EXTREMAL_CAP:
                     stored.append(mask)
-            return
-        rem = (~forb & full & (full << (pos - 1))).bit_count()
-        if size + rem < best:
-            return
-        if k != 2:  # including anything violates x + x = 2x when k = 2
-            dfs(pos + 1, mask | (1 << (pos - 1)),
-                forb | new_forbidden(mask, pos, k, n), size + 1)
-        dfs(pos + 1, mask, forb, size)
+            return deciding and size == best
+        free = (~forb & full & (full << (pos - 1))).bit_count()
+        if size + min(free, R[pos]) < best:
+            return False
+        # including anything violates x + x = 2x when k = 2
+        if k != 2 and dfs(pos + 1, mask | (1 << (pos - 1)),
+                          forb | new_forbidden(mask, pos, k, n), size + 1):
+            return True
+        return dfs(pos + 1, mask, forb, size)
 
+    for p in range(n, 1, -1):
+        best = R[p + 1] + 1
+        R[p] = R[p + 1] + (k != 2 and dfs(p + 1, 1 << (p - 1),
+                                          new_forbidden(0, p, k, n), 1))
+    deciding = False
+    best, count = R[2], 0
+    stored.clear()
     dfs(1, 0, 0, 0)
     return best, count, stored, nodes
 

@@ -76,7 +76,7 @@ def test_set_free_verb_takes_common_options(capsys):
 
 def test_discrete_max(capsys):
     assert run(["discrete", "max", "-n", "20", "-k", "3"]) == 0
-    assert capsys.readouterr().out == "n=20 k=3: max size 10, 4 extremal set(s), 885 nodes\n"
+    assert capsys.readouterr().out == "n=20 k=3: max size 10, 4 extremal set(s), 538 nodes\n"
 
 
 @pytest.mark.parametrize("args,budget", [([], DEFAULT_BUDGET), (["--budget", "10"], 10)])

@@ -156,6 +156,11 @@ class TestSearchAgainstOracle:
             got = (result.max_size, result.extremal_count, listing_digest(result))
             assert got == LISTED_PINS[(n, k)], (n, k)
 
+    def test_held_out_pin_n70_k4(self):
+        result = max_k_sum_free(70, 4, enumerate_sets=True, budget=70)
+        assert (result.max_size, result.extremal_count) == (41, 1)
+        assert result.extremal_sets == (IntSet(70, (1, 5, 6, 7, 8, 9, *range(36, 71))),)
+
 
 class TestPredicate:
     @pytest.mark.parametrize("k", range(1, 7))
