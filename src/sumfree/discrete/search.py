@@ -39,9 +39,8 @@ __all__ = [
 
 #: name of the integer kernel in use, recorded by benchmark runs
 KERNEL_BACKEND = "python"
-#: largest n the pruned search accepts by default: the largest n whose
-#: worst time over k = 1..6 stays within that of the greedy-bound search
-#: this kernel replaced, at its budget of 34
+#: largest n the pruned search accepts by default; its slowest search
+#: over k = 1..6 takes about 0.1 s on a 2-core host
 DEFAULT_BUDGET = 41
 #: largest n the unpruned oracle accepts by default
 NAIVE_BUDGET = 26
