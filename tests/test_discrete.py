@@ -1,11 +1,13 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
 from sumfree.cli import USAGE_ERROR, run
 from sumfree.constructions import cg_density, extremal_base
+from sumfree.discrete import _kernel_py
 from sumfree.discrete import (
     DEFAULT_BUDGET,
     NAIVE_BUDGET,
@@ -156,10 +158,57 @@ class TestSearchAgainstOracle:
             got = (result.max_size, result.extremal_count, listing_digest(result))
             assert got == LISTED_PINS[(n, k)], (n, k)
 
+    @pytest.mark.parametrize("k,nodes", [(3, 57375), (4, 19430), (5, 104720)])
+    def test_pinned_node_counts(self, k, nodes):
+        # the bench discrete batch; a change to the kernel's per-node cost
+        # must leave the tree it walks alone
+        assert max_k_sum_free(62, k, budget=62).nodes_explored == nodes
+
     def test_held_out_pin_n70_k4(self):
         result = max_k_sum_free(70, 4, enumerate_sets=True, budget=70)
         assert (result.max_size, result.extremal_count) == (41, 1)
         assert result.extremal_sets == (IntSet(70, (1, 5, 6, 7, 8, 9, *range(36, 71))),)
+
+
+#: code of the kernel's depth-first search, whose frames the test reads
+DFS_CODE = next(c for c in _kernel_py.search.__code__.co_consts
+                if getattr(c, "co_name", None) == "dfs")
+
+
+def visited_nodes(n, k):
+    """(pos, mask, forb) of every node `search(n, k)` enters."""
+    nodes = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is DFS_CODE:
+            args = frame.f_locals
+            nodes.append((args["pos"], args["mask"], args["forb"]))
+
+    sys.setprofile(hook)
+    try:
+        _kernel_py.search(n, k, True)
+    finally:
+        sys.setprofile(None)
+    return nodes
+
+
+class TestKernelForbiddenMask:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_mask_is_exactly_the_violating_extensions(self, k):
+        # after each include of e = pos - 1, the cumulative forbidden mask
+        # marks a later v exactly when the chosen set plus v has a triple
+        includes = 0
+        for n in range(1, 15):
+            for pos, mask, forb in visited_nodes(n, k):
+                if pos < 2 or not (mask >> (pos - 2)) & 1:
+                    continue
+                includes += 1
+                chosen = [i for i in range(1, pos) if (mask >> (i - 1)) & 1]
+                for v in range(pos, n + 1):
+                    fails = not is_k_sum_free_int(chosen + [v], k)[0]
+                    assert bool((forb >> (v - 1)) & 1) == fails, (n, chosen, v)
+        # k = 2 admits no element at all (x + x = 2x)
+        assert includes > 0 or k == 2
 
 
 class TestPredicate:
