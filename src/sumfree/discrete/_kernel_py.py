@@ -14,6 +14,15 @@ Propagation is exhaustive over violations with exactly one undecided
 member; violations with two future members are forbidden when the first
 of them is included.
 
+The first three forms range over every chosen element, e included, and
+are read off images of the chosen set that the search extends as it
+includes elements, so each include costs a few shifts, not a loop:
+
+    K     bit k*m - 1 for each chosen m;  {k*m - e} is K >> e
+    V     bit n - m;  {k*e - m} is V shifted left by k*e - 1 - n
+    Q[c]  bit (m + c)/k for each chosen m = -c (mod k), c in 0..k-1;
+          {(e + m)/k} is (Q[e % k] << e // k) >> 1
+
 The bound is a Russian-doll table (Ostergard's maximum-clique search):
 R[p] is the size of the largest k-sum-free subset of {p..n}.  The
 elements a node at position pos may still add form a k-sum-free subset
@@ -53,31 +62,6 @@ def check_violation(mask: int, e: int, k: int, n: int):
     return None
 
 
-def new_forbidden(mask: int, e: int, k: int, n: int) -> int:
-    """Bits of later elements that including e makes unusable."""
-    mp = mask | (1 << (e - 1))
-    forb = 0
-    ke = k * e
-    if ke % 2 == 0 and 1 <= ke // 2 <= n:
-        forb |= 1 << (ke // 2 - 1)
-    t = mp
-    while t:
-        lsb = t & -t
-        m = lsb.bit_length()
-        t ^= lsb
-        v = k * m - e
-        if 1 <= v <= n:
-            forb |= 1 << (v - 1)
-        v = ke - m
-        if 1 <= v <= n:
-            forb |= 1 << (v - 1)
-        if (e + m) % k == 0:
-            v = (e + m) // k
-            if 1 <= v <= n:
-                forb |= 1 << (v - 1)
-    return forb
-
-
 def search(n: int, k: int, enumerate_all: bool = False):
     """Exact maximum k-sum-free subset of {1..n} with extremal counting.
 
@@ -96,8 +80,26 @@ def search(n: int, k: int, enumerate_all: bool = False):
     stored: list[int] = []
     nodes = 0
     deciding = True
+    # images of the chosen set (module docstring): K and V are dfs
+    # arguments, Q is restored after each include
+    Q = [0] * k
 
-    def dfs(pos: int, mask: int, forb: int, size: int) -> bool:
+    def include(e: int, mask: int, forb: int, size: int, K: int, V: int) -> bool:
+        """Choose e, then explore the subtree past it."""
+        K |= 1 << (k * e - 1)
+        V |= 1 << (n - e)
+        c = -e % k
+        q = Q[c]
+        Q[c] = q | 1 << ((e + c) // k)
+        s = k * e - 1 - n
+        new = K >> e | (V << s if s >= 0 else V >> -s) | Q[e % k] << e // k >> 1
+        if k * e % 2 == 0:
+            new |= 1 << (k * e // 2 - 1)
+        hit = dfs(e + 1, mask | 1 << (e - 1), forb | new & full, size + 1, K, V)
+        Q[c] = q
+        return hit
+
+    def dfs(pos: int, mask: int, forb: int, size: int, K: int, V: int) -> bool:
         """Explore the subtree; True stops a suffix level at its first hit."""
         nonlocal best, count, nodes
         nodes += 1
@@ -119,19 +121,17 @@ def search(n: int, k: int, enumerate_all: bool = False):
         if size + min(free, R[pos]) < best:
             return False
         # including anything violates x + x = 2x when k = 2
-        if k != 2 and dfs(pos + 1, mask | (1 << (pos - 1)),
-                          forb | new_forbidden(mask, pos, k, n), size + 1):
+        if k != 2 and include(pos, mask, forb, size, K, V):
             return True
-        return dfs(pos + 1, mask, forb, size)
+        return dfs(pos + 1, mask, forb, size, K, V)
 
     for p in range(n, 1, -1):
         best = R[p + 1] + 1
-        R[p] = R[p + 1] + (k != 2 and dfs(p + 1, 1 << (p - 1),
-                                          new_forbidden(0, p, k, n), 1))
+        R[p] = R[p + 1] + (k != 2 and include(p, 0, 0, 0, 0, 0))
     deciding = False
     best, count = R[2], 0
     stored.clear()
-    dfs(1, 0, 0, 0)
+    dfs(1, 0, 0, 0, 0, 0)
     return best, count, stored, nodes
 
 
