@@ -163,6 +163,8 @@ def max_k_sum_free_naive(n: int, k: int, budget: int = NAIVE_BUDGET):
     """Unpruned exhaustive oracle; returns (max_size, count, nodes)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if n > budget:
         raise BudgetError(n, budget)
     return _kernel_py.search_naive(n, k)
@@ -183,6 +185,7 @@ def density_report(k: int, n: int) -> DensityReport:
     """Exhaustive desk-scale maximum next to the k >= 4 asymptotic density."""
     from ..constructions import cg_density
 
+    density = cg_density(k)  # rejects k < 4 before the search runs
     result = max_k_sum_free(n, k)
     return DensityReport(n, k, result.max_size,
-                         rational(result.max_size, n), cg_density(k))
+                         rational(result.max_size, n), density)

@@ -8,6 +8,7 @@ import pytest
 from sumfree.cli import USAGE_ERROR, run
 from sumfree.constructions import cg_density, extremal_base
 from sumfree.discrete import _kernel_py
+from sumfree.discrete import search as search_module
 from sumfree.discrete import (
     DEFAULT_BUDGET,
     NAIVE_BUDGET,
@@ -272,6 +273,11 @@ class TestBudget:
         with pytest.raises(BudgetError):
             max_k_sum_free_naive(NAIVE_BUDGET + 1, 3)
 
+    @pytest.mark.parametrize("entry", [max_k_sum_free, max_k_sum_free_naive])
+    def test_rejects_k_zero(self, entry):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            entry(5, 0)
+
 
 class TestDiscretize:
     @pytest.mark.parametrize("n", [59, 177, 354])
@@ -311,6 +317,14 @@ class TestDensity:
             "search-ratio\t2/3\t-\tpass\n"
             "asymptotic-density\t1863/2855\t-\tpass\n"
         )
+
+    def test_rejects_k_below_4_before_searching(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking k")
+
+        monkeypatch.setattr(search_module, "max_k_sum_free", no_search)
+        with pytest.raises(ValueError, match="k >= 4"):
+            density_report(1, 41)
 
     def test_rejects_n_beyond_budget(self, capsys):
         assert run(["density", "-k", "4", "-n", str(DEFAULT_BUDGET + 1)]) == USAGE_ERROR
