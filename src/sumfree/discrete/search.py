@@ -39,9 +39,10 @@ __all__ = [
 
 #: name of the integer kernel in use, recorded by benchmark runs
 KERNEL_BACKEND = "python"
-#: largest n the pruned search accepts by default; its slowest search
-#: over k = 1..6 takes about 0.1 s on a 2-core host
-DEFAULT_BUDGET = 41
+#: largest n the pruned search accepts by default: its slowest search
+#: over k = 1..6 (k = 1) takes 0.09-0.10 s at the reference speed of
+#: bench/speed.py, where n = 46 takes 0.13 s
+DEFAULT_BUDGET = 45
 #: largest n the unpruned oracle accepts by default
 NAIVE_BUDGET = 26
 
