@@ -20,6 +20,7 @@ includes elements, so each include costs a few shifts, not a loop:
 
     K     bit k*m - 1 for each chosen m;  {k*m - e} is K >> e
     V     bit n - m;  {k*e - m} is V shifted left by k*e - 1 - n
+          (right when that is negative)
     Q[c]  bit (m + c)/k for each chosen m = -c (mod k), c in 0..k-1;
           {(e + m)/k} is (Q[e % k] << e // k) >> 1
 
@@ -86,15 +87,16 @@ def search(n: int, k: int, enumerate_all: bool = False):
 
     def include(e: int, mask: int, forb: int, size: int, K: int, V: int) -> bool:
         """Choose e, then explore the subtree past it."""
-        K |= 1 << (k * e - 1)
+        ke = k * e
+        K |= 1 << (ke - 1)
         V |= 1 << (n - e)
         c = -e % k
         q = Q[c]
         Q[c] = q | 1 << ((e + c) // k)
-        s = k * e - 1 - n
+        s = ke - 1 - n
         new = K >> e | (V << s if s >= 0 else V >> -s) | Q[e % k] << e // k >> 1
-        if k * e % 2 == 0:
-            new |= 1 << (k * e // 2 - 1)
+        if ke % 2 == 0:
+            new |= 1 << (ke // 2 - 1)
         hit = dfs(e + 1, mask | 1 << (e - 1), forb | new & full, size + 1, K, V)
         Q[c] = q
         return hit
