@@ -3,8 +3,12 @@
 An IntervalSet is a canonical, sorted union of disjoint non-adjacent
 intervals with open/closed endpoint flags tracked exactly.  All
 operations are pure and exact; values are immutable and safe to share
-between threads (the only cached value, the component tuple, is the
-same whichever thread builds it).
+between threads.  A set caches two values, both pure functions of its
+``(D, codes)``: the component tuple, built on first read, and the last
+k-sum-free verdict, stored by ``predicates.is_k_sum_free`` together
+with its k.  Each is one attribute store of an immutable value, so a
+thread reads either nothing or a complete value, and two threads that
+compute the same value store equal ones.
 
 Endpoint topology matters here: adjoining or removing single endpoints
 changes which sets are sum-free, so measure-only representations are
@@ -160,7 +164,10 @@ _PIECE_RE = re.compile(
 class IntervalSet:
     """Canonical finite union of disjoint, sorted, maximal intervals."""
 
-    __slots__ = ("_den", "_codes", "_components")
+    # _verdict is left unset by _init: the optimizer builds thousands of
+    # sets whose verdicts nobody asks for, and a read of the unset slot
+    # falls back to getattr's default
+    __slots__ = ("_den", "_codes", "_components", "_verdict")
 
     def __init__(self, pieces=()):
         pieces = list(pieces)

@@ -13,8 +13,11 @@ is the one place that checks a set.  A set that is not 3-sum-free
 raises ``NotSumFreeError``, a ``PreconditionError`` whose ``witness`` is
 a violating triple of the caller's set.  Pass ``rescale=True`` to work
 on (1/sup A) * A instead, which is flagged in the aggregate report.
-``lemma_report`` and the tracer validate a set once and hand the
-context to every checker.
+``lemma_report`` and the tracer build one context and hand it to every
+checker.  The 3-sum-free verdict comes from ``is_k_sum_free``, which
+keeps it on the set, so a set is validated once across all entry
+points: the caller's own check, ``lemma_report``, the tracer and the
+containment check.
 
 Notation used throughout (all exact rationals):
 
@@ -250,8 +253,9 @@ class LemmaReport:
 def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
     """Run every applicable inequality check on one 3-sum-free set.
 
-    The set is validated once by ``LemmaContext.from_set``, into the
-    context every checker is given.  The records, in order: extent-bound,
+    The set is checked by ``LemmaContext.from_set``, into the context
+    every checker is given; its 3-sum-free verdict is computed once per
+    set across all entry points (see ``is_k_sum_free``).  The records, in order: extent-bound,
     top-window-bound, then tail-bound, tail-equality-rigidity and
     dense-tail-bound where they apply, then the sumset bound on the two
     pairs the proof uses, sumset-min-bound(S,S) and, when the head R is

@@ -85,14 +85,24 @@ def strip(A: IntervalSet) -> IntervalSet:
 def is_k_sum_free(A: IntervalSet, k: int):
     """Exact predicate; returns (True, None) or (False, witness).
 
-    A must be bounded (always true for finite interval unions); k >= 1.
+    A must be bounded (always true for finite interval unions); k is an
+    int >= 1 (a bool or a float such as 3.0 is rejected).  The verdict
+    is kept on A with its k, so a repeat call on the same object with
+    the same k returns it, witness included, without recomputing; a
+    call with another k replaces it.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    memo = getattr(A, "_verdict", None)
+    if memo is not None and memo[0] == k:
+        return memo[1]
     conflict = conflicts(A, k)
     if conflict.is_empty:
-        return True, None
-    return False, _extract_witness(A, conflict, k)
+        verdict = True, None
+    else:
+        verdict = False, _extract_witness(A, conflict, k)
+    object.__setattr__(A, "_verdict", (k, verdict))
+    return verdict
 
 
 def _extract_witness(A: IntervalSet, conflict: IntervalSet, k: int) -> Witness:

@@ -22,8 +22,10 @@ Cases:
     Case1-R0-nonempty   eta1 + 2*eta2 <= 1/3 and R0 is nonempty
     Case2               eta1 + 2*eta2 > 1/3
 
-The tracer validates its set once, with ``LemmaContext.from_set``, and
-hands that context to the checkers it reuses.
+The tracer checks its set with ``LemmaContext.from_set`` and hands that
+context to the checkers it reuses.  The 3-sum-free verdict is kept on
+the set by ``is_k_sum_free``, so a set is validated once across all
+entry points, however many of them a caller runs on it.
 
 Also here: the inverse-statement checker, which asserts that any set of
 measure exactly 77/177 coincides with the three-interval extremal set
@@ -104,9 +106,10 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     """Certify mu(A) <= 77/177 on a concrete 3-sum-free set with sup = 1.
 
     Pass ``rescale=True`` to work on (1/sup A)*A when sup differs from 1.
-    A is validated once, by ``LemmaContext.from_set``; the context of the
-    head (1/r)*R is derived from it without a second check, as R is a
-    subset.
+    A is checked by ``LemmaContext.from_set``, whose 3-sum-free verdict
+    is computed once per set across all entry points; the context of
+    the head (1/r)*R is derived from it without a second check, as R is
+    a subset.
     """
     ctx = LemmaContext.from_set(A, rescale)
     S, mu = ctx.S, ctx.measure

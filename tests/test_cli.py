@@ -79,7 +79,8 @@ def test_discrete_max(capsys):
     assert capsys.readouterr().out == "n=20 k=3: max size 10, 4 extremal set(s), 538 nodes\n"
 
 
-@pytest.mark.parametrize("args,budget", [([], DEFAULT_BUDGET), (["--budget", "10"], 10)])
+@pytest.mark.parametrize("args,budget", [([], DEFAULT_BUDGET), (["--budget", "10"], 10)],
+                         ids=["default-budget", "explicit-budget"])
 def test_discrete_max_budget(args, budget, capsys):
     assert run(["discrete", "max", "-n", str(budget + 1), *args]) == USAGE_ERROR
     assert f"exceeds the exhaustive budget ({budget})" in capsys.readouterr().err

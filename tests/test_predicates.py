@@ -1,10 +1,16 @@
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import interval_sets, random_interval_set
 from sumfree.constructions import endpoint_combination, extremal_base
 from sumfree.intervals import Interval, IntervalSet
-from sumfree.predicates import conflicts, forbidden_region, is_k_sum_free, strip
+from sumfree.lemmas import lemma_report
+from sumfree.predicates import NotSumFreeError, conflicts, forbidden_region, is_k_sum_free, strip
 from sumfree.rationals import rational
 
 
@@ -56,6 +62,15 @@ class TestPredicate:
         with pytest.raises(ValueError):
             is_k_sum_free(S("(0,1)"), 0)
 
+    @pytest.mark.parametrize("k", [3.0, 2.5, True])
+    def test_k_must_be_an_int_before_and_after_a_verdict(self, k):
+        A = S("(2/3,1)")
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            is_k_sum_free(A, k)
+        assert is_k_sum_free(A, 3) == (True, None)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            is_k_sum_free(A, k)
+
     def test_reformulations_agree(self, rng):
         # (1/3)(A+A) missing A is the same as (3A - A) missing A
         third = rational(1, 3)
@@ -86,6 +101,60 @@ class TestPredicate:
                                 clash = True
                 ok, _ = is_k_sum_free(a, k)
                 assert ok == (not clash)
+
+
+class TestVerdictMemo:
+    """A verdict kept on a set is the verdict a fresh copy gets."""
+
+    @settings(max_examples=150)
+    @given(interval_sets(), st.permutations([1, 1, 2, 2, 3, 3, 4, 4]))
+    def test_any_call_order_matches_a_fresh_set(self, a, ks):
+        for k in ks:
+            ok, w = is_k_sum_free(a, k)
+            fresh = IntervalSet.parse(str(a))
+            assert (ok, w) == is_k_sum_free(fresh, k)
+            assert ok == (w is None)
+            if w is not None:
+                assert w.k == k and w.holds_in(a)
+        assert a == fresh and hash(a) == hash(fresh) and str(a) == str(fresh)
+
+    @settings(max_examples=150)
+    @given(interval_sets(min_value=0), st.permutations([1, 2, 3, 4]))
+    def test_report_raises_the_kept_witness(self, a, ks):
+        for k in ks:
+            is_k_sum_free(a, k)
+        ok, w = is_k_sum_free(a, 3)
+        if ok:
+            return
+        with pytest.raises(NotSumFreeError) as info:
+            lemma_report(a)
+        assert info.value.witness == w and w.holds_in(a)
+
+    def test_threads_sharing_sets_get_fresh_verdicts(self, rng):
+        sets = [random_interval_set(rng, lo=0, hi=2) for _ in range(6)]
+        expected = {(i, k): is_k_sum_free(IntervalSet.parse(str(a)), k)
+                    for i, a in enumerate(sets) for k in (1, 3, 4)}
+        wrong = []
+
+        def worker(seed):
+            order = random.Random(seed)
+            for _ in range(60):
+                i, k = order.randrange(len(sets)), order.choice((1, 3, 4))
+                if is_k_sum_free(sets[i], k) != expected[i, k]:
+                    wrong.append((i, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestStrip:

@@ -1,6 +1,7 @@
 import pytest
 
 import sumfree.lemmas
+import sumfree.predicates
 from sumfree.constructions import construct_extremal, extremal_base, random_sum_free
 from sumfree.intervals import IntervalSet
 from sumfree.lemmas import (
@@ -11,6 +12,7 @@ from sumfree.lemmas import (
     check_top_window_bound,
     lemma_report,
 )
+from sumfree.predicates import is_k_sum_free
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import (
     ContainmentReport,
@@ -111,7 +113,7 @@ class TestOneVerdictType:
 
 
 class TestValidateOnce:
-    """A set is checked for 3-sum-freeness once per report or trace."""
+    """A set is decided 3-sum-free once, across every entry point."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -139,6 +141,25 @@ class TestValidateOnce:
         t = trace_measure_bound(A, rescale=True)
         assert t.case is TraceCase.EARLY_EXIT
         assert len(checks) == 2
+
+    def test_once_across_the_certify_entry_points(self, monkeypatch):
+        for i in range(8):
+            construct_extremal(i)  # warm the cache
+        A = IntervalSet.parse(str(construct_extremal(1)))
+        decided = []
+        real = sumfree.predicates.conflicts
+
+        def counting(B, k):
+            if B is A:
+                decided.append(k)
+            return real(B, k)
+
+        monkeypatch.setattr(sumfree.predicates, "conflicts", counting)
+        assert is_k_sum_free(A, 3) == (True, None)
+        assert lemma_report(A).all_passed
+        assert trace_measure_bound(A, rescale=True).all_passed
+        assert check_extremal_containment(A).container == 1
+        assert decided == [3]
 
 
 class TestContainment:
