@@ -7,8 +7,9 @@ between threads.  A set caches two values, both pure functions of its
 ``(D, codes)``: the component tuple, built on first read, and the last
 k-sum-free verdict, stored by ``predicates.is_k_sum_free`` together
 with its k.  Each is one attribute store of an immutable value, so a
-thread reads either nothing or a complete value, and two threads that
-compute the same value store equal ones.
+thread reads either nothing or a complete value, and a verdict is read
+together with the k it answers; threads that race compute and store
+equal values, or for different k replace each other's verdict.
 
 Endpoint topology matters here: adjoining or removing single endpoints
 changes which sets are sum-free, so measure-only representations are

@@ -255,11 +255,12 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
 
     The set is checked by ``LemmaContext.from_set``, into the context
     every checker is given; its 3-sum-free verdict is computed once per
-    set across all entry points (see ``is_k_sum_free``).  The records, in order: extent-bound,
-    top-window-bound, then tail-bound, tail-equality-rigidity and
-    dense-tail-bound where they apply, then the sumset bound on the two
-    pairs the proof uses, sumset-min-bound(S,S) and, when the head R is
-    nonempty, sumset-min-bound(R,A1).
+    set across all entry points (see ``is_k_sum_free``).  The records,
+    in order: extent-bound, top-window-bound, then tail-bound,
+    tail-equality-rigidity and dense-tail-bound where they apply, then
+    the sumset bound on the two pairs the proof uses,
+    sumset-min-bound(S,S) and, when the head R is nonempty,
+    sumset-min-bound(R,A1).
     """
     ctx = LemmaContext.from_set(A, rescale)
     records = [r for r in (check_extent_bound(ctx), check_top_window_bound(ctx),
