@@ -130,7 +130,7 @@ class TestVerdictMemo:
             lemma_report(a)
         assert info.value.witness == w and w.holds_in(a)
 
-    def test_threads_sharing_sets_get_fresh_verdicts(self, rng):
+    def test_threads_sharing_sets_read_correct_verdicts(self, rng):
         sets = [random_interval_set(rng, lo=0, hi=2) for _ in range(6)]
         expected = {(i, k): is_k_sum_free(IntervalSet.parse(str(a)), k)
                     for i, a in enumerate(sets) for k in (1, 3, 4)}
