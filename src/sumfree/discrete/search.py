@@ -147,12 +147,13 @@ def max_k_sum_free(n: int, k: int, enumerate_sets: bool = False,
     """Exact maximum k-sum-free subset of {1..n}, with extremal census.
 
     The extremal count is exact; listed sets are capped at ``EXTREMAL_CAP``.
-    Refuses n beyond ``budget`` (raise it explicitly to go further).
+    Refuses n beyond ``budget`` (raise it explicitly to go further).  n
+    and k are ints >= 1 (a bool or a float such as 3.0 is rejected).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be >= 1 (an int), got {n!r}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be >= 1 (an int), got {k!r}")
     if n > budget:
         raise BudgetError(n, budget)
     best, count, masks, nodes = _kernel_py.search(n, k, enumerate_sets)
@@ -161,11 +162,14 @@ def max_k_sum_free(n: int, k: int, enumerate_sets: bool = False,
 
 
 def max_k_sum_free_naive(n: int, k: int, budget: int = NAIVE_BUDGET):
-    """Unpruned exhaustive oracle; returns (max_size, count, nodes)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """Unpruned exhaustive oracle; returns (max_size, count, nodes).
+
+    n and k are ints >= 1, as in ``max_k_sum_free``.
+    """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be >= 1 (an int), got {n!r}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be >= 1 (an int), got {k!r}")
     if n > budget:
         raise BudgetError(n, budget)
     return _kernel_py.search_naive(n, k)

@@ -40,7 +40,12 @@ and only if their ``(D, codes)`` are.  Boolean operations are one sweep
 over the two code lists put on their least common denominator; the
 sumset adds codes pairwise and sort-merges plain ints.  ``Fraction``
 values are built only for what a caller reads: ``components``, the
-extrema and ``measure``.
+extrema and ``measure``.  The sweep, the pairwise sum, the merge and
+the scaling are module-level helpers on code lists, which
+``predicates`` and ``optimize`` call directly: the codes of A+A over D
+are those of (1/k)(A+A) over kD, so a set meets its own scaled sumset
+in one sweep, and the optimizer moves an endpoint by rewriting two
+codes, with no intermediate set and no ``Fraction``.
 
 Canonical text form, accepted and emitted by :meth:`IntervalSet.parse`
 and ``str()``::
@@ -147,6 +152,35 @@ def _merge(los: list, his: list) -> list:
                 out[-1] = hi
         else:
             out += (lo, hi)
+    return out
+
+
+def _sumset_codes(a, b) -> list:
+    """Codes of the sumset of two code lists over one denominator; see
+    ``IntervalSet.minkowski`` for the endpoint flags."""
+    los = [p + q - (p & q & 1) for p in a[::2] for q in b[::2]]
+    his = [r + s - ((r | s) & 1) for r in a[1::2] for s in b[1::2]]
+    return _merge(los, his)
+
+
+def _sweep_codes(a, b, table: int) -> list:
+    """Codes of the combination of two code lists over one denominator
+    under a truth table, in one pass over both."""
+    out = []
+    i = j = state = inside = 0
+    na, nb = len(a), len(b)
+    while i < na or j < nb:
+        x = a[i] if j == nb or (i < na and a[i] <= b[j]) else b[j]
+        if i < na and a[i] == x:
+            state ^= 2
+            i += 1
+        if j < nb and b[j] == x:
+            state ^= 1
+            j += 1
+        keep = table >> state & 1
+        if keep != inside:
+            out.append(x)
+            inside = keep
     return out
 
 
@@ -359,34 +393,16 @@ class IntervalSet:
         if self.is_empty or other.is_empty:
             return _EMPTY
         den, a, b = self._aligned(other)
-        los = [p + q - (p & q & 1) for p in a[::2] for q in b[::2]]
-        his = [r + s - ((r | s) & 1) for r in a[1::2] for s in b[1::2]]
-        return IntervalSet._of(den, _merge(los, his))
+        return IntervalSet._of(den, _sumset_codes(a, b))
 
     __add__ = minkowski
 
     # -- boolean operations --------------------------------------------
 
     def _sweep(self, other: "IntervalSet", table: int) -> "IntervalSet":
-        """The combination of two sets under a truth table, in one pass
-        over both code lists."""
+        """The combination of two sets under a truth table."""
         den, a, b = self._aligned(other)
-        out = []
-        i = j = state = inside = 0
-        na, nb = len(a), len(b)
-        while i < na or j < nb:
-            x = a[i] if j == nb or (i < na and a[i] <= b[j]) else b[j]
-            if i < na and a[i] == x:
-                state ^= 2
-                i += 1
-            if j < nb and b[j] == x:
-                state ^= 1
-                j += 1
-            keep = table >> state & 1
-            if keep != inside:
-                out.append(x)
-                inside = keep
-        return IntervalSet._of(den, out)
+        return IntervalSet._of(den, _sweep_codes(a, b, table))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         if self.is_empty:

@@ -25,6 +25,14 @@ Three mechanisms cooperate:
     pass closes every endpoint that can be closed, so a set of measure
     77/177 comes back as one of the maximal sets A1..A7.
 
+The walk runs on the integer codes of ``intervals`` (one denominator D
+per set, two codes per component): proposals rewrite codes, the strip
+and the feasibility test are one sweep each, the trim ranks code
+lengths, and the push's roots of a + b = 3c are ints over 6D.
+``Fraction`` values are built only at the edges: the result, the
+measure comparison of each candidate, the scale factor of a stack or
+of a push's final rescale, and the snap approximants.
+
 The walk is a pure function of (m, seed, iterations); no state is
 shared across calls and no parallelism is used.
 """
@@ -34,8 +42,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import lcm
 
-from .intervals import Interval, IntervalSet
+from .intervals import IntervalSet, _merge, _scaled
 from .predicates import conflicts, forbidden_region, is_k_sum_free, strip
 from .rationals import Rational, rational
 
@@ -55,6 +64,11 @@ SNAP_TOLERANCE = rational(1, 1 << 22)
 #: still compound them, and optimize(3, 2, 1600) returns a 13-digit
 #: denominator
 _GRID_DEN = 177 * 2**28
+
+
+#: the top block of a stack proposal and the space an insert may use
+_TOP_BLOCK = IntervalSet.interval(rational(2, 3), rational(1))
+_UNIT = IntervalSet.interval(0, 1)
 
 
 def _quantize_down(x):
@@ -80,14 +94,15 @@ class OptimizeResult:
 def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     """Search for a 3-sum-free subset of [0,1] with at most m components.
 
-    Deterministic in (m, seed, iterations).  Every returned set passes
+    Deterministic in (m, seed, iterations); m and iterations are ints (a
+    bool or a float such as 3.0 is rejected).  Every returned set passes
     the exact 3-sum-free predicate.  One walk uses the whole budget; it
     accepts no loss of measure, so its last state is its best.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"m must be >= 1 (an int), got {m!r}")
+    if type(iterations) is not int or iterations < 0:
+        raise ValueError(f"iterations must be >= 0 (an int), got {iterations!r}")
     rng = random.Random(seed)
     state = _initial_state(rng)
     mu = state.measure()
@@ -137,20 +152,39 @@ def _feasible(S: IntervalSet) -> bool:
 def _moved(S: IntervalSet, ci: int, lo=None, hi=None,
            lo_closed=None, hi_closed=None) -> IntervalSet:
     """S with component ci's endpoints and flags replaced where given."""
-    comps = list(S.components)
-    c = comps[ci]
-    comps[ci] = Interval(c.lo if lo is None else lo, c.hi if hi is None else hi,
-                         c.lo_closed if lo_closed is None else lo_closed,
-                         c.hi_closed if hi_closed is None else hi_closed)
-    return IntervalSet(comps)
+    den = S._den
+    for v in (lo, hi):
+        if v is not None:
+            den = lcm(den, v.denominator)
+    codes = _scaled(S._codes, den // S._den)
+    a, b = codes[2 * ci], codes[2 * ci + 1]
+    p = a >> 1 if lo is None else lo.numerator * (den // lo.denominator)
+    q = b >> 1 if hi is None else hi.numerator * (den // hi.denominator)
+    lo_open = a & 1 if lo_closed is None else not lo_closed
+    hi_shut = b & 1 if hi_closed is None else hi_closed
+    return _replaced(den, codes, ci, 2 * p + lo_open, 2 * q + hi_shut)
+
+
+def _replaced(den: int, codes, ci: int, lo: int, hi: int) -> IntervalSet:
+    """The set over ``den`` of the code ranges ``codes`` with range ci
+    replaced by [lo, hi): dropped if empty, merged with what it meets."""
+    los, his = codes[::2], codes[1::2]
+    if lo < hi:
+        los[ci], his[ci] = lo, hi
+    else:
+        del los[ci], his[ci]
+    return IntervalSet._of(den, _merge(los, his))
 
 
 def _trim(S: IntervalSet, m: int) -> IntervalSet:
     """Keep the m longest components (leftmost wins ties)."""
     if len(S) <= m:
         return S
-    ranked = sorted(enumerate(S.components), key=lambda e: (-(e[1].length), e[0]))
-    return S._select(sorted(idx for idx, _ in ranked[:m]))
+    c = S._codes
+    # over one denominator the code values rank the lengths; sorted is
+    # stable, so the leftmost of equal lengths comes first
+    ranked = sorted(range(len(S)), key=lambda i: (c[2 * i] >> 1) - (c[2 * i + 1] >> 1))
+    return S._select(sorted(ranked[:m]))
 
 
 def _initial_state(rng: random.Random) -> IntervalSet:
@@ -192,36 +226,38 @@ def _propose_stack(S):
     block: c * sup S = (2/9) sup S / (sup S - inf S / 3) < 2/3 because
     inf S < 2 sup S, and rounding c down keeps it below.
     """
-    c = rational(2, 9) / (S.sup() - S.inf() / 3)
+    # c = (2/9) / (sup S - inf S / 3), from the codes of the extrema
+    c = rational(2 * S._den, 3 * (3 * (S._codes[-1] >> 1) - (S._codes[0] >> 1)))
     if c.denominator > 10**7:
         c = _quantize_down(c)
-    return S.dilate(c).union(IntervalSet.interval(rational(2, 3), rational(1)))
+    return S.dilate(c).union(_TOP_BLOCK)
 
 
 def _propose_shift(rng, S, stage):
     """Translate one whole component; measure-neutral, so always accepted
     when the shifted set stays feasible after the strip."""
     ci = rng.randrange(len(S))
-    c = S.components[ci]
-    step = _rand_step(rng, stage)
+    den, codes, shift = _stepped(rng, S, stage)
     if rng.random() < 0.4:
-        step = -step
-    lo = c.lo + step
-    hi = c.hi + step
-    if lo < 0 or hi > 1:
+        shift = -shift
+    lo, hi = codes[2 * ci] + shift, codes[2 * ci + 1] + shift
+    if lo < 0 or hi >> 1 > den:
         return None
-    return _moved(S, ci, lo, hi)
+    return _replaced(den, codes, ci, lo, hi)
 
 
-def _rand_step(rng, stage):
-    """Log-uniform step size; coarse moves stay available at every stage
-    so the walk can hop between basins late in the run."""
+def _stepped(rng, S, stage):
+    """A log-uniform step size as ``(den, codes of S over den, 2 * step *
+    den)``, so that adding the last to a code moves it by the step.
+    Coarse moves stay available at every stage so the walk can hop
+    between basins late in the run."""
     t = rng.randint(0, stage + 3)
     if rng.random() < 0.3:
-        den = 177 * 2 ** max(0, t - 2)
+        step_den = 177 * 2 ** max(0, t - 2)
     else:
-        den = 6 * 2 ** t
-    return rational(rng.randint(1, 3), den)
+        step_den = 6 * 2 ** t
+    den = lcm(S._den, step_den)
+    return den, _scaled(S._codes, den // S._den), 2 * rng.randint(1, 3) * (den // step_den)
 
 
 def _propose_nudge(rng, S, stage):
@@ -229,29 +265,30 @@ def _propose_nudge(rng, S, stage):
     3-sum-free S, which the strip keeps and which measures less, so it
     could never be accepted."""
     ci = rng.randrange(len(S))
-    c = S.components[ci]
-    step = _rand_step(rng, stage)
+    den, codes, shift = _stepped(rng, S, stage)
+    lo, hi = codes[2 * ci], codes[2 * ci + 1]
     if rng.random() < 0.5:
-        return _moved(S, ci, lo=max(c.lo - step, rational(0)))
-    return _moved(S, ci, hi=min(c.hi + step, rational(1)))
+        return _replaced(den, codes, ci, max(lo - shift, lo & 1), hi)
+    return _replaced(den, codes, ci, lo, min(hi + shift, 2 * den + (hi & 1)))
 
 
 def _propose_insert(rng, S):
     """Drop a new interval into space not obviously excluded."""
-    allowed = IntervalSet.interval(0, 1).difference(S.union(forbidden_region(S)))
-    gaps = [c for c in allowed.components if c.length > 0]
+    allowed = _UNIT.difference(S.union(forbidden_region(S)))
+    c = allowed._codes
+    gaps = [(lo >> 1, hi >> 1) for lo, hi in zip(c[::2], c[1::2]) if lo >> 1 < hi >> 1]
     if not gaps:
         return None
-    g = gaps[rng.randrange(len(gaps))]
-    span = g.length
-    f1 = rational(rng.randint(0, 12), 12)
-    f2 = rational(rng.randint(0, 12), 12)
+    g_lo, g_hi = gaps[rng.randrange(len(gaps))]
+    f1 = rng.randint(0, 12)
+    f2 = rng.randint(0, 12)
     if f1 > f2:
         f1, f2 = f2, f1
     if f1 == f2:
         return None
-    piece = Interval(g.lo + span * f1, g.lo + span * f2)
-    return S.union(IntervalSet([piece]))
+    # the open piece from f1/12 to f2/12 of the way across the gap, over 12D
+    lo, hi = (12 * g_lo + (g_hi - g_lo) * f for f in (f1, f2))
+    return S.union(IntervalSet._of(12 * allowed._den, [2 * lo + 1, 2 * hi]))
 
 
 # -- coordinate ascent and snapping -----------------------------------
@@ -289,22 +326,26 @@ def _expand_endpoint(S: IntervalSet, ci: int, side: str) -> IntervalSet:
     feasible sets before it, so it is feasible too.  A closed endpoint
     stays closed when that is still feasible.
     """
-    comps = S.components
-    c = comps[ci]
+    den = 6 * S._den
+    codes = _scaled(S._codes, 6)
+    j = 2 * ci + (side == "hi")
+    base = codes[j] >> 1
     if side == "lo":
-        base, was_closed, sign = c.lo, c.lo_closed, -1
-        room = base - (comps[ci - 1].hi if ci > 0 else 0)
+        was_closed, sign = not codes[j] & 1, -1
+        room = base - (codes[j - 1] >> 1 if ci > 0 else 0)
     else:
-        base, was_closed, sign = c.hi, c.hi_closed, 1
-        room = (comps[ci + 1].lo if ci + 1 < len(comps) else 1) - base
+        was_closed, sign = codes[j] & 1, 1
+        room = (codes[j + 1] >> 1 if j + 1 < len(codes) else den) - base
     if room <= 0:
         return S
 
     def moved(t, closed):
-        return _moved(S, ci, **{side: base + sign * t, f"{side}_closed": closed})
+        if side == "lo":
+            return _replaced(den, codes, ci, 2 * (base - t) + (not closed), codes[j + 1])
+        return _replaced(den, codes, ci, codes[j - 1], 2 * (base + t) + closed)
 
-    others = [x for d in comps for x in (d.lo, d.hi)]
-    del others[2 * ci + (side == "hi")]
+    others = [x >> 1 for x in S._codes]
+    del others[j]
     moves = sorted({t for t in (sign * (v - base) for v in _roots(others)) if 0 < t < room})
     moves.append(room)
     k = bisect_left(moves, True, key=lambda t: not _feasible(moved(t, False)))
@@ -318,13 +359,14 @@ def _expand_endpoint(S: IntervalSet, ci: int, side: str) -> IntervalSet:
 
 def _roots(F):
     """Every v with a + b = 3c where v is one or more of a, b, c and the
-    others are in F."""
+    others are in F, for values given as ints over a denominator D and
+    returned as ints over 6D: b/2, 3b/2, 3c - b and (b + c)/3."""
     for b in F:
-        yield b / 2
-        yield 3 * b / 2
+        yield 3 * b
+        yield 9 * b
         for c in F:
-            yield 3 * c - b
-            yield (b + c) / 3
+            yield 18 * c - 6 * b
+            yield 2 * (b + c)
 
 
 def _close(S: IntervalSet) -> IntervalSet:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intervals import IntervalSet
+from .intervals import (_DIFFERENCE, _INTERSECT, IntervalSet, _scaled, _sumset_codes,
+                        _sweep_codes)
 from .rationals import Rational, rational
 
 __all__ = [
@@ -68,18 +69,33 @@ class NotSumFreeError(PreconditionError):
         super().__init__(f"set is not {witness.k}-sum-free: {witness}")
 
 
+def _against_sums(A: IntervalSet, k: int, table: int) -> IntervalSet:
+    """A combined with (1/k)(A+A) under a truth table, in one sweep.
+
+    The codes of A+A over A's denominator D are the codes of
+    (1/k)(A+A) over kD, so they meet A's codes scaled by k directly.
+    """
+    codes = A._codes
+    return IntervalSet._of(A._den * k, _sweep_codes(_scaled(codes, k),
+                                                    _sumset_codes(codes, codes), table))
+
+
 def conflicts(A: IntervalSet, k: int) -> IntervalSet:
-    """The z in A with k*z in A+A; empty iff A is k-sum-free (k >= 1)."""
-    return A.minkowski(A).dilate(rational(1, k)).intersect(A)
+    """The z in A with k*z in A+A; empty iff A is k-sum-free (k >= 1).
+
+    Equal to ``A.minkowski(A).dilate(1/k).intersect(A)``.
+    """
+    return _against_sums(A, k, _INTERSECT)
 
 
 def strip(A: IntervalSet) -> IntervalSet:
     """A' = A \\ (1/3)(A+A), which is 3-sum-free for every A.
 
     x + y = 3z in A' would put z in (1/3)(A'+A'), a subset of
-    (1/3)(A+A), which A' misses.
+    (1/3)(A+A), which A' misses.  Equal to
+    ``A.difference(A.minkowski(A).dilate(1/3))``.
     """
-    return A.difference(A.minkowski(A).dilate(rational(1, 3)))
+    return _against_sums(A, 3, _DIFFERENCE)
 
 
 def is_k_sum_free(A: IntervalSet, k: int):

@@ -170,6 +170,20 @@ class TestSearchAgainstOracle:
         assert (result.max_size, result.extremal_count) == (41, 1)
         assert result.extremal_sets == (IntSet(70, (1, 5, 6, 7, 8, 9, *range(36, 71))),)
 
+    def test_k3_maximum_is_the_odd_numbers(self):
+        # from n = 23 on, the odd numbers are the one maximum 3-sum-free set
+        for n in range(23, 46):
+            result = max_k_sum_free(n, 3, enumerate_sets=True)
+            odd = IntSet(n, tuple(range(1, n + 1, 2)))
+            assert (result.max_size, result.extremal_count, result.extremal_sets) == (
+                (n + 1) // 2, 1, (odd,)), n
+
+    def test_residues_1_3_4_7_mod_9_are_3_sum_free(self):
+        # density 4/9, above the continuous ceiling 77/177
+        for n in range(1, 201):
+            elems = [x for x in range(1, n + 1) if x % 9 in (1, 3, 4, 7)]
+            assert is_k_sum_free_int(elems, 3) == (True, None), n
+
 
 #: code of the kernel's depth-first search, whose frames the test reads
 DFS_CODE = next(c for c in _kernel_py.search.__code__.co_consts
@@ -277,6 +291,13 @@ class TestBudget:
     def test_rejects_k_zero(self, entry):
         with pytest.raises(ValueError, match="k must be >= 1"):
             entry(5, 0)
+
+    @pytest.mark.parametrize("entry", [max_k_sum_free, max_k_sum_free_naive])
+    @pytest.mark.parametrize("n,k", [(10, True), (10.0, 3), (10, 3.0), (True, 3)])
+    def test_rejects_arguments_that_are_not_ints(self, entry, n, k):
+        # a bool or a float equal to an int is refused before the kernel runs
+        with pytest.raises(ValueError, match="an int"):
+            entry(n, k)
 
 
 class TestDiscretize:

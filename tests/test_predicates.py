@@ -176,6 +176,11 @@ class TestStrip:
         assert strip(S("(1/3,1)")) == S("[2/3,1)")
         assert strip(S("(1/2,3/4)")) == S("(1/2,3/4)")
 
+    @settings(max_examples=200)
+    @given(interval_sets())
+    def test_one_sweep_equals_the_set_operations(self, a):
+        assert strip(a) == a.difference(a.minkowski(a).dilate(rational(1, 3)))
+
 
 class TestConflicts:
     """The conflict set is empty exactly when the predicate holds."""
@@ -185,6 +190,12 @@ class TestConflicts:
     def test_empty_iff_sum_free(self, a):
         for k in range(1, 6):
             assert conflicts(a, k).is_empty == is_k_sum_free(a, k)[0]
+
+    @settings(max_examples=200)
+    @given(interval_sets())
+    def test_one_sweep_equals_the_set_operations(self, a):
+        for k in range(1, 7):
+            assert conflicts(a, k) == a.minkowski(a).dilate(rational(1, k)).intersect(a)
 
 
 class TestForbiddenRegion:
