@@ -41,8 +41,8 @@ __all__ = [
 KERNEL_BACKEND = "python"
 #: largest n the pruned search accepts by default: its slowest search
 #: over k = 1..6 (k = 1) takes 0.09-0.10 s at the reference speed of
-#: bench/speed.py, where n = 46 takes 0.13 s
-DEFAULT_BUDGET = 45
+#: bench/speed.py, n = 48 takes 0.10-0.11 s and n = 50 takes 0.13 s
+DEFAULT_BUDGET = 49
 #: largest n the unpruned oracle accepts by default
 NAIVE_BUDGET = 26
 
@@ -127,10 +127,11 @@ class DensityReport:
 def is_k_sum_free_int(S, k: int):
     """Exact predicate on an IntSet or iterable of positive integers.
 
-    Returns (True, None) or (False, (x, y, z)) with x + y = k*z.
+    Returns (True, None) or (False, (x, y, z)) with x + y = k*z.  k is
+    an int >= 1, as in ``max_k_sum_free``.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be >= 1 (an int), got {k!r}")
     elems = set(S.elements if isinstance(S, IntSet) else S)
     ordered = sorted(elems)
     for z in ordered:
@@ -179,10 +180,11 @@ def discretize(A: IntervalSet, n: int) -> IntSet:
     """{ i in 1..n : i/n in A }, membership decided exactly.
 
     If A is k-sum-free so is the result: x + y = k*z over the integers
-    gives the same relation for x/n, y/n, z/n.
+    gives the same relation for x/n, y/n, z/n.  n is an int >= 1, as in
+    ``max_k_sum_free``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be >= 1 (an int), got {n!r}")
     return IntSet(n, tuple(i for i in range(1, n + 1) if A.contains(rational(i, n))))
 
 

@@ -159,11 +159,18 @@ class TestSearchAgainstOracle:
             got = (result.max_size, result.extremal_count, listing_digest(result))
             assert got == LISTED_PINS[(n, k)], (n, k)
 
-    @pytest.mark.parametrize("k,nodes", [(3, 57375), (4, 19430), (5, 104720)])
-    def test_pinned_node_counts(self, k, nodes):
-        # the bench discrete batch; a change to the kernel's per-node cost
-        # must leave the tree it walks alone
-        assert max_k_sum_free(62, k, budget=62).nodes_explored == nodes
+    # the bench cases keep the ids they had when n = 62 was the only n
+    @pytest.mark.parametrize("n,k,nodes", [
+        pytest.param(62, 3, 57375, id="3-57375"),
+        pytest.param(62, 4, 19430, id="4-19430"),
+        pytest.param(62, 5, 104720, id="5-104720"),
+        pytest.param(70, 3, 111193, id="n70-3-111193"),
+        pytest.param(70, 4, 53028, id="n70-4-53028"),
+    ])
+    def test_pinned_node_counts(self, n, k, nodes):
+        # the bench discrete batch (n = 62) and two held-out trees; a change
+        # to the kernel's per-node cost must leave the tree it walks alone
+        assert max_k_sum_free(n, k, budget=n).nodes_explored == nodes
 
     def test_held_out_pin_n70_k4(self):
         result = max_k_sum_free(70, 4, enumerate_sets=True, budget=70)
@@ -183,6 +190,88 @@ class TestSearchAgainstOracle:
         for n in range(1, 201):
             elems = [x for x in range(1, n + 1) if x % 9 in (1, 3, 4, 7)]
             assert is_k_sum_free_int(elems, 3) == (True, None), n
+
+
+def reference_search(n: int, k: int, enumerate_all: bool = False):
+    """The kernel's search as one recursive call per node, kept verbatim
+    as the reference for the loop form: one call for every excluded
+    element and an `include` call before every included one."""
+    EXTREMAL_CAP = _kernel_py.EXTREMAL_CAP
+    full = (1 << n) - 1
+    # R[p] for p = 1..n+1; an entry not yet derived holds the trivial bound
+    # |{p..n}|, which is never below the true value
+    R = [n + 1 - p for p in range(n + 2)]
+    best = 0
+    count = 0
+    stored: list[int] = []
+    nodes = 0
+    deciding = True
+    # images of the chosen set (module docstring): K and V are dfs
+    # arguments, Q is restored after each include
+    Q = [0] * k
+
+    def include(e: int, mask: int, forb: int, size: int, K: int, V: int) -> bool:
+        """Choose e, then explore the subtree past it."""
+        ke = k * e
+        K |= 1 << (ke - 1)
+        V |= 1 << (n - e)
+        c = -e % k
+        q = Q[c]
+        Q[c] = q | 1 << ((e + c) // k)
+        s = ke - 1 - n
+        new = K >> e | (V << s if s >= 0 else V >> -s) | Q[e % k] << e // k >> 1
+        if ke % 2 == 0:
+            new |= 1 << (ke // 2 - 1)
+        hit = dfs(e + 1, mask | 1 << (e - 1), forb | new & full, size + 1, K, V)
+        Q[c] = q
+        return hit
+
+    def dfs(pos: int, mask: int, forb: int, size: int, K: int, V: int) -> bool:
+        """Explore the subtree; True stops a suffix level at its first hit."""
+        nonlocal best, count, nodes
+        nodes += 1
+        while pos <= n and (forb >> (pos - 1)) & 1:
+            pos += 1
+        if pos > n:
+            if size > best:
+                best = size
+                count = 1
+                stored.clear()
+                if enumerate_all:
+                    stored.append(mask)
+            elif size == best:
+                count += 1
+                if enumerate_all and len(stored) < EXTREMAL_CAP:
+                    stored.append(mask)
+            return deciding and size == best
+        free = (~forb & full & (full << (pos - 1))).bit_count()
+        if size + min(free, R[pos]) < best:
+            return False
+        # including anything violates x + x = 2x when k = 2
+        if k != 2 and include(pos, mask, forb, size, K, V):
+            return True
+        return dfs(pos + 1, mask, forb, size, K, V)
+
+    for p in range(n, 1, -1):
+        best = R[p + 1] + 1
+        R[p] = R[p + 1] + (k != 2 and include(p, 0, 0, 0, 0, 0))
+    deciding = False
+    best, count = R[2], 0
+    stored.clear()
+    dfs(1, 0, 0, 0, 0, 0)
+    return best, count, stored, nodes
+
+
+class TestLoopKernelAgainstReference:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_same_answer_listing_and_nodes(self, k):
+        # the listed masks are compared in discovery order
+        for n in range(1, 35):
+            assert _kernel_py.search(n, k, True) == reference_search(n, k, True), (n, k)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_same_on_the_bench_batch(self, k):
+        assert _kernel_py.search(62, k, True) == reference_search(62, k, True)
 
 
 #: code of the kernel's depth-first search, whose frames the test reads
@@ -248,6 +337,12 @@ class TestPredicate:
         with pytest.raises(ValueError):
             is_k_sum_free_int([1, 2], 0)
 
+    @pytest.mark.parametrize("elems,k", [([1, 2], True), ([1, 3, 5], 3.0), ([1, 3, 5], 2.5)])
+    def test_rejects_k_that_is_not_an_int(self, elems, k):
+        # True is not taken as 1, nor 3.0 as 3
+        with pytest.raises(ValueError, match="an int"):
+            is_k_sum_free_int(elems, k)
+
 
 class TestIntSet:
     @pytest.mark.parametrize("text", ["{}", "{1}", "{1,3,5}", "{2,9,20}"])
@@ -306,6 +401,11 @@ class TestDiscretize:
         S = discretize(extremal_base(), n)
         assert S.n == n and len(S) > 0
         assert is_k_sum_free_int(S, 3) == (True, None)
+
+    @pytest.mark.parametrize("n", [59.0, True, 0])
+    def test_rejects_n_that_is_not_an_int_at_least_one(self, n):
+        with pytest.raises(ValueError, match="an int"):
+            discretize(extremal_base(), n)
 
 
 class TestDensity:

@@ -3,7 +3,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_sets, random_interval_set
@@ -185,11 +185,33 @@ class TestStrip:
 class TestConflicts:
     """The conflict set is empty exactly when the predicate holds."""
 
+    @staticmethod
+    def meets(p, q):
+        """Whether two pieces share a point, from their endpoints and flags."""
+        if p.lo != q.lo:
+            lo, lo_closed = max((p.lo, p.lo_closed), (q.lo, q.lo_closed))
+        else:
+            lo, lo_closed = p.lo, p.lo_closed and q.lo_closed
+        if p.hi != q.hi:
+            hi, hi_closed = min((p.hi, p.hi_closed), (q.hi, q.hi_closed))
+        else:
+            hi, hi_closed = p.hi, p.hi_closed and q.hi_closed
+        return lo < hi or (lo == hi and lo_closed and hi_closed)
+
     @settings(max_examples=150)
     @given(interval_sets())
+    # 1 + 1 = 2 when k = 1: the flags at 1 and 2 decide
+    @example(S("(1/2,1)|[2,5/2]"))
+    @example(S("(1/2,1]|[2,5/2]"))
     def test_empty_iff_sum_free(self, a):
-        for k in range(1, 6):
-            assert conflicts(a, k).is_empty == is_k_sum_free(a, k)[0]
+        # A is k-sum-free iff no components I, J, K have I + J meeting k*K
+        pieces = a.components
+        for k in range(1, 7):
+            scaled = [Interval(k * c.lo, k * c.hi, c.lo_closed, c.hi_closed) for c in pieces]
+            free = not any(self.meets(i.sum(j), kc)
+                           for i in pieces for j in pieces for kc in scaled)
+            assert conflicts(a, k).is_empty == free, k
+            assert is_k_sum_free(a, k)[0] == free, k
 
     @settings(max_examples=200)
     @given(interval_sets())
