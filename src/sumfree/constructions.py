@@ -55,10 +55,11 @@ def endpoint_combination(bits: int) -> IntervalSet:
 
     Bit values select left (0) or right (1) endpoints, most significant
     bit = first interval.  All eight patterns are constructible; only
-    pattern 0b010 yields a set that is not 3-sum-free.
+    pattern 0b010 yields a set that is not 3-sum-free.  bits is an int
+    (a bool or a float such as 2.0 is rejected).
     """
-    if not 0 <= bits <= 7:
-        raise ValueError(f"bit pattern must be in 0..7, got {bits}")
+    if type(bits) is not int or not 0 <= bits <= 7:
+        raise ValueError(f"bit pattern must be in 0..7 (an int), got {bits!r}")
     base = extremal_base()
     points = []
     for j, comp in enumerate(base.components):
@@ -70,15 +71,18 @@ def endpoint_combination(bits: int) -> IntervalSet:
     return out
 
 
-@functools.cache
+# typed, so that 1.0 and True reach the check below instead of the
+# cached entry for 1
+@functools.lru_cache(maxsize=None, typed=True)
 def construct_extremal(i: int) -> IntervalSet:
     """The i-th extremal set: A0 for i = 0, the augmented family for 1..7.
 
-    Every set is checked to be 3-sum-free when first built; it is then
-    cached, which is safe because an ``IntervalSet`` is immutable.
+    i is an int (a bool or a float such as 1.0 is rejected).  Every set
+    is checked to be 3-sum-free when first built; it is then cached,
+    which is safe because an ``IntervalSet`` is immutable.
     """
-    if not 0 <= i <= 7:
-        raise ValueError(f"extremal index must be in 0..7, got {i}")
+    if type(i) is not int or not 0 <= i <= 7:
+        raise ValueError(f"extremal index must be in 0..7 (an int), got {i!r}")
     out = extremal_base() if i == 0 else endpoint_combination(_FAMILY_BITS[i - 1])
     ok, witness = is_k_sum_free(out, 3)
     if not ok:
@@ -89,10 +93,11 @@ def construct_extremal(i: int) -> IntervalSet:
 def cg_density(k: int):
     """Asymptotic maximal density of k-sum-free subsets of {1..n}, k >= 4.
 
-    Exact rational value of  (k-2)/(k^2-2) * (k + 8/(k*(k^4 - 2k^2 - 4))).
+    Exact rational value of  (k-2)/(k^2-2) * (k + 8/(k*(k^4 - 2k^2 - 4))),
+    for an int k (a bool or a float such as 4.5 is rejected).
     """
-    if k < 4:
-        raise ValueError(f"density formula requires k >= 4, got {k}")
+    if type(k) is not int or k < 4:
+        raise ValueError(f"density formula requires k >= 4 (an int), got {k!r}")
     k = rational(k)
     return (k - 2) / (k * k - 2) * (k + 8 / (k * (k**4 - 2 * k**2 - 4)))
 
@@ -104,9 +109,10 @@ def random_sum_free(seed: int, max_components: int) -> IntervalSet:
     """A pseudorandom 3-sum-free subset of [0,1], deterministic per seed.
 
     Samples a random interval union S and returns ``strip(S)``.
+    max_components is an int (a bool or a float such as 2.5 is rejected).
     """
-    if max_components < 1:
-        raise ValueError("max_components must be >= 1")
+    if type(max_components) is not int or max_components < 1:
+        raise ValueError(f"max_components must be >= 1 (an int), got {max_components!r}")
     rng = random.Random(seed)
     ncomp = rng.randint(1, max_components)
     cuts = []

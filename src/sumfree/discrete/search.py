@@ -59,13 +59,22 @@ class BudgetError(ValueError):
 
 @dataclass(frozen=True)
 class IntSet:
-    """A subset of {1..n}, canonical text form ``{1,3,5}``."""
+    """A subset of {1..n}, canonical text form ``{1,3,5}``.
+
+    n and the elements are ints (a bool or a float such as 2.0 is
+    rejected); n = 0 is the empty universe of ``IntSet.parse("{}")``.
+    """
 
     n: int
     elements: tuple
 
     def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"n must be >= 0 (an int), got {self.n!r}")
+        elems = tuple(self.elements)
+        if any(type(e) is not int for e in elems):
+            raise ValueError(f"elements must be ints, got {elems!r}")
+        elems = tuple(sorted(set(elems)))
         if elems and not (1 <= elems[0] and elems[-1] <= self.n):
             raise ValueError(f"elements must lie in 1..{self.n}")
         object.__setattr__(self, "elements", elems)
@@ -127,12 +136,17 @@ class DensityReport:
 def is_k_sum_free_int(S, k: int):
     """Exact predicate on an IntSet or iterable of positive integers.
 
-    Returns (True, None) or (False, (x, y, z)) with x + y = k*z.  k is
-    an int >= 1, as in ``max_k_sum_free``.
+    Returns (True, None) or (False, (x, y, z)) with x + y = k*z.  k and
+    every element are ints >= 1, as in ``max_k_sum_free``; a bool or a
+    float such as 3.0 is rejected.
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be >= 1 (an int), got {k!r}")
-    elems = set(S.elements if isinstance(S, IntSet) else S)
+    elems = tuple(S)
+    bad = [x for x in elems if type(x) is not int or x < 1]
+    if bad:
+        raise ValueError(f"elements must be ints >= 1, got {bad[0]!r}")
+    elems = set(elems)
     ordered = sorted(elems)
     for z in ordered:
         target = k * z

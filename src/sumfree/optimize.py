@@ -7,23 +7,22 @@ and its measure obeys the 77/177 ceiling exactly.
 
 Three mechanisms cooperate:
 
-  * a hill climb over proposals (outward endpoint nudges on a
-    shrinking rational grid, whole-component shifts, interval insertion
-    into currently allowed space, stacking) accepts every candidate that
-    measures no less; shifts cost no measure, so configurations drift
-    freely along the feasibility frontier, and a move that loses measure
-    would only be undone by the next push;
-  * periodic coordinate ascent ("push") moves each endpoint outward
-    exactly onto its feasibility frontier: growing a set can only add
-    violations, and the first one appears at a root of a + b = 3c
-    among the endpoints, so a bisection over those roots finds it;
-  * a final snap replaces endpoints by the simplest nearby rationals
-    (continued-fraction approximants) when that keeps feasibility and
-    loses at most ``SNAP_TOLERANCE`` measure, and a push after it wins
-    the loss back on a simpler frontier point, so converged runs land
-    on exact optima such as [2/3, 1) with measure exactly 1/3; a last
-    pass closes every endpoint that can be closed, so a set of measure
-    77/177 comes back as one of the maximal sets A1..A7.
+  * a hill climb over proposals (outward endpoint nudges by log-uniform
+    rational steps, interval insertion into currently allowed space,
+    stacking) accepts every candidate that measures no less;
+  * once the walk ends, coordinate ascent ("push") moves each endpoint
+    outward exactly onto its feasibility frontier: growing a set can
+    only add violations, and the first one appears at a root of
+    a + b = 3c among the endpoints, so a bisection over those roots
+    finds it;
+  * a snap between two pushes replaces endpoints by the simplest nearby
+    rationals (continued-fraction approximants) when that keeps
+    feasibility and loses at most ``SNAP_TOLERANCE`` measure, and the
+    push after it wins the loss back on a simpler frontier point, so
+    converged runs land on exact optima such as [2/3, 1) with measure
+    exactly 1/3; a last pass closes every endpoint that can be closed,
+    so a set of measure 77/177 comes back as one of the maximal sets
+    A1..A7.
 
 The walk runs on the integer codes of ``intervals`` (one denominator D
 per set, two codes per component): proposals rewrite codes, the strip
@@ -50,30 +49,17 @@ from .rationals import Rational, rational
 
 __all__ = ["OptimizeResult", "optimize"]
 
-#: nudge grid refines from 1/(177*2) down to 1/(177*2**GRID_STAGES)
+#: a nudge moves an endpoint by 1, 2 or 3 steps of 1/(6 * 2**t), with
+#: t drawn uniformly from 0..GRID_STAGES + 3
 GRID_STAGES = 18
-#: every PUSH_EVERY-th iteration pushes the current state
-PUSH_EVERY = 1500
 #: denominators a snap tries for each endpoint
 SNAP_DENOMINATORS = (3, 59, 177, 354, 708, 2832, 10000)
 #: measure a snap may give up; the push after it wins it back
 SNAP_TOLERANCE = rational(1, 1 << 22)
-#: stack scales are quantized down to multiples of 1/_GRID_DEN.  This
-#: does not bound endpoint denominators: the push roots and dilation,
-#: the strip endpoints (x+y)/3, insert's twelfths and stack's dilation
-#: still compound them, and optimize(3, 2, 1600) returns a 13-digit
-#: denominator
-_GRID_DEN = 177 * 2**28
-
 
 #: the top block of a stack proposal and the space an insert may use
 _TOP_BLOCK = IntervalSet.interval(rational(2, 3), rational(1))
 _UNIT = IntervalSet.interval(0, 1)
-
-
-def _quantize_down(x):
-    num = (x.numerator * _GRID_DEN) // x.denominator
-    return rational(num, _GRID_DEN)
 
 
 @dataclass
@@ -109,13 +95,8 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     accepted = 0
     evaluated = 0
 
-    for i in range(iterations):
-        if i % PUSH_EVERY == PUSH_EVERY - 1:
-            state = _push(state)
-            mu = state.measure()
-            continue
-        stage = 1 + (GRID_STAGES * i) // iterations
-        cand = _propose(rng, state, m, stage)
+    for _ in range(iterations):
+        cand = _propose(rng, state, m)
         if cand is None:
             continue
         evaluated += 1
@@ -125,17 +106,10 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
             state, mu = cand, cmu
             accepted += 1
 
-    # polish: snaps may dip slightly, pushes recover on a simpler
-    # frontier point; keep whichever candidate measures best
-    best = cand = state
-    for _ in range(5):
-        before = cand.measure()
-        cand = _push(_snap(_push(cand)))
-        if cand.measure() > best.measure():
-            best = cand
-        if cand.measure() <= before:
-            break
-    best = _close(best)
+    # polish: a snap may dip slightly and the push after it recovers on
+    # a simpler frontier point; keep the result only if it gains measure
+    cand = _push(_snap(_push(state)))
+    best = _close(cand if cand.measure() > mu else state)
     ok, witness = is_k_sum_free(best, 3)
     if not ok:
         raise AssertionError(f"optimizer produced an infeasible set: {witness}")
@@ -200,14 +174,12 @@ def _initial_state(rng: random.Random) -> IntervalSet:
 # -- proposals ---------------------------------------------------------
 
 
-def _propose(rng: random.Random, S: IntervalSet, m: int, stage: int):
+def _propose(rng: random.Random, S: IntervalSet, m: int):
     roll = rng.random()
     if roll < 0.18 and len(S) < m:
         return _propose_insert(rng, S)
-    if roll < 0.40:
-        return _propose_shift(rng, S, stage)
     if roll < 0.75:
-        return _propose_nudge(rng, S, stage)
+        return _propose_nudge(rng, S)
     return _propose_stack(S)
 
 
@@ -221,55 +193,35 @@ def _propose_stack(S):
     the largest value keeping c*S inside its own head window, which
     lands stacked local optima exactly on the frontier.  S is a state, a
     3-sum-free subset of [0, 1] of positive measure (the first state has
-    one and the walk never loses measure), so 0 < sup S - inf S / 3 <= 1,
-    and c >= 2/9 stays positive when quantized.  c*S stays below the top
-    block: c * sup S = (2/9) sup S / (sup S - inf S / 3) < 2/3 because
-    inf S < 2 sup S, and rounding c down keeps it below.
+    one and the walk never loses measure), so 0 < sup S - inf S / 3 <= 1
+    and c >= 2/9.  c*S stays below the top block: c * sup S =
+    (2/9) sup S / (sup S - inf S / 3) < 2/3 because inf S < 2 sup S.
     """
     # c = (2/9) / (sup S - inf S / 3), from the codes of the extrema
     c = rational(2 * S._den, 3 * (3 * (S._codes[-1] >> 1) - (S._codes[0] >> 1)))
-    if c.denominator > 10**7:
-        c = _quantize_down(c)
     return S.dilate(c).union(_TOP_BLOCK)
 
 
-def _propose_shift(rng, S, stage):
-    """Translate one whole component; measure-neutral, so always accepted
-    when the shifted set stays feasible after the strip."""
-    ci = rng.randrange(len(S))
-    den, codes, shift = _stepped(rng, S, stage)
-    if rng.random() < 0.4:
-        shift = -shift
-    lo, hi = codes[2 * ci] + shift, codes[2 * ci + 1] + shift
-    if lo < 0 or hi >> 1 > den:
-        return None
-    return _replaced(den, codes, ci, lo, hi)
-
-
-def _stepped(rng, S, stage):
+def _stepped(rng, S):
     """A log-uniform step size as ``(den, codes of S over den, 2 * step *
     den)``, so that adding the last to a code moves it by the step.
-    Coarse moves stay available at every stage so the walk can hop
-    between basins late in the run."""
-    t = rng.randint(0, stage + 3)
-    if rng.random() < 0.3:
-        step_den = 177 * 2 ** max(0, t - 2)
-    else:
-        step_den = 6 * 2 ** t
+    Coarse and fine steps are drawn alike at every iteration, so the
+    walk can hop between basins late in the run."""
+    step_den = 6 * 2 ** rng.randint(0, GRID_STAGES + 3)
     den = lcm(S._den, step_den)
     return den, _scaled(S._codes, den // S._den), 2 * rng.randint(1, 3) * (den // step_den)
 
 
-def _propose_nudge(rng, S, stage):
+def _propose_nudge(rng, S):
     """Move one endpoint outward.  An inward move gives a subset of the
     3-sum-free S, which the strip keeps and which measures less, so it
     could never be accepted."""
     ci = rng.randrange(len(S))
-    den, codes, shift = _stepped(rng, S, stage)
+    den, codes, step = _stepped(rng, S)
     lo, hi = codes[2 * ci], codes[2 * ci + 1]
     if rng.random() < 0.5:
-        return _replaced(den, codes, ci, max(lo - shift, lo & 1), hi)
-    return _replaced(den, codes, ci, lo, min(hi + shift, 2 * den + (hi & 1)))
+        return _replaced(den, codes, ci, max(lo - step, lo & 1), hi)
+    return _replaced(den, codes, ci, lo, min(hi + step, 2 * den + (hi & 1)))
 
 
 def _propose_insert(rng, S):

@@ -49,9 +49,15 @@ class TestExtremalFamily:
         assert len({construct_extremal(i) for i in range(8)}) == 8
 
     def test_index_validation(self):
-        for bad in (-1, 8):
+        construct_extremal(1)  # cached: 1.0 and True must not be answered from it
+        for bad in (-1, 8, 1.0, True):
             with pytest.raises(ValueError):
                 construct_extremal(bad)
+
+    def test_bit_pattern_validation(self):
+        for bad in (-1, 8, 2.0, True):
+            with pytest.raises(ValueError):
+                endpoint_combination(bad)
 
 
 class TestCgDensity:
@@ -70,8 +76,8 @@ class TestCgDensity:
             assert 0 < cg_density(k) < 1
 
     def test_small_k_rejected(self):
-        for k in (1, 2, 3):
-            with pytest.raises(ValueError):
+        for k in (1, 2, 3, 4.5, 4.0, True):
+            with pytest.raises(ValueError, match="k >= 4"):
                 cg_density(k)
 
 
@@ -104,5 +110,6 @@ class TestGenerator:
             assert out.measure() <= MAX_MEASURE
 
     def test_component_budget_validation(self):
-        with pytest.raises(ValueError):
-            random_sum_free(1, 0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                random_sum_free(1, bad)

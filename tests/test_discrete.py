@@ -343,6 +343,11 @@ class TestPredicate:
         with pytest.raises(ValueError, match="an int"):
             is_k_sum_free_int(elems, k)
 
+    @pytest.mark.parametrize("elems,k", [([1.5, 3], 1), ([0], 1), ([-1, 1], 3), ([True, 2], 3)])
+    def test_rejects_elements_that_are_not_ints_at_least_one(self, elems, k):
+        with pytest.raises(ValueError, match="ints"):
+            is_k_sum_free_int(elems, k)
+
 
 class TestIntSet:
     @pytest.mark.parametrize("text", ["{}", "{1}", "{1,3,5}", "{2,9,20}"])
@@ -362,6 +367,11 @@ class TestIntSet:
     def test_rejects_elements_outside_range(self, elements):
         with pytest.raises(ValueError, match="1..5"):
             IntSet(5, elements)
+
+    @pytest.mark.parametrize("n,elements", [(5.0, (1, 2)), (True, (1,)), (3, (1.0, 2)), (-1, ())])
+    def test_rejects_n_or_elements_that_are_not_ints(self, n, elements):
+        with pytest.raises(ValueError, match="int"):
+            IntSet(n, elements)
 
     def test_parse_rejects_element_above_n(self):
         with pytest.raises(ValueError, match="1..5"):
