@@ -45,7 +45,11 @@ the scaling are module-level helpers on code lists, which
 ``predicates`` and ``optimize`` call directly: the codes of A+A over D
 are those of (1/k)(A+A) over kD, so a set meets its own scaled sumset
 in one sweep, and the optimizer moves an endpoint by rewriting two
-codes, with no intermediate set and no ``Fraction``.
+codes, with no intermediate set and no ``Fraction``.  ``clip`` cuts a
+set to a closed window [lo, hi] in code space: the window is the code
+range [2p, 2q+1), and two bisections find the codes inside it.
+``parse`` reads each endpoint as an int numerator and denominator and
+codes it over their least common denominator, building no ``Fraction``.
 
 Canonical text form, accepted and emitted by :meth:`IntervalSet.parse`
 and ``str()``::
@@ -61,7 +65,7 @@ normalizes; the emitter always prints canonical form.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -191,8 +195,10 @@ def _scaled(codes, k: int):
     return [2 * k * (c >> 1) + (c & 1) for c in codes]
 
 
+# groups: left bracket, lo numerator and denominator, hi numerator and
+# denominator, right bracket; a missing denominator is 1
 _PIECE_RE = re.compile(
-    r"\s*([(\[])\s*(-?\d+(?:\s*/\s*\d+)?)\s*,\s*(-?\d+(?:\s*/\s*\d+)?)\s*([)\]])\s*"
+    r"\s*([(\[])\s*(-?\d+)(?:\s*/\s*(\d+))?\s*,\s*(-?\d+)(?:\s*/\s*(\d+))?\s*([)\]])\s*"
 )
 
 
@@ -270,20 +276,27 @@ class IntervalSet:
             return cls.empty()
         if not stripped:
             raise ParseError("empty set text (use '{}' for the empty set)", text, 0)
-        pieces = []
+        matches = []
+        den = 1
         pos = 0
         for chunk in text.split("|"):
             m = _PIECE_RE.fullmatch(chunk)
             if m is None:
                 raise ParseError("expected an interval like '(p/q,r/s)'", text, pos)
-            try:
-                lo = _parse_rational(m.group(2))
-                hi = _parse_rational(m.group(3))
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", text, pos + m.start(2)) from None
-            pieces.append(Interval(lo, hi, m.group(1) == "[", m.group(4) == "]"))
+            # lcm is 0 if either denominator is
+            den = lcm(den, int(m[3] or 1), int(m[5] or 1))
+            if not den:
+                raise ParseError("zero denominator", text, pos + m.start(2))
+            matches.append(m)
             pos += len(chunk) + 1
-        return cls(pieces)
+        los, his = [], []
+        for m in matches:
+            lo = 2 * int(m[2]) * (den // int(m[3] or 1)) + (m[1] == "(")
+            hi = 2 * int(m[4]) * (den // int(m[5] or 1)) + (m[6] == "]")
+            if lo < hi:
+                los.append(lo)
+                his.append(hi)
+        return cls._of(den, _merge(los, his))
 
     # -- basic queries -------------------------------------------------
 
@@ -397,6 +410,28 @@ class IntervalSet:
 
     __add__ = minkowski
 
+    def clip(self, lo, hi) -> "IntervalSet":
+        """``self & [lo, hi]`` for rationals lo and hi; empty when lo > hi.
+
+        The closed window is the code range [2p, 2q+1) over the least
+        common denominator, so the codes of the result are those strictly
+        inside it, with a window end added where it falls inside the set.
+        """
+        den = lcm(self._den, lo.denominator, hi.denominator)
+        a = 2 * lo.numerator * (den // lo.denominator)
+        b = 2 * hi.numerator * (den // hi.denominator) + 1
+        if a >= b or not self._codes:
+            return _EMPTY
+        c = _scaled(self._codes, den // self._den)
+        i = bisect_right(c, a)
+        j = bisect_left(c, b)
+        out = c[i:j]
+        if i & 1:
+            out.insert(0, a)
+        if j & 1:
+            out.append(b)
+        return IntervalSet._of(den, out)
+
     # -- boolean operations --------------------------------------------
 
     def _sweep(self, other: "IntervalSet", table: int) -> "IntervalSet":
@@ -441,14 +476,6 @@ class IntervalSet:
 
     def __repr__(self) -> str:
         return f"IntervalSet.parse({str(self)!r})"
-
-
-def _parse_rational(token: str):
-    token = token.replace(" ", "")
-    if "/" in token:
-        num, den = token.split("/")
-        return rational(int(num), int(den))
-    return rational(int(token))
 
 
 _EMPTY = IntervalSet._of(1, [])

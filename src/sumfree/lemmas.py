@@ -17,7 +17,8 @@ on (1/sup A) * A instead, which is flagged in the aggregate report.
 checker.  The 3-sum-free verdict comes from ``is_k_sum_free``, which
 keeps it on the set, so a set is validated once across all entry
 points: the caller's own check, ``lemma_report``, the tracer and the
-containment check.
+containment check.  The windows A1 and R are cut with
+``IntervalSet.clip``, in integer codes, with no window set built.
 
 Notation used throughout (all exact rationals):
 
@@ -126,18 +127,23 @@ class LemmaContext:
                 raise PreconditionError(
                     f"checker requires sup(A) = 1, got {s} (pass rescale=True)")
             A = A.dilate(1 / s)
-        A1 = A.intersect(window(_TWO_THIRDS, rational(1)))
+        A1 = A.clip(_TWO_THIRDS, 1)
         eps1 = A1.inf() - _TWO_THIRDS
         eps2 = (_THIRD - eps1) - A1.measure()
         a = A.inf()
         # A lies in [a, 1] and the head and tail windows share one point
-        R = A.intersect(window(a, tail_cut(a)))
+        R = A.clip(a, tail_cut(a))
         mu = A.measure()
         return cls(a, A1, eps1, eps2, A, s != 1, mu, R, mu - R.measure())
 
 
 def window(lo, hi) -> IntervalSet:
-    """Closed interval [lo, hi] as a set; empty when lo > hi."""
+    """Closed interval [lo, hi] as a set; empty when lo > hi.
+
+    The reference form of a window: the checkers cut their windows with
+    ``IntervalSet.clip``, and ``S.clip(lo, hi)`` equals
+    ``S.intersect(window(lo, hi))``.
+    """
     lo, hi = rational(lo), rational(hi)
     if lo > hi:
         return IntervalSet.empty()
@@ -224,9 +230,10 @@ def check_sumset_min_bound(A: IntervalSet, B: IntervalSet) -> CheckRecord:
     """
     if A.is_empty or B.is_empty:
         raise PreconditionError("sumset bound requires nonempty operands")
-    if A.measure() > B.measure():
-        A, B = B, A
-    lhs = min(2 * A.measure() + B.measure(), A.measure() + B.diameter())
+    mA, mB = A.measure(), B.measure()
+    if mA > mB:
+        A, B, mA, mB = B, A, mB, mA
+    lhs = min(2 * mA + mB, mA + B.diameter())
     rhs = A.minkowski(B).measure()
     return CheckRecord("sumset-min-bound", lhs, rhs, lhs <= rhs)
 

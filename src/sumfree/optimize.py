@@ -84,6 +84,9 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     bool or a float such as 3.0 is rejected).  Every returned set passes
     the exact 3-sum-free predicate.  One walk uses the whole budget; it
     accepts no loss of measure, so its last state is its best.
+    ``evaluated`` counts the candidates proposed and ``accepted`` those
+    that changed the state: a candidate equal to the state is kept but
+    not counted.
     """
     if type(m) is not int or m < 1:
         raise ValueError(f"m must be >= 1 (an int), got {m!r}")
@@ -103,8 +106,9 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
         cand = _trim(strip(cand), m)
         cmu = cand.measure()
         if cmu >= mu:
+            if cand != state:
+                accepted += 1
             state, mu = cand, cmu
-            accepted += 1
 
     # polish: a snap may dip slightly and the push after it recovers on
     # a simpler frontier point; keep the result only if it gains measure

@@ -14,7 +14,8 @@ the argument manipulates:
 and records one exact verdict per displayed inequality.  The final
 certified bound is the minimum over all applicable bounds and is >=
 mu(A); on the extremal set it equals 77/177 exactly, with every step an
-equality.
+equality.  R0 and the auxiliary windows of ``_window_verdicts`` are cut
+with ``IntervalSet.clip``, in integer codes, with no window set built.
 
 Cases:
     early-exit          mu(A) < 5/12, nothing to do
@@ -48,7 +49,6 @@ from .lemmas import (
     PreconditionError,
     check_dense_tail_bound,
     check_tail_bound,
-    window,
 )
 from .predicates import NotSumFreeError, is_k_sum_free
 from .rationals import MAX_MEASURE, Rational, rational
@@ -141,7 +141,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     eta1, eta2 = ctx_r.eps1, ctx_r.eps2
 
     if eta1 + 2 * eta2 <= _THIRD:
-        R0 = R.intersect(window(a, 2 * r / 9 + a / 3))
+        R0 = R.clip(a, 2 * r / 9 + a / 3)
         case, extra, final_extra = _case1(ctx, ctx_r, muR, r, R0)
     else:
         case, extra, final_extra = _case2(ctx, muR, r)
@@ -175,11 +175,11 @@ def _window_verdicts(ctx: LemmaContext) -> list:
         ("4/9", _THIRD + e1 / 2, rational(4, 9) + e1 / 6),
         ("1/3", rational(2, 9) + (a + e1) / 3, _THIRD + a / 3),
     ):
-        m = S.intersect(window(lo, hi)).measure()
+        m = S.clip(lo, hi).measure()
         out.append(CheckRecord(f"window-{name}-mass", m, e2 / 3, m <= e2 / 3))
     if e1 > 2 * a / 3:
-        mB = S.intersect(window(_THIRD + a / 3, _THIRD + e1 / 2)).measure()
-        mC = S.intersect(window(rational(2, 9) + 2 * a / 9, rational(2, 9) + e1 / 3)).measure()
+        mB = S.clip(_THIRD + a / 3, _THIRD + e1 / 2).measure()
+        mC = S.clip(rational(2, 9) + 2 * a / 9, rational(2, 9) + e1 / 3).measure()
         rhsB = rational(3, 4) * (e1 / 2 - a / 3)
         out.append(CheckRecord("window-B_1/3-mass", mB, rhsB, mB <= rhsB))
         rhsBC = e1 / 3 - 2 * a / 9

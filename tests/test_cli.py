@@ -93,7 +93,7 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
     (["optimize", "-m", "1", "--iters", "300", "--format", "records"],
      "optimize\t1/3\t77/177\tpass\n[2/3,1)\n"),
     (["optimize", "-m", "1", "--iters", "300"],
-     "best set: [2/3,1)\nmeasure: 1/3\naccepted 300 of 300 evaluated moves\n"),
+     "best set: [2/3,1)\nmeasure: 1/3\naccepted 89 of 300 evaluated moves\n"),
     (["construct", "a3"], "[8/177,4/59)|(28/177,14/59]|(2/3,1]\n"),
     (["measure", A0], "77/177\n"),
     (["measure", "--decimal", "4", "(0,1/3)"], "1/3 ~0.3333\n"),

@@ -1,10 +1,12 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import interval_sets, random_interval_set, rationals
 from sumfree.intervals import EmptySetError, Interval, IntervalSet, ParseError
+from sumfree.lemmas import window
 from sumfree.rationals import rational
 
 A0_TEXT = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
@@ -260,6 +262,49 @@ class TestBooleanOps:
         assert lhs == rhs
 
 
+@st.composite
+def clip_cases(draw):
+    """``(set, lo, hi)``: window ends are endpoints of the set or any
+    rationals in [-2, 3] with denominators up to 90, which need not
+    divide the set's; hi is lo one time in five, and lo > hi is common."""
+    a = draw(interval_sets())
+    ends = [e for c in a.components for e in (c.lo, c.hi)]
+    end = st.sampled_from(ends) | rationals() if ends else rationals()
+    lo = draw(end)
+    hi = lo if draw(st.integers(0, 4)) == 0 else draw(end)
+    return a, lo, hi
+
+
+class TestClip:
+    @settings(max_examples=400)
+    @given(clip_cases())
+    # lo > hi, and lo == hi inside, at and outside the set
+    @example((S("(0,1)"), rational(2, 3), rational(1, 3)))
+    @example((S("(0,1)"), rational(1, 2), rational(1, 2)))
+    @example((S("(0,1)|[2,3]"), rational(0), rational(0)))
+    @example((S("(0,1)|[2,3]"), rational(2), rational(2)))
+    # window ends on open and closed component ends, from either side
+    @example((S("(0,1/2]|[2/3,1)"), rational(1, 2), rational(2, 3)))
+    @example((S("(0,1/2]|[2/3,1)"), rational(0), rational(1)))
+    @example((S("[0,1/2)|(2/3,1]"), rational(1, 2), rational(2, 3)))
+    @example((S("[0,1/2)|(2/3,1]"), rational(0), rational(1)))
+    # negative values, and window denominators that do not divide D
+    @example((S("[-2,-1/2)|(1/4,3]"), rational(-5, 7), rational(2, 9)))
+    @example((S("(-1,1)"), rational(-1, 3), rational(-1, 5)))
+    def test_clip_is_intersect_with_the_window(self, case):
+        a, lo, hi = case
+        assert a.clip(lo, hi) == a.intersect(window(lo, hi))
+
+    def test_clip_of_the_empty_set(self):
+        assert IntervalSet.empty().clip(rational(0), rational(1)).is_empty
+
+    def test_clip_keeps_flags_at_the_window_ends(self):
+        a = S("(0,1/2]|[2/3,1)")
+        assert str(a.clip(rational(1, 2), rational(2, 3))) == "[1/2,1/2]|[2/3,2/3]"
+        assert str(a.clip(rational(0), rational(1))) == str(a)
+        assert str(a.clip(rational(1, 4), rational(3, 4))) == "[1/4,1/2]|[2/3,3/4]"
+
+
 class TestExtrema:
     def test_extremal_set_extrema(self):
         a0 = S(A0_TEXT)
@@ -274,6 +319,34 @@ class TestExtrema:
         for op in ("inf", "sup", "diameter"):
             with pytest.raises(EmptySetError):
                 getattr(IntervalSet.empty(), op)()
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def lenient_token(draw):
+    """``(text, value)`` of a number as the parser takes it: a possibly
+    negative, possibly unreduced numerator, with or without a denominator."""
+    num = draw(st.integers(-60, 60))
+    if draw(st.booleans()):
+        return str(num), rational(num)
+    den = draw(st.integers(1, 24))
+    return f"{num}{draw(SPACES)}/{draw(SPACES)}{den}", rational(num, den)
+
+
+@st.composite
+def lenient_pieces(draw):
+    """``(text, Interval)`` of one piece in any order, whitespace and
+    flags, degenerate or reversed pieces included."""
+    (lo_text, lo), (hi_text, hi) = draw(lenient_token()), draw(lenient_token())
+    if draw(st.integers(0, 4)) == 0:
+        hi_text, hi = lo_text, lo
+    lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+    w = [draw(SPACES) for _ in range(6)]
+    text = (f"{w[0]}{'[' if lo_closed else '('}{w[1]}{lo_text}{w[2]},{w[3]}{hi_text}"
+            f"{w[4]}{']' if hi_closed else ')'}{w[5]}")
+    return text, Interval(lo, hi, lo_closed, hi_closed)
 
 
 class TestTextFormat:
@@ -299,6 +372,31 @@ class TestTextFormat:
         with pytest.raises(ParseError) as err:
             IntervalSet.parse("(1/0,2)")
         assert "denominator" in str(err.value)
+        # a zero denominator in the hi token is reported at the start of
+        # its piece's lo token
+        for text, pos in (("(0,1)|(1/2, 3/0)", 7), ("(0,1)| ( 1/2,3/0)", 9),
+                          ("[0,1]|(2,3/ 0]|junk", 7)):
+            with pytest.raises(ParseError) as err:
+                IntervalSet.parse(text)
+            assert err.value.pos == pos and "zero denominator" in str(err.value)
+
+    @settings(max_examples=300)
+    @given(st.lists(lenient_pieces(), min_size=1, max_size=5))
+    def test_lenient_text_parses_like_the_pieces(self, drawn):
+        text = "|".join(t for t, _ in drawn)
+        assert IntervalSet.parse(text) == IntervalSet([p for _, p in drawn])
+
+    @pytest.mark.parametrize("text,canonical", [
+        ("(1,1)", "{}"),
+        ("(2,1]", "{}"),
+        ("[1,1]", "[1,1]"),
+        ("(2,1]|[1/2,1/2]", "[1/2,1/2]"),
+        ("[-6/4, -2/4)|(-1/2,0]", "[-3/2,-1/2)|(-1/2,0]"),
+        (" ( 2/4 , 9 / 6 ] | [0 ,1/3) ", "[0,1/3)|(1/2,3/2]"),
+        ("(0,2/3)|[1/3,1]|(5/6,4/3)", "(0,4/3)"),
+    ])
+    def test_lenient_examples(self, text, canonical):
+        assert str(IntervalSet.parse(text)) == canonical
 
     def test_canonical_equality_is_set_equality(self, rng):
         for _ in range(100):

@@ -28,8 +28,8 @@ def test_deterministic_in_its_arguments(run):
 PINNED = {
     1: ("[365339229458815255/8148750164049788928,365339229458815255/5432500109366525952)"
         "|[313/1980,313/1320)|[2/3,1)",
-        rational(389730019228382209009, 896362518045476782080), 166, 299),
-    2: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 48, 300),
+        rational(389730019228382209009, 896362518045476782080), 68, 299),
+    2: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 6, 300),
 }
 
 
@@ -41,9 +41,9 @@ def test_pinned_outputs(seed, run):
 
 #: the benchmark's optimize workload, optimize(3, seed, 1600), in full
 BENCH_PINNED = {
-    1: ("[8/177,4/59)|[28/177,14/59)|[2/3,1)", rational(77, 177), 518, 1599),
-    2: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 212, 1600),
-    3: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 213, 1600),
+    1: ("[8/177,4/59)|[28/177,14/59)|[2/3,1)", rational(77, 177), 143, 1599),
+    2: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 6, 1600),
+    3: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 4, 1600),
 }
 
 
