@@ -217,8 +217,7 @@ def _cmd_trace(args, stdin) -> int:
         if t.rescaled:
             print(f"rescaled by 1/sup to {t.checked}")
         print(f"case: {t.case}")
-        if t.context is not None:
-            print(f"a={t.context.a} eps1={t.context.eps1} eps2={t.context.eps2}")
+        print(f"a={t.context.a} eps1={t.context.eps1} eps2={t.context.eps2}")
         if t.r is not None:
             print(f"R={t.R}  r={t.r}  eta1={t.eta1}  eta2={t.eta2}")
         if t.b is not None:

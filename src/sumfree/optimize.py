@@ -5,22 +5,20 @@ passes through ``predicates.strip``, which removes (1/3)(S+S) and so
 makes it 3-sum-free, so the returned set is 3-sum-free by construction
 and its measure obeys the 77/177 ceiling exactly.
 
-Three mechanisms cooperate:
+Two mechanisms cooperate:
 
-  * a hill climb over proposals (outward endpoint nudges by log-uniform
-    rational steps, interval insertion into currently allowed space,
-    stacking) accepts every candidate that measures no less;
+  * a hill climb from the top block (2/3, 1) over two proposals,
+    outward endpoint nudges by log-uniform rational steps and stacking
+    (S -> c*S | (2/3, 1)), accepts every candidate that measures no
+    less.  The extremal set is self-similar, and stacking walks its
+    recursion: one stack of (2/3, 1) gives the two-component optimum
+    (4/21, 2/7) | (2/3, 1) of measure 3/7, and a second one gives A0
+    exactly, so the walk starts one or two stacks from an optimum;
   * once the walk ends, coordinate ascent ("push") moves each endpoint
     outward exactly onto its feasibility frontier: growing a set can
     only add violations, and the first one appears at a root of
     a + b = 3c among the endpoints, so a bisection over those roots
-    finds it;
-  * a snap between two pushes replaces endpoints by the simplest nearby
-    rationals (continued-fraction approximants) when that keeps
-    feasibility and loses at most ``SNAP_TOLERANCE`` measure, and the
-    push after it wins the loss back on a simpler frontier point, so
-    converged runs land on exact optima such as [2/3, 1) with measure
-    exactly 1/3; a last pass closes every endpoint that can be closed,
+    finds it.  A last pass closes every endpoint that can be closed,
     so a set of measure 77/177 comes back as one of the maximal sets
     A1..A7.
 
@@ -29,8 +27,8 @@ per set, two codes per component): proposals rewrite codes, the strip
 and the feasibility test are one sweep each, the trim ranks code
 lengths, and the push's roots of a + b = 3c are ints over 6D.
 ``Fraction`` values are built only at the edges: the result, the
-measure comparison of each candidate, the scale factor of a stack or
-of a push's final rescale, and the snap approximants.
+measure comparison of each candidate, and the scale factor of a stack
+or of a push's final rescale.
 
 The walk is a pure function of (m, seed, iterations); no state is
 shared across calls and no parallelism is used.
@@ -44,7 +42,9 @@ from dataclasses import dataclass
 from math import lcm
 
 from .intervals import IntervalSet, _merge, _scaled
-from .predicates import conflicts, forbidden_region, is_k_sum_free, strip
+from .predicates import conflicts, is_k_sum_free, strip
+# unused; kept because bench/tests/test_bench.py expects this binding
+from .predicates import forbidden_region  # noqa: F401
 from .rationals import Rational, rational
 
 __all__ = ["OptimizeResult", "optimize"]
@@ -52,14 +52,9 @@ __all__ = ["OptimizeResult", "optimize"]
 #: a nudge moves an endpoint by 1, 2 or 3 steps of 1/(6 * 2**t), with
 #: t drawn uniformly from 0..GRID_STAGES + 3
 GRID_STAGES = 18
-#: denominators a snap tries for each endpoint
-SNAP_DENOMINATORS = (3, 59, 177, 354, 708, 2832, 10000)
-#: measure a snap may give up; the push after it wins it back
-SNAP_TOLERANCE = rational(1, 1 << 22)
 
-#: the top block of a stack proposal and the space an insert may use
+#: the first state of the walk and the top block of a stack proposal
 _TOP_BLOCK = IntervalSet.interval(rational(2, 3), rational(1))
-_UNIT = IntervalSet.interval(0, 1)
 
 
 @dataclass
@@ -84,40 +79,34 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     bool or a float such as 3.0 is rejected).  Every returned set passes
     the exact 3-sum-free predicate.  One walk uses the whole budget; it
     accepts no loss of measure, so its last state is its best.
-    ``evaluated`` counts the candidates proposed and ``accepted`` those
-    that changed the state: a candidate equal to the state is kept but
-    not counted.
+    ``evaluated`` counts the candidates proposed, one per iteration, so
+    it always equals ``iterations``; ``accepted`` counts those that
+    changed the state: a candidate equal to the state is kept but not
+    counted.
     """
     if type(m) is not int or m < 1:
         raise ValueError(f"m must be >= 1 (an int), got {m!r}")
     if type(iterations) is not int or iterations < 0:
         raise ValueError(f"iterations must be >= 0 (an int), got {iterations!r}")
     rng = random.Random(seed)
-    state = _initial_state(rng)
+    state = _TOP_BLOCK
     mu = state.measure()
     accepted = 0
-    evaluated = 0
 
     for _ in range(iterations):
-        cand = _propose(rng, state, m)
-        if cand is None:
-            continue
-        evaluated += 1
-        cand = _trim(strip(cand), m)
+        cand = _trim(strip(_propose(rng, state)), m)
         cmu = cand.measure()
         if cmu >= mu:
             if cand != state:
                 accepted += 1
             state, mu = cand, cmu
 
-    # polish: a snap may dip slightly and the push after it recovers on
-    # a simpler frontier point; keep the result only if it gains measure
-    cand = _push(_snap(_push(state)))
-    best = _close(cand if cand.measure() > mu else state)
+    # a push never loses measure, so its result is at least the state's
+    best = _close(_push(state))
     ok, witness = is_k_sum_free(best, 3)
     if not ok:
         raise AssertionError(f"optimizer produced an infeasible set: {witness}")
-    return OptimizeResult(best, best.measure(), m, seed, iterations, accepted, evaluated)
+    return OptimizeResult(best, best.measure(), m, seed, iterations, accepted, iterations)
 
 
 # -- state helpers -----------------------------------------------------
@@ -125,22 +114,6 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
 
 def _feasible(S: IntervalSet) -> bool:
     return conflicts(S, 3).is_empty
-
-
-def _moved(S: IntervalSet, ci: int, lo=None, hi=None,
-           lo_closed=None, hi_closed=None) -> IntervalSet:
-    """S with component ci's endpoints and flags replaced where given."""
-    den = S._den
-    for v in (lo, hi):
-        if v is not None:
-            den = lcm(den, v.denominator)
-    codes = _scaled(S._codes, den // S._den)
-    a, b = codes[2 * ci], codes[2 * ci + 1]
-    p = a >> 1 if lo is None else lo.numerator * (den // lo.denominator)
-    q = b >> 1 if hi is None else hi.numerator * (den // hi.denominator)
-    lo_open = a & 1 if lo_closed is None else not lo_closed
-    hi_shut = b & 1 if hi_closed is None else hi_closed
-    return _replaced(den, codes, ci, 2 * p + lo_open, 2 * q + hi_shut)
 
 
 def _replaced(den: int, codes, ci: int, lo: int, hi: int) -> IntervalSet:
@@ -165,24 +138,11 @@ def _trim(S: IntervalSet, m: int) -> IntervalSet:
     return S._select(sorted(ranked[:m]))
 
 
-def _initial_state(rng: random.Random) -> IntervalSet:
-    """A small random feasible seed; the walk grows it from there."""
-    den = rng.choice((90, 120, 177, 240))
-    lo = rational(rng.randint(1, den - 2), den)
-    hi = lo + rational(rng.randint(1, den // 3), den)
-    # for 0 < lo < hi the strip of (lo, hi) is (lo, hi) or [2hi/3, hi),
-    # one component, so no trim is needed
-    return strip(IntervalSet.interval(lo, min(hi, 1)))
-
-
 # -- proposals ---------------------------------------------------------
 
 
-def _propose(rng: random.Random, S: IntervalSet, m: int):
-    roll = rng.random()
-    if roll < 0.18 and len(S) < m:
-        return _propose_insert(rng, S)
-    if roll < 0.75:
+def _propose(rng: random.Random, S: IntervalSet) -> IntervalSet:
+    if rng.random() < 0.75:
         return _propose_nudge(rng, S)
     return _propose_stack(S)
 
@@ -228,26 +188,7 @@ def _propose_nudge(rng, S):
     return _replaced(den, codes, ci, lo, min(hi + step, 2 * den + (hi & 1)))
 
 
-def _propose_insert(rng, S):
-    """Drop a new interval into space not obviously excluded."""
-    allowed = _UNIT.difference(S.union(forbidden_region(S)))
-    c = allowed._codes
-    gaps = [(lo >> 1, hi >> 1) for lo, hi in zip(c[::2], c[1::2]) if lo >> 1 < hi >> 1]
-    if not gaps:
-        return None
-    g_lo, g_hi = gaps[rng.randrange(len(gaps))]
-    f1 = rng.randint(0, 12)
-    f2 = rng.randint(0, 12)
-    if f1 > f2:
-        f1, f2 = f2, f1
-    if f1 == f2:
-        return None
-    # the open piece from f1/12 to f2/12 of the way across the gap, over 12D
-    lo, hi = (12 * g_lo + (g_hi - g_lo) * f for f in (f1, f2))
-    return S.union(IntervalSet._of(12 * allowed._den, [2 * lo + 1, 2 * hi]))
-
-
-# -- coordinate ascent and snapping -----------------------------------
+# -- coordinate ascent and closing -------------------------------------
 
 
 def _push(S: IntervalSet) -> IntervalSet:
@@ -332,51 +273,16 @@ def _close(S: IntervalSet) -> IntervalSet:
     open, so a pushed optimum such as A0 is not maximal.  One pass,
     right to left and hi before lo as in ``_push``, suffices: closing
     adds points, and adding points only adds constraints, so an endpoint
-    that cannot be closed now cannot be closed later either.
+    that cannot be closed now cannot be closed later either.  A closed
+    lo has an even code and a closed hi an odd one, so closing an open
+    lo is its code - 1 and closing an open hi is its code + 1.
     """
     for i in reversed(range(len(S))):
         for side in ("hi", "lo"):
-            trial = _moved(S, i, **{f"{side}_closed": True})
+            c = S._codes
+            lo, hi = c[2 * i], c[2 * i + 1]
+            lo, hi = (lo, hi | 1) if side == "hi" else (lo & ~1, hi)
+            trial = _replaced(S._den, c, i, lo, hi)
             if trial != S and _feasible(trial):
                 S = trial
     return S
-
-
-def _snap(S: IntervalSet) -> IntervalSet:
-    """Replace endpoints by nearby simple rationals.
-
-    A snap may lose up to ``SNAP_TOLERANCE`` measure; the caller pushes
-    afterwards so the loss is recovered on a simpler frontier point.
-    """
-    for _ in range(24):
-        trial = next(_snaps(S), None)
-        if trial is None:
-            break
-        S = trial
-    return S
-
-
-def _snaps(S: IntervalSet):
-    """Feasible one-endpoint snaps of S within 2**-18 that lose at most
-    ``SNAP_TOLERANCE`` measure, in component, side and approximant order."""
-    window = rational(1, 1 << 18)
-    floor = S.measure() - SNAP_TOLERANCE
-    for ci, c in enumerate(S.components):
-        for side in ("lo", "hi"):
-            v = getattr(c, side)
-            for cand in _approximants(v):
-                if cand == v or abs(cand - v) > window:
-                    continue
-                trial = _moved(S, ci, **{side: cand})
-                if trial.measure() >= floor and _feasible(trial):
-                    yield trial
-
-
-def _approximants(v):
-    """Simple rationals near v, best approximations first."""
-    out = []
-    for d in SNAP_DENOMINATORS:
-        r = v.limit_denominator(d)
-        if r not in out:
-            out.append(r)
-    return out

@@ -79,7 +79,7 @@ class ProofTrace:
     rescaled: bool
     measure: Rational
     case: TraceCase
-    context: Optional[LemmaContext] = None
+    context: LemmaContext
     R: IntervalSet = field(default_factory=IntervalSet.empty)
     r: Optional[Rational] = None
     R0: IntervalSet = field(default_factory=IntervalSet.empty)
@@ -115,7 +115,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     S, mu = ctx.S, ctx.measure
 
     if mu < _DENSE_THRESHOLD:
-        t = ProofTrace(A, S, ctx.rescaled, mu, TraceCase.EARLY_EXIT)
+        t = ProofTrace(A, S, ctx.rescaled, mu, TraceCase.EARLY_EXIT, ctx)
         t.verdicts.append(CheckRecord("below-dense-threshold", mu, _DENSE_THRESHOLD,
                                       mu < _DENSE_THRESHOLD, note="strict"))
         t.verdicts.append(CheckRecord("threshold-vs-ceiling", _DENSE_THRESHOLD,

@@ -112,3 +112,9 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
 def test_passing_verbs(argv, out, capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == out
+
+
+def test_trace_prints_the_context_of_an_early_exit(capsys):
+    assert run(["trace", "(2/3,1)"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["case: early-exit",
+                                                        "a=2/3 eps1=0 eps2=0"]

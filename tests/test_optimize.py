@@ -2,10 +2,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_sets, rationals
+from conftest import interval_sets
 from sumfree.intervals import Interval, IntervalSet
 from sumfree.constructions import construct_extremal
-from sumfree.optimize import _close, _moved, _propose_stack, _push, _roots, _trim, optimize
+from sumfree.optimize import (_TOP_BLOCK, _close, _propose_stack, _push, _replaced, _roots,
+                              _trim, optimize)
 from sumfree.predicates import is_k_sum_free, strip
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
@@ -26,10 +27,8 @@ def test_deterministic_in_its_arguments(run):
 
 # exact outputs, so a change to the interval core that alters the walk fails
 PINNED = {
-    1: ("[365339229458815255/8148750164049788928,365339229458815255/5432500109366525952)"
-        "|[313/1980,313/1320)|[2/3,1)",
-        rational(389730019228382209009, 896362518045476782080), 68, 299),
-    2: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 6, 300),
+    1: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 3, 300),
+    2: ("(8/177,4/59]|(28/177,14/59]|(2/3,1]", rational(77, 177), 2, 300),
 }
 
 
@@ -41,9 +40,9 @@ def test_pinned_outputs(seed, run):
 
 #: the benchmark's optimize workload, optimize(3, seed, 1600), in full
 BENCH_PINNED = {
-    1: ("[8/177,4/59)|[28/177,14/59)|[2/3,1)", rational(77, 177), 143, 1599),
-    2: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 6, 1600),
-    3: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 4, 1600),
+    1: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 3, 1600),
+    2: ("(8/177,4/59]|(28/177,14/59]|(2/3,1]", rational(77, 177), 2, 1600),
+    3: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 3, 1600),
 }
 
 
@@ -68,6 +67,20 @@ def test_result_is_feasible_and_under_the_ceiling(run):
     assert 0 <= run.best.inf() and run.best.sup() <= 1
     assert (run.seed, run.iterations) == (1, ITERATIONS)
     assert 0 <= run.accepted <= run.evaluated <= ITERATIONS
+
+
+@pytest.mark.parametrize("m,iterations", [(1, 0), (1, 300), (3, 0), (3, 1), (5, 300)])
+def test_every_iteration_evaluates_one_candidate(m, iterations):
+    assert optimize(m, 2, iterations).evaluated == iterations
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_short_walks_reach_the_optimum_for_each_m(seed):
+    # 1/3 at one component, 3/7 at two and a maximal set of measure
+    # 77/177 at three, each within 300 iterations
+    assert optimize(1, seed, ITERATIONS).measure == rational(1, 3)
+    assert optimize(2, seed, ITERATIONS).measure == rational(3, 7)
+    assert optimize(3, seed, ITERATIONS).best in [construct_extremal(i) for i in range(1, 8)]
 
 
 def test_single_interval_lands_on_exact_optimum():
@@ -100,6 +113,15 @@ def test_close_returns_a_maximal_set(text, index):
 def test_rejects_bad_arguments(m, iterations):
     with pytest.raises(ValueError):
         optimize(m, 1, iterations)
+
+
+def test_stacks_of_the_top_block_give_the_optima():
+    # the extremal set is self-similar: one stack of the top block is the
+    # two-component optimum, and a second one is A0
+    two = _propose_stack(_TOP_BLOCK)
+    assert two == IntervalSet.parse("(4/21,2/7)|(2/3,1)")
+    assert two.measure() == rational(3, 7)
+    assert _propose_stack(two) == construct_extremal(0)
 
 
 @settings(max_examples=150)
@@ -138,16 +160,17 @@ def test_push_puts_every_endpoint_on_its_frontier(a):
         lo_room = c.lo - (comps[ci - 1].hi if ci else 0)
         hi_room = (comps[ci + 1].lo if ci + 1 < len(comps) else 1) - c.hi
         if lo_room >= EPS:
-            assert not is_k_sum_free(_moved(P, ci, lo=c.lo - EPS, lo_closed=False), 3)[0]
+            assert not is_k_sum_free(moved_reference(P, ci, lo=c.lo - EPS, lo_closed=False), 3)[0]
         if hi_room >= EPS:
-            assert not is_k_sum_free(_moved(P, ci, hi=c.hi + EPS, hi_closed=False), 3)[0]
+            assert not is_k_sum_free(moved_reference(P, ci, hi=c.hi + EPS, hi_closed=False), 3)[0]
 
 
 # -- the code-space helpers against their Fraction forms -------------------
 
 
 def moved_reference(S, ci, lo=None, hi=None, lo_closed=None, hi_closed=None):
-    """``_moved`` through ``Interval`` components."""
+    """S with component ci's endpoints and flags replaced where given,
+    through ``Interval`` components."""
     comps = list(S.components)
     c = comps[ci]
     comps[ci] = Interval(c.lo if lo is None else lo, c.hi if hi is None else hi,
@@ -156,15 +179,22 @@ def moved_reference(S, ci, lo=None, hi=None, lo_closed=None, hi_closed=None):
     return IntervalSet(comps)
 
 
+# the two tests below check ``_replaced``, the move of one component in
+# code space that a nudge, a push and a close use, against its
+# ``Interval`` form
+
+
 @settings(max_examples=200)
-@given(interval_sets(), st.data())
-def test_moved_matches_the_component_form(a, data):
+@given(interval_sets(), st.integers(1, 6), st.data())
+def test_moved_matches_the_component_form(a, k, data):
     if a.is_empty:
         return
+    # over k times the denominator, as a nudge or a push lifts the codes
+    den, codes = k * a._den, [2 * k * (c >> 1) + (c & 1) for c in a._codes]
     ci = data.draw(st.integers(0, len(a) - 1))
-    args = [data.draw(st.none() | rationals()) for _ in range(2)]
-    args += [data.draw(st.none() | st.booleans()) for _ in range(2)]
-    assert _moved(a, ci, *args) == moved_reference(a, ci, *args)
+    lo, hi = (data.draw(st.integers(-4 * den, 4 * den)) for _ in range(2))
+    assert _replaced(den, codes, ci, lo, hi) == moved_reference(
+        a, ci, rational(lo >> 1, den), rational(hi >> 1, den), not lo & 1, bool(hi & 1))
 
 
 @pytest.mark.parametrize("ci,kwargs,text", [
@@ -180,7 +210,15 @@ def test_moved_matches_the_component_form(a, data):
 ])
 def test_moved_merges_and_drops(ci, kwargs, text):
     S = IntervalSet.parse("(0,1/4)|(1/2,1)")
-    assert _moved(S, ci, **kwargs) == moved_reference(S, ci, **kwargs) == IntervalSet.parse(text)
+    # the moved component's codes over S's denominator D = 4, read off
+    # the arguments and S's component ci
+    old = S.components[ci]
+    lo, hi = kwargs.get("lo", old.lo), kwargs.get("hi", old.hi)
+    lo_open = not kwargs.get("lo_closed", old.lo_closed)
+    hi_closed = kwargs.get("hi_closed", old.hi_closed)
+    codes = (2 * int(4 * lo) + lo_open, 2 * int(4 * hi) + hi_closed)
+    assert (_replaced(4, S._codes, ci, *codes) == moved_reference(S, ci, **kwargs)
+            == IntervalSet.parse(text))
 
 
 @settings(max_examples=200)
