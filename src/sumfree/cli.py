@@ -263,7 +263,8 @@ def _cmd_optimize(args, stdin) -> int:
     else:
         print(f"best set: {result.best}")
         print(f"measure: {_rat(result.measure, args)}")
-        print(f"accepted {result.accepted} of {result.evaluated} evaluated moves")
+        print(f"accepted {result.accepted} of {result.evaluated} evaluated moves, "
+              f"{result.checked} checked")
     return 0
 
 

@@ -83,7 +83,8 @@ class LemmaContext:
     ``rescale=True`` S is (1/sup A) * A, flagged by ``rescaled``.  a,
     A1, eps1 and eps2 are those of S, ``measure`` is mu(S), ``R`` the
     head S & [a, 2/9 + a/3] and ``tail`` the tail mass
-    mu(S & [2/9 + a/3, 1]) = mu(S) - mu(R).
+    mu(S & [2/9 + a/3, 1]) = mu(S) - mu(R).  ``mu_A1`` and ``mu_R`` are
+    mu(A1) and mu(R), kept so no checker measures them again.
     """
 
     a: Rational
@@ -95,6 +96,8 @@ class LemmaContext:
     measure: Rational
     R: IntervalSet
     tail: Rational
+    mu_A1: Rational
+    mu_R: Rational
 
     @classmethod
     def from_set(cls, A: IntervalSet, rescale: bool = False) -> "LemmaContext":
@@ -128,13 +131,14 @@ class LemmaContext:
                     f"checker requires sup(A) = 1, got {s} (pass rescale=True)")
             A = A.dilate(1 / s)
         A1 = A.clip(_TWO_THIRDS, 1)
+        mu_A1 = A1.measure()
         eps1 = A1.inf() - _TWO_THIRDS
-        eps2 = (_THIRD - eps1) - A1.measure()
+        eps2 = (_THIRD - eps1) - mu_A1
         a = A.inf()
         # A lies in [a, 1] and the head and tail windows share one point
         R = A.clip(a, tail_cut(a))
-        mu = A.measure()
-        return cls(a, A1, eps1, eps2, A, s != 1, mu, R, mu - R.measure())
+        mu, mu_R = A.measure(), R.measure()
+        return cls(a, A1, eps1, eps2, A, s != 1, mu, R, mu - mu_R, mu_A1, mu_R)
 
 
 def window(lo, hi) -> IntervalSet:
@@ -166,7 +170,7 @@ def check_extent_bound(ctx: LemmaContext) -> CheckRecord:
 
 def check_top_window_bound(ctx: LemmaContext) -> CheckRecord:
     """mu(S) <= 1/3 + mu(S & [2/3,1]) / 2 for 3-sum-free S with sup = 1."""
-    bound = _THIRD + ctx.A1.measure() / 2
+    bound = _THIRD + ctx.mu_A1 / 2
     return CheckRecord("top-window-bound", ctx.measure, bound, ctx.measure <= bound)
 
 
@@ -223,14 +227,19 @@ def check_superadditivity(A: IntervalSet, B: IntervalSet) -> CheckRecord:
     return CheckRecord("sumset-superadditive", lhs, rhs, lhs <= rhs)
 
 
-def check_sumset_min_bound(A: IntervalSet, B: IntervalSet) -> CheckRecord:
+def check_sumset_min_bound(A: IntervalSet, B: IntervalSet, mA: Rational | None = None,
+                           mB: Rational | None = None) -> CheckRecord:
     """mu(A+B) >= min(2 mu(A) + mu(B), mu(A) + diam(B)) with mu(A) <= mu(B).
 
-    Operands are swapped internally if needed.
+    Operands are swapped internally if needed.  A caller that already
+    holds mu(A) or mu(B) passes it as ``mA`` or ``mB``.
     """
     if A.is_empty or B.is_empty:
         raise PreconditionError("sumset bound requires nonempty operands")
-    mA, mB = A.measure(), B.measure()
+    if mA is None:
+        mA = A.measure()
+    if mB is None:
+        mB = B.measure()
     if mA > mB:
         A, B, mA, mB = B, A, mB, mA
     lhs = min(2 * mA + mB, mA + B.diameter())
@@ -273,8 +282,9 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
     records = [r for r in (check_extent_bound(ctx), check_top_window_bound(ctx),
                            check_tail_bound(ctx), check_tail_equality(ctx),
                            check_dense_tail_bound(ctx)) if r is not None]
-    records.append(replace(check_sumset_min_bound(ctx.S, ctx.S), name="sumset-min-bound(S,S)"))
+    records.append(replace(check_sumset_min_bound(ctx.S, ctx.S, ctx.measure, ctx.measure),
+                           name="sumset-min-bound(S,S)"))
     if not ctx.R.is_empty:
-        records.append(replace(check_sumset_min_bound(ctx.R, ctx.A1),
+        records.append(replace(check_sumset_min_bound(ctx.R, ctx.A1, ctx.mu_R, ctx.mu_A1),
                                name="sumset-min-bound(R,A1)"))
     return LemmaReport(A, ctx.S, ctx.rescaled, ctx, records)

@@ -9,11 +9,13 @@ Two mechanisms cooperate:
 
   * a hill climb from the top block (2/3, 1) over two proposals,
     outward endpoint nudges by log-uniform rational steps and stacking
-    (S -> c*S | (2/3, 1)), accepts every candidate that measures no
-    less.  The extremal set is self-similar, and stacking walks its
-    recursion: one stack of (2/3, 1) gives the two-component optimum
-    (4/21, 2/7) | (2/3, 1) of measure 3/7, and a second one gives A0
-    exactly, so the walk starts one or two stacks from an optimum;
+    (S -> c*S | (2/3, 1)), accepts a candidate that measures more, or
+    the same and contains the state (so an endpoint can close, but two
+    sets of equal measure cannot trade places forever).  The extremal
+    set is self-similar, and stacking walks its recursion: one stack of
+    (2/3, 1) gives the two-component optimum (4/21, 2/7) | (2/3, 1) of
+    measure 3/7, and a second one gives A0 exactly, so the walk starts
+    one or two stacks from an optimum;
   * once the walk ends, coordinate ascent ("push") moves each endpoint
     outward exactly onto its feasibility frontier: growing a set can
     only add violations, and the first one appears at a root of
@@ -29,6 +31,20 @@ lengths, and the push's roots of a + b = 3c are ints over 6D.
 ``Fraction`` values are built only at the edges: the result, the
 measure comparison of each candidate, and the scale factor of a stack
 or of a push's final rescale.
+
+Each iteration first draws its proposal's parameters, its key: a
+nudge's component, grid exponent, step count and side, or none for a
+stack.  Given the state, the candidate is a pure function of the key,
+so a key rejected on a state stays rejected until the state moves.  The
+walk keeps the keys rejected on its current state, skips a repeated one
+without building its candidate, and forgets them all on a move.  The
+draws are made whether or not the key is skipped, so the random stream
+and every output but ``checked`` are those of the walk without the
+skip.  A state of
+n <= m components has n * (GRID_STAGES + 4) * 6 nudge keys and one
+stack key, so a walk builds at most
+(accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1) candidates, however
+many iterations it runs.
 
 The walk is a pure function of (m, seed, iterations); no state is
 shared across calls and no parallelism is used.
@@ -66,6 +82,7 @@ class OptimizeResult:
     iterations: int
     accepted: int
     evaluated: int
+    checked: int
 
     def __str__(self) -> str:
         return (f"best measure {self.measure} (~{float(self.measure):.9f}) "
@@ -79,10 +96,12 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     bool or a float such as 3.0 is rejected).  Every returned set passes
     the exact 3-sum-free predicate.  One walk uses the whole budget; it
     accepts no loss of measure, so its last state is its best.
-    ``evaluated`` counts the candidates proposed, one per iteration, so
-    it always equals ``iterations``; ``accepted`` counts those that
-    changed the state: a candidate equal to the state is kept but not
-    counted.
+    ``evaluated`` counts the proposals drawn, one per iteration, so it
+    always equals ``iterations``; ``accepted`` counts those that moved
+    the state; ``checked`` counts the candidates built, stripped and
+    measured.  A proposal already rejected on the current state is
+    skipped unchecked, so ``checked`` is at most ``evaluated`` and at
+    most (accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1).
     """
     if type(m) is not int or m < 1:
         raise ValueError(f"m must be >= 1 (an int), got {m!r}")
@@ -91,22 +110,32 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     rng = random.Random(seed)
     state = _TOP_BLOCK
     mu = state.measure()
-    accepted = 0
+    accepted = checked = 0
+    # the proposals rejected on the current state; cleared on a move
+    rejected = set()
 
     for _ in range(iterations):
-        cand = _trim(strip(_propose(rng, state)), m)
+        key = _draw(rng, len(state))
+        if key in rejected:
+            continue
+        checked += 1
+        cand = _propose_stack(state) if key is None else _propose_nudge(state, *key)
+        cand = _trim(strip(cand), m)
         cmu = cand.measure()
-        if cmu >= mu:
-            if cand != state:
-                accepted += 1
+        if cmu > mu or cmu == mu and cand != state and state.is_subset_of(cand):
+            accepted += 1
             state, mu = cand, cmu
+            rejected.clear()
+        else:
+            rejected.add(key)
 
     # a push never loses measure, so its result is at least the state's
     best = _close(_push(state))
     ok, witness = is_k_sum_free(best, 3)
     if not ok:
         raise AssertionError(f"optimizer produced an infeasible set: {witness}")
-    return OptimizeResult(best, best.measure(), m, seed, iterations, accepted, iterations)
+    return OptimizeResult(best, best.measure(), m, seed, iterations, accepted, iterations,
+                          checked)
 
 
 # -- state helpers -----------------------------------------------------
@@ -141,10 +170,14 @@ def _trim(S: IntervalSet, m: int) -> IntervalSet:
 # -- proposals ---------------------------------------------------------
 
 
-def _propose(rng: random.Random, S: IntervalSet) -> IntervalSet:
+def _draw(rng: random.Random, n: int):
+    """The parameters of one proposal on a state of n components: None
+    for a stack, else a nudge's (component, t, step count, lo side).
+    Given the state, they fix the candidate."""
     if rng.random() < 0.75:
-        return _propose_nudge(rng, S)
-    return _propose_stack(S)
+        return (rng.randrange(n), rng.randint(0, GRID_STAGES + 3), rng.randint(1, 3),
+                rng.random() < 0.5)
+    return None
 
 
 def _propose_stack(S):
@@ -166,24 +199,19 @@ def _propose_stack(S):
     return S.dilate(c).union(_TOP_BLOCK)
 
 
-def _stepped(rng, S):
-    """A log-uniform step size as ``(den, codes of S over den, 2 * step *
-    den)``, so that adding the last to a code moves it by the step.
-    Coarse and fine steps are drawn alike at every iteration, so the
-    walk can hop between basins late in the run."""
-    step_den = 6 * 2 ** rng.randint(0, GRID_STAGES + 3)
+def _propose_nudge(S, ci, t, steps, lo_side):
+    """Move the lo or hi endpoint of component ci outward by ``steps``
+    steps of 1/(6 * 2**t).  Coarse and fine steps are drawn alike at
+    every iteration, so the walk can hop between basins late in the run.
+    An inward move gives a subset of the 3-sum-free S, which the strip
+    keeps and which measures less, so it could never be accepted."""
+    step_den = 6 * 2 ** t
     den = lcm(S._den, step_den)
-    return den, _scaled(S._codes, den // S._den), 2 * rng.randint(1, 3) * (den // step_den)
-
-
-def _propose_nudge(rng, S):
-    """Move one endpoint outward.  An inward move gives a subset of the
-    3-sum-free S, which the strip keeps and which measures less, so it
-    could never be accepted."""
-    ci = rng.randrange(len(S))
-    den, codes, step = _stepped(rng, S)
+    codes = _scaled(S._codes, den // S._den)
+    # adding step to a code moves its value by the step
+    step = 2 * steps * (den // step_den)
     lo, hi = codes[2 * ci], codes[2 * ci + 1]
-    if rng.random() < 0.5:
+    if lo_side:
         return _replaced(den, codes, ci, max(lo - step, lo & 1), hi)
     return _replaced(den, codes, ci, lo, min(hi + step, 2 * den + (hi & 1)))
 

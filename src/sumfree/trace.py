@@ -129,7 +129,7 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     verdicts += [v for v in (check_tail_bound(ctx), check_dense_tail_bound(ctx))
                  if v is not None]
 
-    muR = R.measure()
+    muR = ctx.mu_R
     verdicts.append(CheckRecord("head-split", mu, _THIRD + muR, mu <= _THIRD + muR))
     verdicts.append(CheckRecord("head-window-cap", muR, rational(2, 9) - 2 * a / 3,
                                 muR <= rational(2, 9) - 2 * a / 3))

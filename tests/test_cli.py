@@ -93,7 +93,7 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
     (["optimize", "-m", "1", "--iters", "300", "--format", "records"],
      "optimize\t1/3\t77/177\tpass\n[2/3,1)\n"),
     (["optimize", "-m", "1", "--iters", "300"],
-     "best set: [2/3,1)\nmeasure: 1/3\naccepted 89 of 300 evaluated moves\n"),
+     "best set: [2/3,1)\nmeasure: 1/3\naccepted 1 of 300 evaluated moves, 111 checked\n"),
     (["construct", "a3"], "[8/177,4/59)|(28/177,14/59]|(2/3,1]\n"),
     (["measure", A0], "77/177\n"),
     (["measure", "--decimal", "4", "(0,1/3)"], "1/3 ~0.3333\n"),
@@ -112,6 +112,17 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
 def test_passing_verbs(argv, out, capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("seed", range(1, 31))
+def test_optimize_one_component_moves_once(seed, capsys):
+    # the one move closes 2/3: a lo nudge, stripped, is [2/3,1).  A
+    # stack trimmed to one component is the open (2/3,1) again, which has
+    # the same measure but does not contain [2/3,1), so it is not a move
+    assert run(["optimize", "-m", "1", "--iters", "300", "--seed", str(seed)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "best set: [2/3,1)"
+    assert lines[2].startswith("accepted 1 of 300 evaluated moves, ")
 
 
 def test_trace_prints_the_context_of_an_early_exit(capsys):

@@ -83,6 +83,7 @@ class TestContext:
                 cut = tail_cut(c.a)
                 assert c.R == c.S.intersect(window(c.a, cut))
                 assert c.tail == c.S.intersect(window(cut, 1)).measure()
+                assert (c.mu_A1, c.mu_R) == (c.A1.measure(), c.R.measure())
 
 
 class TestExtentBound:
@@ -218,7 +219,10 @@ class TestSumsetChecks:
             if a.is_empty or b.is_empty:
                 continue
             assert check_superadditivity(a, b).passed
-            assert check_sumset_min_bound(a, b).passed
+            rec = check_sumset_min_bound(a, b)
+            assert rec.passed
+            # measures passed in give the same record
+            assert check_sumset_min_bound(a, b, a.measure(), b.measure()) == rec
 
 
 class TestLemmaReport:

@@ -1,12 +1,15 @@
+import random
+from math import lcm
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_sets
-from sumfree.intervals import Interval, IntervalSet
+from sumfree.intervals import Interval, IntervalSet, _scaled
 from sumfree.constructions import construct_extremal
-from sumfree.optimize import (_TOP_BLOCK, _close, _propose_stack, _push, _replaced, _roots,
-                              _trim, optimize)
+from sumfree.optimize import (GRID_STAGES, _TOP_BLOCK, _close, _propose_stack, _push, _replaced,
+                              _roots, _trim, optimize)
 from sumfree.predicates import is_k_sum_free, strip
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
@@ -46,11 +49,17 @@ BENCH_PINNED = {
 }
 
 
+#: candidates the benchmark's walks build; the other iterations repeat
+#: a proposal already rejected on the same state
+BENCH_CHECKED = {1: 390, 2: 389, 3: 379}
+
+
 @pytest.mark.parametrize("seed", sorted(BENCH_PINNED))
 def test_pinned_bench_walks(seed):
     result = optimize(3, seed, 1600)
     assert (str(result.best), result.measure, result.accepted,
             result.evaluated) == BENCH_PINNED[seed]
+    assert result.checked == BENCH_CHECKED[seed]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -74,6 +83,16 @@ def test_every_iteration_evaluates_one_candidate(m, iterations):
     assert optimize(m, 2, iterations).evaluated == iterations
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+def test_checked_is_bounded_by_the_keys_per_state(m):
+    # each state has m * (GRID_STAGES + 4) * 6 nudge keys and one stack
+    # key at most, and each is checked at most once per state
+    for seed in range(1, 6):
+        r = optimize(m, seed, 1600)
+        assert r.checked <= r.evaluated
+        assert r.checked <= (r.accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1)
+
+
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_short_walks_reach_the_optimum_for_each_m(seed):
     # 1/3 at one component, 3/7 at two and a maximal set of measure
@@ -81,6 +100,49 @@ def test_short_walks_reach_the_optimum_for_each_m(seed):
     assert optimize(1, seed, ITERATIONS).measure == rational(1, 3)
     assert optimize(2, seed, ITERATIONS).measure == rational(3, 7)
     assert optimize(3, seed, ITERATIONS).best in [construct_extremal(i) for i in range(1, 8)]
+
+
+# -- the walk without the skip of rejected proposals, as a reference ------
+
+
+def propose_reference(rng, S):
+    """One proposal with its parameters drawn as it is built."""
+    if rng.random() >= 0.75:
+        return _propose_stack(S)
+    ci = rng.randrange(len(S))
+    step_den = 6 * 2 ** rng.randint(0, GRID_STAGES + 3)
+    den = lcm(S._den, step_den)
+    codes = _scaled(S._codes, den // S._den)
+    step = 2 * rng.randint(1, 3) * (den // step_den)
+    lo, hi = codes[2 * ci], codes[2 * ci + 1]
+    if rng.random() < 0.5:
+        return _replaced(den, codes, ci, max(lo - step, lo & 1), hi)
+    return _replaced(den, codes, ci, lo, min(hi + step, 2 * den + (hi & 1)))
+
+
+def optimize_reference(m, seed, iterations):
+    """(best, measure, accepted, evaluated) of a walk that builds and
+    measures the candidate of every iteration."""
+    rng = random.Random(seed)
+    state = _TOP_BLOCK
+    mu = state.measure()
+    accepted = 0
+    for _ in range(iterations):
+        cand = _trim(strip(propose_reference(rng, state)), m)
+        cmu = cand.measure()
+        if cmu > mu or cmu == mu and cand != state and state.is_subset_of(cand):
+            accepted += 1
+            state, mu = cand, cmu
+    best = _close(_push(state))
+    return best, best.measure(), accepted, iterations
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_skipping_rejected_proposals_changes_no_output(m):
+    for seed in range(1, 11):
+        r = optimize(m, seed, ITERATIONS)
+        assert (r.best, r.measure, r.accepted, r.evaluated) == optimize_reference(
+            m, seed, ITERATIONS)
 
 
 def test_single_interval_lands_on_exact_optimum():
