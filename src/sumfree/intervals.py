@@ -3,13 +3,19 @@
 An IntervalSet is a canonical, sorted union of disjoint non-adjacent
 intervals with open/closed endpoint flags tracked exactly.  All
 operations are pure and exact; values are immutable and safe to share
-between threads.  A set caches two values, both pure functions of its
-``(D, codes)``: the component tuple, built on first read, and the last
+between threads.  A set caches four values, all pure functions of its
+``(D, codes)``: the component tuple, built on first read; the last
 k-sum-free verdict, stored by ``predicates.is_k_sum_free`` together
-with its k.  Each is one attribute store of an immutable value, so a
-thread reads either nothing or a complete value, and a verdict is read
-together with the k it answers; threads that race compute and store
-equal values, or for different k replace each other's verdict.
+with its k; the codes of A+A over D, stored by ``predicates.conflicts``,
+read by ``minkowski`` when both operands are the set and carried by
+``dilate``, as alpha(A+A) = alpha A + alpha A; and the set's
+``lemmas.LemmaContext``, stored by ``LemmaContext.from_set`` together
+with its rescale flag.  Each is one attribute store of a value that is
+complete before the store and never changed after it (the sum codes
+are a list that no code mutates), so a thread reads either nothing or
+a complete value, and a verdict or a context is read together with the
+k or flag it answers; threads that race compute and store equal values,
+or for a different k or flag replace each other's.
 
 Endpoint topology matters here: adjoining or removing single endpoints
 changes which sets are sum-free, so measure-only representations are
@@ -205,10 +211,10 @@ _PIECE_RE = re.compile(
 class IntervalSet:
     """Canonical finite union of disjoint, sorted, maximal intervals."""
 
-    # _verdict is left unset by _init: the optimizer builds thousands of
-    # sets whose verdicts nobody asks for, and a read of the unset slot
-    # falls back to getattr's default
-    __slots__ = ("_den", "_codes", "_components", "_verdict")
+    # _verdict, _sums and _context are left unset by _init: the optimizer
+    # builds thousands of sets whose verdicts nobody asks for, and a read
+    # of an unset slot falls back to getattr's default
+    __slots__ = ("_den", "_codes", "_components", "_verdict", "_sums", "_context")
 
     def __init__(self, pieces=()):
         pieces = list(pieces)
@@ -372,12 +378,23 @@ class IntervalSet:
     # -- geometric operations ------------------------------------------
 
     def dilate(self, alpha) -> "IntervalSet":
-        """{ alpha*x : x in self } for alpha > 0; scales measure by alpha."""
+        """{ alpha*x : x in self } for alpha > 0; scales measure by alpha.
+
+        Kept sum codes of the set are carried, as alpha(A+A) is
+        alpha A + alpha A, scaled and reduced as the set's codes are.
+        """
         alpha = rational(alpha)
         if alpha <= 0:
             raise ValueError(f"dilation factor must be positive, got {alpha}")
-        return IntervalSet._of(self._den * alpha.denominator,
-                               _scaled(self._codes, alpha.numerator))
+        p, den = alpha.numerator, self._den * alpha.denominator
+        out = IntervalSet._of(den, _scaled(self._codes, p))
+        sums = getattr(self, "_sums", None)
+        if sums is not None:
+            # _init divided the denominator by g, which divides every
+            # scaled value of the set and so every scaled sum
+            g = den // out._den
+            object.__setattr__(out, "_sums", [2 * ((c >> 1) * p // g) + (c & 1) for c in sums])
+        return out
 
     def translate(self, t) -> "IntervalSet":
         t = rational(t)
@@ -401,10 +418,15 @@ class IntervalSet:
         """Pointwise sumset { a+b }.  Empty if either operand is empty.
 
         Values add; the sum's lo is open if either lo is open, its hi is
-        closed only if both his are closed.
+        closed only if both his are closed.  A+A is read from the codes
+        the set keeps, if it keeps them (see ``predicates.conflicts``).
         """
         if self.is_empty or other.is_empty:
             return _EMPTY
+        if other is self:
+            sums = getattr(self, "_sums", None)
+            if sums is not None:
+                return IntervalSet._of(self._den, sums)
         den, a, b = self._aligned(other)
         return IntervalSet._of(den, _sumset_codes(a, b))
 

@@ -13,11 +13,14 @@ is the one place that checks a set.  A set that is not 3-sum-free
 raises ``NotSumFreeError``, a ``PreconditionError`` whose ``witness`` is
 a violating triple of the caller's set.  Pass ``rescale=True`` to work
 on (1/sup A) * A instead, which is flagged in the aggregate report.
-``lemma_report`` and the tracer build one context and hand it to every
-checker.  The 3-sum-free verdict comes from ``is_k_sum_free``, which
-keeps it on the set, so a set is validated once across all entry
-points: the caller's own check, ``lemma_report``, the tracer and the
-containment check.  The windows A1 and R are cut with
+``lemma_report`` and the tracer take their context from ``from_set``
+and hand it to every checker.  Each quantity is built once per set
+across all entry points: the caller's own check, ``lemma_report``, the
+tracer and the containment check.  ``is_k_sum_free`` keeps the
+3-sum-free verdict on the set, and with it the codes of A+A, which
+``minkowski`` reads for the sumset bound on (S, S), also when S is the
+rescaled set; ``from_set`` keeps the context on the set, so the report
+and the trace of one set share it.  The windows A1 and R are cut with
 ``IntervalSet.clip``, in integer codes, with no window set built.
 
 Notation used throughout (all exact rationals):
@@ -49,7 +52,6 @@ __all__ = [
     "check_superadditivity",
     "check_sumset_min_bound",
     "lemma_report",
-    "window",
     "tail_cut",
 ]
 
@@ -85,6 +87,12 @@ class LemmaContext:
     head S & [a, 2/9 + a/3] and ``tail`` the tail mass
     mu(S & [2/9 + a/3, 1]) = mu(S) - mu(R).  ``mu_A1`` and ``mu_R`` are
     mu(A1) and mu(R), kept so no checker measures them again.
+
+    ``from_set`` keeps the context on A together with ``rescale`` and
+    returns it to a repeat call with the same flag; a call that raises
+    keeps nothing, so it raises again on every call.  When sup A = 1 the
+    context's S is A itself, a reference cycle that the garbage
+    collector frees.
     """
 
     a: Rational
@@ -101,6 +109,9 @@ class LemmaContext:
 
     @classmethod
     def from_set(cls, A: IntervalSet, rescale: bool = False) -> "LemmaContext":
+        memo = getattr(A, "_context", None)
+        if memo is not None and memo[0] == rescale:
+            return memo[1]
         if A.is_empty:
             raise PreconditionError("checker requires a nonempty set")
         if A.inf() < 0:
@@ -108,7 +119,9 @@ class LemmaContext:
         ok, witness = is_k_sum_free(A, 3)
         if not ok:
             raise NotSumFreeError(witness)
-        return cls._of(A, rescale)
+        ctx = cls._of(A, rescale)
+        object.__setattr__(A, "_context", (rescale, ctx))
+        return ctx
 
     def head(self, R: IntervalSet) -> "LemmaContext":
         """The context of (1/sup R) * R for a nonempty subset R of S.
@@ -139,19 +152,6 @@ class LemmaContext:
         R = A.clip(a, tail_cut(a))
         mu, mu_R = A.measure(), R.measure()
         return cls(a, A1, eps1, eps2, A, s != 1, mu, R, mu - mu_R, mu_A1, mu_R)
-
-
-def window(lo, hi) -> IntervalSet:
-    """Closed interval [lo, hi] as a set; empty when lo > hi.
-
-    The reference form of a window: the checkers cut their windows with
-    ``IntervalSet.clip``, and ``S.clip(lo, hi)`` equals
-    ``S.intersect(window(lo, hi))``.
-    """
-    lo, hi = rational(lo), rational(hi)
-    if lo > hi:
-        return IntervalSet.empty()
-    return IntervalSet.interval(lo, hi, True, True)
 
 
 def tail_cut(a) -> Rational:
@@ -270,11 +270,11 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
     """Run every applicable inequality check on one 3-sum-free set.
 
     The set is checked by ``LemmaContext.from_set``, into the context
-    every checker is given; its 3-sum-free verdict is computed once per
-    set across all entry points (see ``is_k_sum_free``).  The records,
-    in order: extent-bound, top-window-bound, then tail-bound,
-    tail-equality-rigidity and dense-tail-bound where they apply, then
-    the sumset bound on the two pairs the proof uses,
+    every checker is given; the verdict, the context and S+S are built
+    once per set across all entry points (see the module docstring).
+    The records, in order: extent-bound, top-window-bound, then
+    tail-bound, tail-equality-rigidity and dense-tail-bound where they
+    apply, then the sumset bound on the two pairs the proof uses,
     sumset-min-bound(S,S) and, when the head R is nonempty,
     sumset-min-bound(R,A1).
     """

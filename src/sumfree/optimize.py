@@ -170,12 +170,30 @@ def _trim(S: IntervalSet, m: int) -> IntervalSet:
 # -- proposals ---------------------------------------------------------
 
 
+def _below(bits, n: int) -> int:
+    """A uniform int in [0, n) for an int n >= 1, from ``bits``, a
+    ``Random.getrandbits``.
+
+    CPython's ``randrange(n)`` draws n.bit_length() bits and redraws
+    until the value is below n; this is that loop without its argument
+    checks, so it consumes and returns the same stream.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _draw(rng: random.Random, n: int):
     """The parameters of one proposal on a state of n components: None
     for a stack, else a nudge's (component, t, step count, lo side).
-    Given the state, they fix the candidate."""
+    Given the state, they fix the candidate.  The stream is that of
+    ``randrange(n)``, ``randint(0, GRID_STAGES + 3)`` and
+    ``randint(1, 3)``, drawn through ``_below``."""
     if rng.random() < 0.75:
-        return (rng.randrange(n), rng.randint(0, GRID_STAGES + 3), rng.randint(1, 3),
+        bits = rng.getrandbits
+        return (_below(bits, n), _below(bits, GRID_STAGES + 4), 1 + _below(bits, 3),
                 rng.random() < 0.5)
     return None
 

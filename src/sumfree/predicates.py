@@ -69,23 +69,28 @@ class NotSumFreeError(PreconditionError):
         super().__init__(f"set is not {witness.k}-sum-free: {witness}")
 
 
-def _against_sums(A: IntervalSet, k: int, table: int) -> IntervalSet:
-    """A combined with (1/k)(A+A) under a truth table, in one sweep.
+def _against_sums(A: IntervalSet, k: int, table: int, sums) -> IntervalSet:
+    """A combined with (1/k)(A+A) under a truth table, in one sweep,
+    given the codes ``sums`` of A+A over A's denominator D.
 
-    The codes of A+A over A's denominator D are the codes of
-    (1/k)(A+A) over kD, so they meet A's codes scaled by k directly.
+    Those are the codes of (1/k)(A+A) over kD, so they meet A's codes
+    scaled by k directly.
     """
-    codes = A._codes
-    return IntervalSet._of(A._den * k, _sweep_codes(_scaled(codes, k),
-                                                    _sumset_codes(codes, codes), table))
+    return IntervalSet._of(A._den * k, _sweep_codes(_scaled(A._codes, k), sums, table))
 
 
 def conflicts(A: IntervalSet, k: int) -> IntervalSet:
     """The z in A with k*z in A+A; empty iff A is k-sum-free (k >= 1).
 
-    Equal to ``A.minkowski(A).dilate(1/k).intersect(A)``.
+    Equal to ``A.minkowski(A).dilate(1/k).intersect(A)``.  The codes of
+    A+A are kept on A, for any k, so a later ``A.minkowski(A)``, or the
+    sumset of a dilation of A with itself, merges no sums again.
     """
-    return _against_sums(A, k, _INTERSECT)
+    sums = getattr(A, "_sums", None)
+    if sums is None:
+        sums = _sumset_codes(A._codes, A._codes)
+        object.__setattr__(A, "_sums", sums)
+    return _against_sums(A, k, _INTERSECT, sums)
 
 
 def strip(A: IntervalSet) -> IntervalSet:
@@ -93,9 +98,10 @@ def strip(A: IntervalSet) -> IntervalSet:
 
     x + y = 3z in A' would put z in (1/3)(A'+A'), a subset of
     (1/3)(A+A), which A' misses.  Equal to
-    ``A.difference(A.minkowski(A).dilate(1/3))``.
+    ``A.difference(A.minkowski(A).dilate(1/3))``.  The sums are not
+    kept: the optimizer strips thousands of candidates it then drops.
     """
-    return _against_sums(A, 3, _DIFFERENCE)
+    return _against_sums(A, 3, _DIFFERENCE, _sumset_codes(A._codes, A._codes))
 
 
 def is_k_sum_free(A: IntervalSet, k: int):

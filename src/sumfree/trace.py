@@ -23,10 +23,13 @@ Cases:
     Case1-R0-nonempty   eta1 + 2*eta2 <= 1/3 and R0 is nonempty
     Case2               eta1 + 2*eta2 > 1/3
 
-The tracer checks its set with ``LemmaContext.from_set`` and hands that
-context to the checkers it reuses.  The 3-sum-free verdict is kept on
-the set by ``is_k_sum_free``, so a set is validated once across all
-entry points, however many of them a caller runs on it.
+The tracer takes its set's context from ``LemmaContext.from_set`` and
+hands it to the checkers it reuses.  The 3-sum-free verdict and the
+context are kept on the set, so a set is validated once, and its
+context built once per rescale flag, across all entry points, however
+many of them a caller runs on it: after ``lemma_report(A)``,
+``trace_measure_bound(A, rescale=True)`` checks nothing and shares the
+report's context.
 
 Also here: the inverse-statement checker, which asserts that any set of
 measure exactly 77/177 coincides with the three-interval extremal set
@@ -106,10 +109,10 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     """Certify mu(A) <= 77/177 on a concrete 3-sum-free set with sup = 1.
 
     Pass ``rescale=True`` to work on (1/sup A)*A when sup differs from 1.
-    A is checked by ``LemmaContext.from_set``, whose 3-sum-free verdict
-    is computed once per set across all entry points; the context of
-    the head (1/r)*R is derived from it without a second check, as R is
-    a subset.
+    A's context comes from ``LemmaContext.from_set``, which checks A and
+    builds the context once per set and rescale flag across all entry
+    points; the context of the head (1/r)*R is derived from it without a
+    second check, as R is a subset.
     """
     ctx = LemmaContext.from_set(A, rescale)
     S, mu = ctx.S, ctx.measure

@@ -26,6 +26,19 @@ def random_interval_set(rng, max_components=4, lo=-2, hi=3):
     return IntervalSet(pieces)
 
 
+def window(lo, hi) -> IntervalSet:
+    """Closed interval [lo, hi] as a set; empty when lo > hi.
+
+    The reference form of a window: the checkers cut their windows with
+    ``IntervalSet.clip``, and ``S.clip(lo, hi)`` equals
+    ``S.intersect(window(lo, hi))``.
+    """
+    lo, hi = rational(lo), rational(hi)
+    if lo > hi:
+        return IntervalSet.empty()
+    return IntervalSet.interval(lo, hi, True, True)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_sets, random_interval_set, rationals
+from conftest import interval_sets, random_interval_set, rationals, window
 from sumfree.intervals import EmptySetError, Interval, IntervalSet, ParseError
-from sumfree.lemmas import window
 from sumfree.rationals import rational
 
 A0_TEXT = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import sumfree
 import sumfree.lemmas
 import sumfree.predicates
-from conftest import interval_sets, random_interval_set
+from conftest import interval_sets, random_interval_set, window
 from sumfree.constructions import extremal_base, random_sum_free
 from sumfree.intervals import IntervalSet
 from sumfree.lemmas import (
@@ -19,7 +19,6 @@ from sumfree.lemmas import (
     check_top_window_bound,
     lemma_report,
     tail_cut,
-    window,
 )
 from sumfree.predicates import NotSumFreeError, is_k_sum_free, strip
 from sumfree.rationals import rational

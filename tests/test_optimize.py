@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import interval_sets
 from sumfree.intervals import Interval, IntervalSet, _scaled
 from sumfree.constructions import construct_extremal
-from sumfree.optimize import (GRID_STAGES, _TOP_BLOCK, _close, _propose_stack, _push, _replaced,
-                              _roots, _trim, optimize)
+from sumfree.optimize import (GRID_STAGES, _TOP_BLOCK, _close, _draw, _propose_stack, _push,
+                              _replaced, _roots, _trim, optimize)
 from sumfree.predicates import is_k_sum_free, strip
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
@@ -143,6 +143,30 @@ def test_skipping_rejected_proposals_changes_no_output(m):
         r = optimize(m, seed, ITERATIONS)
         assert (r.best, r.measure, r.accepted, r.evaluated) == optimize_reference(
             m, seed, ITERATIONS)
+
+
+def draw_reference(rng, n):
+    """``_draw`` through the ``random`` module's range functions."""
+    if rng.random() < 0.75:
+        return (rng.randrange(n), rng.randint(0, GRID_STAGES + 3), rng.randint(1, 3),
+                rng.random() < 0.5)
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_draw_is_the_randrange_stream(n):
+    # same values and same generator state after, on this interpreter
+    for seed in range(300):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert [_draw(ours, n) for _ in range(40)] == [draw_reference(ref, n) for _ in range(40)]
+        assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_endpoint_denominators_fit_a_machine_word(m):
+    for seed in range(1, 11):
+        best = optimize(m, seed, ITERATIONS).best
+        assert all(x.denominator <= 2 ** 63 for c in best for x in (c.lo, c.hi)), (seed, best)
 
 
 def test_single_interval_lands_on_exact_optimum():

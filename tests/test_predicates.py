@@ -134,6 +134,7 @@ class TestVerdictMemo:
         sets = [random_interval_set(rng, lo=0, hi=2) for _ in range(6)]
         expected = {(i, k): is_k_sum_free(IntervalSet.parse(str(a)), k)
                     for i, a in enumerate(sets) for k in (1, 3, 4)}
+        sums = [IntervalSet.parse(str(a)).minkowski(IntervalSet.parse(str(a))) for a in sets]
         wrong = []
 
         def worker(seed):
@@ -142,6 +143,8 @@ class TestVerdictMemo:
                 i, k = order.randrange(len(sets)), order.choice((1, 3, 4))
                 if is_k_sum_free(sets[i], k) != expected[i, k]:
                     wrong.append((i, k))
+                if sets[i].minkowski(sets[i]) != sums[i]:  # the kept A+A
+                    wrong.append((i, "sums"))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -155,6 +158,35 @@ class TestVerdictMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+class TestSumsMemo:
+    """A+A kept on a set by the predicate, and carried by ``dilate``, is
+    the sumset that sets without a kept sumset get."""
+
+    @staticmethod
+    def fresh(a):
+        return IntervalSet.parse(str(a))
+
+    @settings(max_examples=200)
+    @given(interval_sets(), st.sampled_from(
+        [rational(1), rational(1, 2), rational(2), rational(3, 7), rational(6), rational(10, 3)]))
+    # the dilations reduce the denominator: (1/2,1) over 2 to (1,2) over 1
+    @example(S("(1/2,1)|[3/2,3/2]"), rational(2))
+    @example(S("[-1/6,-1/12)|(1/3,1/2]"), rational(6))
+    def test_kept_sums_match_a_fresh_set(self, a, c):
+        is_k_sum_free(a, 3)
+        pairwise = IntervalSet([p.sum(q) for p in a for q in a])
+        assert a.minkowski(a) == self.fresh(a).minkowski(self.fresh(a)) == pairwise
+        d = a.dilate(c)
+        e = d.dilate(c)  # carried twice
+        for b in (d, e):
+            assert b.minkowski(b) == self.fresh(b).minkowski(self.fresh(b))
+            for k in (1, 3, 4):
+                assert conflicts(b, k) == conflicts(self.fresh(b), k)
+                assert is_k_sum_free(b, k) == is_k_sum_free(self.fresh(b), k)
+        if a:
+            assert forbidden_region(a) == forbidden_region(self.fresh(a))
 
 
 class TestStrip:

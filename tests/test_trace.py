@@ -5,6 +5,8 @@ import sumfree.predicates
 from sumfree.constructions import construct_extremal, extremal_base, random_sum_free
 from sumfree.intervals import IntervalSet
 from sumfree.lemmas import (
+    LemmaContext,
+    PreconditionError,
     check_dense_tail_bound,
     check_extent_bound,
     check_tail_bound,
@@ -12,7 +14,7 @@ from sumfree.lemmas import (
     check_top_window_bound,
     lemma_report,
 )
-from sumfree.predicates import is_k_sum_free
+from sumfree.predicates import NotSumFreeError, is_k_sum_free
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import (
     ContainmentReport,
@@ -140,7 +142,64 @@ class TestValidateOnce:
         assert len(checks) == 1
         t = trace_measure_bound(A, rescale=True)
         assert t.case is TraceCase.EARLY_EXIT
-        assert len(checks) == 2
+        assert len(checks) == 1  # the trace reuses the report's context
+
+    @pytest.mark.parametrize("A", [random_sum_free(1, 4), extremal_base().dilate(rational(1, 2))],
+                             ids=["early-exit", "Case1-R0-nonempty"])
+    def test_report_and_trace_build_one_context(self, A, monkeypatch):
+        built = []
+        real = LemmaContext._of.__func__
+
+        def counting(cls, B, rescale):
+            built.append(B)
+            return real(cls, B, rescale)
+
+        monkeypatch.setattr(LemmaContext, "_of", classmethod(counting))
+        report = lemma_report(A)
+        trace = trace_measure_bound(A, rescale=True)
+        assert [B for B in built if B is A] == [A]  # the trace's head is built from R
+        assert report.context is trace.context and report.context.rescaled
+
+    def test_a_kept_rescaled_context_still_needs_the_flag(self):
+        A = extremal_base().dilate(rational(1, 2))
+        ctx = LemmaContext.from_set(A, True)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="rescale=True"):
+                LemmaContext.from_set(A, False)
+            with pytest.raises(PreconditionError, match="rescale=True"):
+                trace_measure_bound(A)
+        assert LemmaContext.from_set(A, True) is ctx
+
+    @pytest.mark.parametrize("text", ["(1/2,1)", "(1/4,1/2)"])
+    def test_a_set_that_is_not_sum_free_raises_on_every_call(self, text):
+        A = IntervalSet.parse(text)
+        calls = [lambda: LemmaContext.from_set(A), lambda: LemmaContext.from_set(A, True),
+                 lambda: lemma_report(A), lambda: trace_measure_bound(A, rescale=True)]
+        for call in calls * 2:
+            with pytest.raises(NotSumFreeError) as info:
+                call()
+            assert info.value.witness.holds_in(A)
+
+    @staticmethod
+    def memo_sets():
+        base = [construct_extremal(i) for i in range(8)]
+        base += [A.dilate(rational(1, 2)) for A in base]
+        return base + [A for A in (random_sum_free(s, 4) for s in range(1, 60)) if A]
+
+    def test_kept_values_give_the_answers_of_a_fresh_set(self):
+        for A in self.memo_sets():
+            A = IntervalSet.parse(str(A))
+            assert is_k_sum_free(A, 3) == (True, None)
+            report, trace = lemma_report(A), trace_measure_bound(A, rescale=True)
+            again = lemma_report(A), trace_measure_bound(A, rescale=True)
+            for rep, tr in (again, (lemma_report(IntervalSet.parse(str(A))),
+                                    trace_measure_bound(IntervalSet.parse(str(A)), rescale=True))):
+                assert rep.records == report.records and rep.checked == report.checked
+                assert (tr.case, tr.verdicts, tr.final_bound) == (
+                    trace.case, trace.verdicts, trace.final_bound)
+            if A.sup() <= 1:
+                assert check_extremal_containment(A) == check_extremal_containment(
+                    IntervalSet.parse(str(A)))
 
     def test_once_across_the_certify_entry_points(self, monkeypatch):
         for i in range(8):
