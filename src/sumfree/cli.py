@@ -2,10 +2,10 @@
 
 Exit codes: 0 when every check passes, 1 when a mathematical check
 fails (a sum-free violation, a failed inequality, an inconsistent
-containment), 2 for usage or parse errors.  Machine-readable output
-(``--format records``) prints exact rationals only, one record per
-line; ``--decimal N`` adds a rounded column that is convenience only,
-never authoritative.
+containment), 2 for usage or parse errors and for a set file that
+cannot be read.  Machine-readable output (``--format records``) prints
+exact rationals only, one record per line; ``--decimal N`` adds a
+rounded column that is convenience only, never authoritative.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def run(argv, stdin=None) -> int:
         # a checker rejected its input: a failed check, not a usage error
         _emit_sum_free(False, exc.witness.k, exc.witness, args)
         return CHECK_FAILED
-    except (PreconditionError, BudgetError, ValueError) as exc:
+    except (PreconditionError, BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

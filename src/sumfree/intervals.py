@@ -322,11 +322,6 @@ class IntervalSet:
             object.__setattr__(self, "_components", comps)
         return comps
 
-    def _select(self, indices) -> "IntervalSet":
-        """The set of the components at ``indices``, in increasing order."""
-        c = self._codes
-        return IntervalSet._of(self._den, [x for i in indices for x in c[2 * i:2 * i + 2]])
-
     @property
     def is_empty(self) -> bool:
         return not self._codes

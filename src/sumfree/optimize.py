@@ -5,32 +5,35 @@ passes through ``predicates.strip``, which removes (1/3)(S+S) and so
 makes it 3-sum-free, so the returned set is 3-sum-free by construction
 and its measure obeys the 77/177 ceiling exactly.
 
-Two mechanisms cooperate:
+The walk is a hill climb from the top block (2/3, 1) over two
+proposals: outward endpoint nudges by log-uniform rational steps, and
+stacking (S -> c*S | (2/3, 1)).  It rejects a stripped candidate of
+more than m components.  It accepts one that measures more, or the
+same and contains the state, so an endpoint can close but two sets of
+equal measure cannot trade places forever.  The extremal set is
+self-similar, and stacking walks its recursion: one stack of (2/3, 1)
+gives the two-component optimum (4/21, 2/7) | (2/3, 1) of measure 3/7,
+and a second one gives A0 exactly, so the walk starts one or two stacks
+from an optimum.  When the walk ends, a closing pass closes every
+endpoint that can be closed, so a set of measure 77/177 comes back as
+one of the maximal sets A1..A7.
 
-  * a hill climb from the top block (2/3, 1) over two proposals,
-    outward endpoint nudges by log-uniform rational steps and stacking
-    (S -> c*S | (2/3, 1)), accepts a candidate that measures more, or
-    the same and contains the state (so an endpoint can close, but two
-    sets of equal measure cannot trade places forever).  The extremal
-    set is self-similar, and stacking walks its recursion: one stack of
-    (2/3, 1) gives the two-component optimum (4/21, 2/7) | (2/3, 1) of
-    measure 3/7, and a second one gives A0 exactly, so the walk starts
-    one or two stacks from an optimum;
-  * once the walk ends, coordinate ascent ("push") moves each endpoint
-    outward exactly onto its feasibility frontier: growing a set can
-    only add violations, and the first one appears at a root of
-    a + b = 3c among the endpoints, so a bisection over those roots
-    finds it.  A last pass closes every endpoint that can be closed,
-    so a set of measure 77/177 comes back as one of the maximal sets
-    A1..A7.
+Nothing moves an endpoint of the last state outward onto its
+feasibility frontier, because none can move within [0, 1].  Up to
+closed endpoints, the walk holds only the three sets above: (2/3, 1),
+the set of measure 3/7, and A0.  Each is optimal among sets of at most
+as many components (3/7 by an exact search over two components, A0 by
+the paper's theorem).  An outward move adds measure and keeps or lowers
+the component count, so the moved set is not 3-sum-free.  That the walk
+reaches no other state is evidence, not a proof: a scan of m = 1..10
+and seeds 1..100 at 300 and 1,600 iterations, and of m = 3 at 40,000,
+found none.
 
 The walk runs on the integer codes of ``intervals`` (one denominator D
-per set, two codes per component): proposals rewrite codes, the strip
-and the feasibility test are one sweep each, the trim ranks code
-lengths, and the push's roots of a + b = 3c are ints over 6D.
-``Fraction`` values are built only at the edges: the result, the
-measure comparison of each candidate, and the scale factor of a stack
-or of a push's final rescale.
+per set, two codes per component): proposals rewrite codes, and the
+strip and the feasibility test are one sweep each.  ``Fraction`` values
+are built only at the edges: the result, the measure comparison of each
+candidate, and the scale factor of a stack.
 
 Each iteration first draws its proposal's parameters, its key: a
 nudge's component, grid exponent, step count and side, or none for a
@@ -53,7 +56,6 @@ shared across calls and no parallelism is used.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import lcm
 
@@ -119,8 +121,10 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
         if key in rejected:
             continue
         checked += 1
-        cand = _propose_stack(state) if key is None else _propose_nudge(state, *key)
-        cand = _trim(strip(cand), m)
+        cand = strip(_propose_stack(state) if key is None else _propose_nudge(state, *key))
+        if len(cand) > m:
+            rejected.add(key)
+            continue
         cmu = cand.measure()
         if cmu > mu or cmu == mu and cand != state and state.is_subset_of(cand):
             accepted += 1
@@ -129,8 +133,7 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
         else:
             rejected.add(key)
 
-    # a push never loses measure, so its result is at least the state's
-    best = _close(_push(state))
+    best = _close(state)
     ok, witness = is_k_sum_free(best, 3)
     if not ok:
         raise AssertionError(f"optimizer produced an infeasible set: {witness}")
@@ -154,17 +157,6 @@ def _replaced(den: int, codes, ci: int, lo: int, hi: int) -> IntervalSet:
     else:
         del los[ci], his[ci]
     return IntervalSet._of(den, _merge(los, his))
-
-
-def _trim(S: IntervalSet, m: int) -> IntervalSet:
-    """Keep the m longest components (leftmost wins ties)."""
-    if len(S) <= m:
-        return S
-    c = S._codes
-    # over one denominator the code values rank the lengths; sorted is
-    # stable, so the leftmost of equal lengths comes first
-    ranked = sorted(range(len(S)), key=lambda i: (c[2 * i] >> 1) - (c[2 * i + 1] >> 1))
-    return S._select(sorted(ranked[:m]))
 
 
 # -- proposals ---------------------------------------------------------
@@ -234,94 +226,20 @@ def _propose_nudge(S, ci, t, steps, lo_side):
     return _replaced(den, codes, ci, lo, min(hi + step, 2 * den + (hi & 1)))
 
 
-# -- coordinate ascent and closing -------------------------------------
-
-
-def _push(S: IntervalSet) -> IntervalSet:
-    """Move every endpoint outward onto its feasibility frontier.
-
-    One pass, right to left and hi before lo, so a merge with a
-    neighbour never shifts the index of a component still to come.
-    Growing the other components only adds constraints, so an endpoint
-    already on its frontier stays there.  Finally the whole set is
-    rescaled so its supremum is 1: dilation preserves sum-freeness and
-    multiplies measure by 1/sup, so this is always a win and lifts
-    configurations stuck on the dilation ridge of the frontier.
-    """
-    for i in reversed(range(len(S))):
-        S = _expand_endpoint(S, i, "hi")
-        S = _expand_endpoint(S, i, "lo")
-    s = S.sup()
-    if s < 1:
-        S = S.dilate(1 / s)
-    return S
-
-
-def _expand_endpoint(S: IntervalSet, ci: int, side: str) -> IntervalSet:
-    """S with one endpoint moved outward exactly onto its frontier.
-
-    Growing a set only adds solutions of x + y = 3z, so feasibility is
-    monotone in the move t.  A first solution appears where an endpoint
-    of S+S meets one of 3S, that is where a + b = 3c for endpoints a, b,
-    c with the moving one among them.  So the frontier is the room or a
-    root from ``_roots``, and a bisection over those moves finds it.
-    With the endpoint open, the set at the frontier is the union of the
-    feasible sets before it, so it is feasible too.  A closed endpoint
-    stays closed when that is still feasible.
-    """
-    den = 6 * S._den
-    codes = _scaled(S._codes, 6)
-    j = 2 * ci + (side == "hi")
-    base = codes[j] >> 1
-    if side == "lo":
-        was_closed, sign = not codes[j] & 1, -1
-        room = base - (codes[j - 1] >> 1 if ci > 0 else 0)
-    else:
-        was_closed, sign = codes[j] & 1, 1
-        room = (codes[j + 1] >> 1 if j + 1 < len(codes) else den) - base
-    if room <= 0:
-        return S
-
-    def moved(t, closed):
-        if side == "lo":
-            return _replaced(den, codes, ci, 2 * (base - t) + (not closed), codes[j + 1])
-        return _replaced(den, codes, ci, codes[j - 1], 2 * (base + t) + closed)
-
-    others = [x >> 1 for x in S._codes]
-    del others[j]
-    moves = sorted({t for t in (sign * (v - base) for v in _roots(others)) if 0 < t < room})
-    moves.append(room)
-    k = bisect_left(moves, True, key=lambda t: not _feasible(moved(t, False)))
-    if k == 0:
-        return S
-    t = moves[k - 1]
-    if was_closed and _feasible(moved(t, True)):
-        return moved(t, True)
-    return moved(t, False)
-
-
-def _roots(F):
-    """Every v with a + b = 3c where v is one or more of a, b, c and the
-    others are in F, for values given as ints over a denominator D and
-    returned as ints over 6D: b/2, 3b/2, 3c - b and (b + c)/3."""
-    for b in F:
-        yield 3 * b
-        yield 9 * b
-        for c in F:
-            yield 18 * c - 6 * b
-            yield 2 * (b + c)
+# -- closing -----------------------------------------------------------
 
 
 def _close(S: IntervalSet) -> IntervalSet:
     """S with every endpoint closed whose closing keeps S feasible.
 
-    ``_expand_endpoint`` leaves a frontier endpoint open when it was
-    open, so a pushed optimum such as A0 is not maximal.  One pass,
-    right to left and hi before lo as in ``_push``, suffices: closing
-    adds points, and adding points only adds constraints, so an endpoint
-    that cannot be closed now cannot be closed later either.  A closed
-    lo has an even code and a closed hi an odd one, so closing an open
-    lo is its code - 1 and closing an open hi is its code + 1.
+    The walk leaves an endpoint open unless a proposal closed it, so a
+    walk that ends on A0 has not yet reached a maximal set.  One pass,
+    right to left and hi before lo, suffices: a merge with a neighbour
+    never shifts the index of a component still to come, and since
+    adding points only adds constraints, an endpoint that cannot be
+    closed now cannot be closed later either.  A closed lo has an even
+    code and a closed hi an odd one, so closing an open lo is its code
+    - 1 and closing an open hi is its code + 1.
     """
     for i in reversed(range(len(S))):
         for side in ("hi", "lo"):

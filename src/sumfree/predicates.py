@@ -147,14 +147,21 @@ def _extract_witness(A: IntervalSet, conflict: IntervalSet, k: int) -> Witness:
 
 
 def forbidden_region(A: IntervalSet) -> IntervalSet:
-    """Region no 3-sum-free superset of A may meet: (1/3)(A+A) | (3A - A).
+    """The points that cannot join A:
+    F(A) = (1/3)(A+A) | (3A - A) | (3/2)A | (1/2)A | {0}.
 
-    The first part collects points that would close a triple as z, the
-    second those that would close one as x or y.  A itself is
-    3-sum-free iff it misses (1/3)(A+A); the difference form is the
-    equivalent reformulation used for containment arguments.
+    The region is complete: a point p not in a 3-sum-free A can join A,
+    leaving it 3-sum-free, iff p is not in F(A).  A new solution of
+    x + y = 3z must use p, and each part collects one way to use it: as
+    z alone, p is in (1/3)(A+A); as x or y alone, p = 3z - y is in
+    3A - A; as x = y, 2p = 3z puts p in (3/2)A; as x = z (or y = z),
+    p + y = 3p puts p in (1/2)A; and x = y = z = p forces p = 0.  For
+    the same reasons A itself is 3-sum-free iff it misses F(A).
     """
     if A.is_empty:
         raise ValueError("forbidden region of the empty set is undefined")
-    sums = A.minkowski(A)
-    return sums.dilate(rational(1, 3)).union(A.dilate(3).minkowski(A.reflect()))
+    return (A.minkowski(A).dilate(rational(1, 3))
+            .union(A.dilate(3).minkowski(A.reflect()))
+            .union(A.dilate(rational(3, 2)))
+            .union(A.dilate(rational(1, 2)))
+            .union(IntervalSet.point(rational(0))))

@@ -37,6 +37,11 @@ class TestUsageErrors:
         assert run(["lemmas", "(0,1"]) == USAGE_ERROR
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["missing", "."], ids=["missing-file", "directory"])
+    def test_unreadable_set_file_is_usage_error(self, name, tmp_path, capsys):
+        assert run(["measure", f"@{tmp_path / name}"]) == USAGE_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_lemmas_passes_on_extremal_set(capsys):
     assert run(["lemmas", "(8/177,4/59)|(28/177,14/59)|(2/3,1)"]) == 0
@@ -98,7 +103,7 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
     (["measure", A0], "77/177\n"),
     (["measure", "--decimal", "4", "(0,1/3)"], "1/3 ~0.3333\n"),
     (["gen", "--seed", "1"], "[1/9,1/6)|(97/177,97/118]\n"),
-    (["forbidden", "(2/3,1)"], "(4/9,2/3)|(1,7/3)\n"),
+    (["forbidden", "(2/3,1)"], "[0,0]|(1/3,2/3)|(1,7/3)\n"),
     (["extremal", "--format", "records", "[8/177,4/59)|(28/177,14/59]|(2/3,1]"],
      "extremal-measure\t77/177\t77/177\tpass\n"
      "sym-diff-zero\t-\t-\tpass\n"
@@ -117,8 +122,7 @@ def test_passing_verbs(argv, out, capsys):
 @pytest.mark.parametrize("seed", range(1, 31))
 def test_optimize_one_component_moves_once(seed, capsys):
     # the one move closes 2/3: a lo nudge, stripped, is [2/3,1).  A
-    # stack trimmed to one component is the open (2/3,1) again, which has
-    # the same measure but does not contain [2/3,1), so it is not a move
+    # stack has two components, more than m = 1, so it is never a move
     assert run(["optimize", "-m", "1", "--iters", "300", "--seed", str(seed)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "best set: [2/3,1)"

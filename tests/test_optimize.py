@@ -2,14 +2,14 @@ import random
 from math import lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_sets
 from sumfree.intervals import Interval, IntervalSet, _scaled
 from sumfree.constructions import construct_extremal
-from sumfree.optimize import (GRID_STAGES, _TOP_BLOCK, _close, _draw, _propose_stack, _push,
-                              _replaced, _roots, _trim, optimize)
+from sumfree.optimize import (GRID_STAGES, _TOP_BLOCK, _close, _draw, _propose_stack, _replaced,
+                              optimize)
 from sumfree.predicates import is_k_sum_free, strip
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
@@ -122,18 +122,20 @@ def propose_reference(rng, S):
 
 def optimize_reference(m, seed, iterations):
     """(best, measure, accepted, evaluated) of a walk that builds and
-    measures the candidate of every iteration."""
+    strips the candidate of every iteration."""
     rng = random.Random(seed)
     state = _TOP_BLOCK
     mu = state.measure()
     accepted = 0
     for _ in range(iterations):
-        cand = _trim(strip(propose_reference(rng, state)), m)
+        cand = strip(propose_reference(rng, state))
+        if len(cand) > m:
+            continue
         cmu = cand.measure()
         if cmu > mu or cmu == mu and cand != state and state.is_subset_of(cand):
             accepted += 1
             state, mu = cand, cmu
-    best = _close(_push(state))
+    best = _close(state)
     return best, best.measure(), accepted, iterations
 
 
@@ -186,7 +188,7 @@ def test_rediscovers_the_optimum():
 
 @pytest.mark.parametrize("text,index", [
     ("(8/177,4/59)|(28/177,14/59)|(2/3,1)", 7),
-    # A0 with 8/177 closed, as a push leaves it; it lies in A1, A2 and A3
+    # A0 with 8/177 closed; it lies in A1, A2 and A3
     ("[8/177,4/59)|(28/177,14/59)|(2/3,1)", 3),
 ])
 def test_close_returns_a_maximal_set(text, index):
@@ -222,33 +224,27 @@ def test_stack_stays_below_the_top_block(a):
     assert out.components[-1] == Interval(rational(2, 3), rational(1), False, False)
 
 
-def test_push_survives_a_merge():
-    # random_sum_free(6, 5); pushing a lo endpoint merges two components
-    S = IntervalSet.parse("[1/9,1/6)|(2/3,23/30)|[137/177,31/36]|(205/236,349/354]")
-    assert str(_push(S)) == "[1/9,1/6)|(2/3,1]"
-
-
 EPS = rational(1, 10**40)
 
+#: the short walks for m = 1..6 and the benchmark's walks
+OUTPUT_RUNS = ([(m, s, ITERATIONS) for m in range(1, 7) for s in range(1, 11)]
+               + [(3, s, 1600) for s in sorted(BENCH_PINNED)])
 
-@settings(max_examples=200)
-@given(interval_sets(min_value=0, max_value=1))
-def test_push_puts_every_endpoint_on_its_frontier(a):
-    S = strip(a)
-    if S.is_empty:
-        return
-    P = _push(S)
-    assert is_k_sum_free(P, 3) == (True, None)
-    assert P.measure() >= S.measure() and P.sup() == 1
-    assert _push(P) == P
-    comps = P.components
+
+@pytest.mark.parametrize("m,seed,iterations", OUTPUT_RUNS)
+def test_no_endpoint_of_an_output_can_move_outward(m, seed, iterations):
+    # the walk ends on an optimum for its component count, so its output
+    # reaches 1 and every endpoint inside [0, 1] is on its frontier
+    best = optimize(m, seed, iterations).best
+    assert best.sup() == 1 and len(best) <= m
+    comps = best.components
+    moves = []
     for ci, c in enumerate(comps):
-        lo_room = c.lo - (comps[ci - 1].hi if ci else 0)
-        hi_room = (comps[ci + 1].lo if ci + 1 < len(comps) else 1) - c.hi
-        if lo_room >= EPS:
-            assert not is_k_sum_free(moved_reference(P, ci, lo=c.lo - EPS, lo_closed=False), 3)[0]
-        if hi_room >= EPS:
-            assert not is_k_sum_free(moved_reference(P, ci, hi=c.hi + EPS, hi_closed=False), 3)[0]
+        if c.lo - (comps[ci - 1].hi if ci else 0) >= EPS:
+            moves.append(moved_reference(best, ci, lo=c.lo - EPS, lo_closed=False))
+        if (comps[ci + 1].lo if ci + 1 < len(comps) else 1) - c.hi >= EPS:
+            moves.append(moved_reference(best, ci, hi=c.hi + EPS, hi_closed=False))
+    assert moves and not any(is_k_sum_free(moved, 3)[0] for moved in moves)
 
 
 # -- the code-space helpers against their Fraction forms -------------------
@@ -266,7 +262,7 @@ def moved_reference(S, ci, lo=None, hi=None, lo_closed=None, hi_closed=None):
 
 
 # the two tests below check ``_replaced``, the move of one component in
-# code space that a nudge, a push and a close use, against its
+# code space that a nudge and a close use, against its
 # ``Interval`` form
 
 
@@ -275,7 +271,7 @@ def moved_reference(S, ci, lo=None, hi=None, lo_closed=None, hi_closed=None):
 def test_moved_matches_the_component_form(a, k, data):
     if a.is_empty:
         return
-    # over k times the denominator, as a nudge or a push lifts the codes
+    # over k times the denominator, as a nudge lifts the codes
     den, codes = k * a._den, [2 * k * (c >> 1) + (c & 1) for c in a._codes]
     ci = data.draw(st.integers(0, len(a) - 1))
     lo, hi = (data.draw(st.integers(-4 * den, 4 * den)) for _ in range(2))
@@ -305,33 +301,3 @@ def test_moved_merges_and_drops(ci, kwargs, text):
     codes = (2 * int(4 * lo) + lo_open, 2 * int(4 * hi) + hi_closed)
     assert (_replaced(4, S._codes, ci, *codes) == moved_reference(S, ci, **kwargs)
             == IntervalSet.parse(text))
-
-
-@settings(max_examples=200)
-@given(interval_sets(), st.integers(1, 4))
-# equal lengths, where the leftmost wins
-@example(IntervalSet.parse("(0,1/10)|[1/5,3/10]|(1/2,3/5]|(4/5,9/10)"), 2)
-def test_trim_matches_the_length_ranking(a, m):
-    ranked = sorted(enumerate(a.components), key=lambda e: (-(e[1].length), e[0]))
-    kept = sorted(idx for idx, _ in ranked[:m])
-    assert _trim(a, m) == IntervalSet([a.components[i] for i in kept])
-
-
-def roots_reference(F):
-    """Every v with a + b = 3c where v is one or more of a, b, c and the
-    others are in F."""
-    for b in F:
-        yield b / 2
-        yield 3 * b / 2
-        for c in F:
-            yield 3 * c - b
-            yield (b + c) / 3
-
-
-@settings(max_examples=200)
-@given(interval_sets())
-def test_integer_roots_are_the_fraction_roots_over_6D(a):
-    values = [c >> 1 for c in a._codes]
-    D = a._den
-    assert list(_roots(values)) == [6 * D * r for r in roots_reference(
-        [rational(v, D) for v in values])]

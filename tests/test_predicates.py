@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_sets, random_interval_set
-from sumfree.constructions import endpoint_combination, extremal_base
+from sumfree.constructions import (construct_extremal, endpoint_combination, extremal_base,
+                                   random_sum_free)
 from sumfree.intervals import Interval, IntervalSet
 from sumfree.lemmas import lemma_report
 from sumfree.predicates import NotSumFreeError, conflicts, forbidden_region, is_k_sum_free, strip
@@ -277,8 +278,40 @@ class TestForbiddenRegion:
         with pytest.raises(ValueError):
             forbidden_region(IntervalSet.empty())
 
+    def test_a_point_joins_iff_it_is_outside_the_region(self):
+        # p from the endpoints of A and F(A), their midpoints, and
+        # offsets of 1/997 from both, which fall inside and outside parts
+        step = rational(1, 997)
+        checked = 0
+        for seed in range(1, 41):
+            a = random_sum_free(seed, 1 + seed % 6)
+            if a.is_empty:
+                continue
+            region = forbidden_region(a)
+            ends = sorted({x for c in (*a, *region) for x in (c.lo, c.hi)})
+            points = ends + [(p + q) / 2 for p, q in zip(ends, ends[1:])]
+            for p in {p + d for p in points for d in (-step, 0, step)}:
+                if a.contains(p):
+                    continue
+                joined = a.union(IntervalSet.point(p))
+                assert is_k_sum_free(joined, 3)[0] == (not region.contains(p)), (a, p)
+                checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_each_maximal_set_leaves_no_room_in_the_unit_interval(self, i):
+        a = construct_extremal(i)
+        assert S("[0,1]").is_subset_of(a.union(forbidden_region(a)))
+
+    def test_extremal_base_leaves_only_its_endpoints(self):
+        a0 = extremal_base()
+        ends = IntervalSet([Interval(x, x, True, True) for c in a0 for x in (c.lo, c.hi)])
+        assert len(ends) == 6
+        assert S("[0,1]").difference(a0.union(forbidden_region(a0))) == ends
+
     def test_disjointness_characterizes_sum_freeness(self, rng):
-        # conflict-free against the z-part of the region is the predicate
+        # conflict-free against the z-part of the region, or against the
+        # whole region, is the predicate
         third = rational(1, 3)
         for _ in range(150):
             a = random_interval_set(rng, lo=0, hi=2)
@@ -286,3 +319,4 @@ class TestForbiddenRegion:
                 continue
             ok, _ = is_k_sum_free(a, 3)
             assert ok == a.minkowski(a).dilate(third).intersect(a).is_empty
+            assert ok == a.intersect(forbidden_region(a)).is_empty
