@@ -5,7 +5,7 @@ package provides the exact rational interval-set algebra needed to
 decide that predicate on finite interval unions, the extremal
 three-interval construction of measure 77/177 inside [0,1] together
 with its seven maximal augmentations, executable verifiers for the
-measure inequalities these sets obey, a seeded optimizer that
+measure inequalities these sets obey, a deterministic optimizer that
 rediscovers the optimum, and an exhaustive search for the integer
 variant on {1..n}.
 

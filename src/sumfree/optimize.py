@@ -1,61 +1,55 @@
-"""Seeded search for 3-sum-free interval sets of maximal measure.
+"""Search for 3-sum-free interval sets of maximal measure.
 
-The optimizer walks over exactly-feasible states: every candidate
+The optimizer climbs over exactly-feasible states: every candidate
 passes through ``predicates.strip``, which removes (1/3)(S+S) and so
 makes it 3-sum-free, so the returned set is 3-sum-free by construction
 and its measure obeys the 77/177 ceiling exactly.
 
-The walk is a hill climb from the top block (2/3, 1) over two
-proposals: outward endpoint nudges by log-uniform rational steps, and
-stacking (S -> c*S | (2/3, 1)).  It rejects a stripped candidate of
-more than m components.  It accepts one that measures more, or the
-same and contains the state, so an endpoint can close but two sets of
-equal measure cannot trade places forever.  The extremal set is
-self-similar, and stacking walks its recursion: one stack of (2/3, 1)
-gives the two-component optimum (4/21, 2/7) | (2/3, 1) of measure 3/7,
-and a second one gives A0 exactly, so the walk starts one or two stacks
-from an optimum.  When the walk ends, a closing pass closes every
-endpoint that can be closed, so a set of measure 77/177 comes back as
-one of the maximal sets A1..A7.
+The climb starts at the top block (2/3, 1) and scans the proposals of
+its state in a fixed order: first the stack (S -> c*S | (2/3, 1)), then
+every outward endpoint nudge, by component, then grid exponent t, then
+step count, lo side before hi side.  It rejects a stripped candidate of
+more than m components.  It accepts one that measures more, or the same
+and contains the state, so an endpoint can close but two sets of equal
+measure cannot trade places forever.  On the first accepted candidate it
+moves and starts a new scan.  It stops when a whole scan accepts
+nothing, so its last state is a local optimum over every proposal, or
+when ``iterations`` candidates have been built.  It draws no random
+numbers.
+
+The extremal set is self-similar, and stacking walks its recursion: one
+stack of (2/3, 1) gives the two-component optimum (4/21, 2/7) | (2/3, 1)
+of measure 3/7, and a second one gives A0 exactly.  So for m >= 3 the
+climb holds A0 after two candidates, and its last scan shows that no
+proposal improves it.  A closing pass then closes every endpoint that
+can be closed, so a set of measure 77/177 comes back as one of the
+maximal sets A1..A7.
 
 Nothing moves an endpoint of the last state outward onto its
 feasibility frontier, because none can move within [0, 1].  Up to
-closed endpoints, the walk holds only the three sets above: (2/3, 1),
+closed endpoints, the climb holds only the three sets above: (2/3, 1),
 the set of measure 3/7, and A0.  Each is optimal among sets of at most
 as many components (3/7 by an exact search over two components, A0 by
 the paper's theorem).  An outward move adds measure and keeps or lowers
-the component count, so the moved set is not 3-sum-free.  That the walk
-reaches no other state is evidence, not a proof: a scan of m = 1..10
-and seeds 1..100 at 300 and 1,600 iterations, and of m = 3 at 40,000,
-found none.
+the component count, so the moved set is not 3-sum-free.
 
-The walk runs on the integer codes of ``intervals`` (one denominator D
+A state of n <= m components has one stack and
+n * (GRID_STAGES + 4) * 6 nudges, and every move starts a new scan, so
+the climb builds at most (accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1)
+candidates, however large ``iterations`` is.
+
+The climb runs on the integer codes of ``intervals`` (one denominator D
 per set, two codes per component): proposals rewrite codes, and the
 strip and the feasibility test are one sweep each.  ``Fraction`` values
 are built only at the edges: the result, the measure comparison of each
 candidate, and the scale factor of a stack.
 
-Each iteration first draws its proposal's parameters, its key: a
-nudge's component, grid exponent, step count and side, or none for a
-stack.  Given the state, the candidate is a pure function of the key,
-so a key rejected on a state stays rejected until the state moves.  The
-walk keeps the keys rejected on its current state, skips a repeated one
-without building its candidate, and forgets them all on a move.  The
-draws are made whether or not the key is skipped, so the random stream
-and every output but ``checked`` are those of the walk without the
-skip.  A state of
-n <= m components has n * (GRID_STAGES + 4) * 6 nudge keys and one
-stack key, so a walk builds at most
-(accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1) candidates, however
-many iterations it runs.
-
-The walk is a pure function of (m, seed, iterations); no state is
-shared across calls and no parallelism is used.
+The climb is a pure function of (m, iterations); no state is shared
+across calls and no parallelism is used.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import lcm
 
@@ -67,11 +61,11 @@ from .rationals import Rational, rational
 
 __all__ = ["OptimizeResult", "optimize"]
 
-#: a nudge moves an endpoint by 1, 2 or 3 steps of 1/(6 * 2**t), with
-#: t drawn uniformly from 0..GRID_STAGES + 3
+#: a nudge moves an endpoint by 1, 2 or 3 steps of 1/(6 * 2**t), for
+#: t = 0..GRID_STAGES + 3
 GRID_STAGES = 18
 
-#: the first state of the walk and the top block of a stack proposal
+#: the first state of the climb and the top block of a stack proposal
 _TOP_BLOCK = IntervalSet.interval(rational(2, 3), rational(1))
 
 
@@ -84,7 +78,6 @@ class OptimizeResult:
     iterations: int
     accepted: int
     evaluated: int
-    checked: int
 
     def __str__(self) -> str:
         return (f"best measure {self.measure} (~{float(self.measure):.9f}) "
@@ -94,51 +87,44 @@ class OptimizeResult:
 def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     """Search for a 3-sum-free subset of [0,1] with at most m components.
 
-    Deterministic in (m, seed, iterations); m and iterations are ints (a
-    bool or a float such as 3.0 is rejected).  Every returned set passes
-    the exact 3-sum-free predicate.  One walk uses the whole budget; it
-    accepts no loss of measure, so its last state is its best.
-    ``evaluated`` counts the proposals drawn, one per iteration, so it
-    always equals ``iterations``; ``accepted`` counts those that moved
-    the state; ``checked`` counts the candidates built, stripped and
-    measured.  A proposal already rejected on the current state is
-    skipped unchecked, so ``checked`` is at most ``evaluated`` and at
-    most (accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1).
+    Deterministic in (m, iterations); m and iterations are ints (a bool
+    or a float such as 3.0 is rejected).  ``seed`` does not affect the
+    result; it is only echoed in it.  Every returned set passes the
+    exact 3-sum-free predicate.  The climb accepts no loss of measure,
+    so its last state is its best.  ``evaluated`` counts the candidates
+    built, stripped and measured: min(iterations, n), where n is what
+    the climb builds until a whole scan accepts nothing, at most
+    (accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1).  ``accepted``
+    counts the candidates that moved the state.
     """
     if type(m) is not int or m < 1:
         raise ValueError(f"m must be >= 1 (an int), got {m!r}")
     if type(iterations) is not int or iterations < 0:
         raise ValueError(f"iterations must be >= 0 (an int), got {iterations!r}")
-    rng = random.Random(seed)
     state = _TOP_BLOCK
     mu = state.measure()
-    accepted = checked = 0
-    # the proposals rejected on the current state; cleared on a move
-    rejected = set()
+    accepted = evaluated = 0
+    scan = _scan(state)
 
-    for _ in range(iterations):
-        key = _draw(rng, len(state))
-        if key in rejected:
-            continue
-        checked += 1
-        cand = strip(_propose_stack(state) if key is None else _propose_nudge(state, *key))
+    while evaluated < iterations:
+        cand = next(scan, None)
+        if cand is None:
+            break  # a whole scan accepted nothing: a local optimum
+        evaluated += 1
+        cand = strip(cand)
         if len(cand) > m:
-            rejected.add(key)
             continue
         cmu = cand.measure()
         if cmu > mu or cmu == mu and cand != state and state.is_subset_of(cand):
             accepted += 1
             state, mu = cand, cmu
-            rejected.clear()
-        else:
-            rejected.add(key)
+            scan = _scan(state)
 
     best = _close(state)
     ok, witness = is_k_sum_free(best, 3)
     if not ok:
         raise AssertionError(f"optimizer produced an infeasible set: {witness}")
-    return OptimizeResult(best, best.measure(), m, seed, iterations, accepted, iterations,
-                          checked)
+    return OptimizeResult(best, best.measure(), m, seed, iterations, accepted, evaluated)
 
 
 # -- state helpers -----------------------------------------------------
@@ -162,32 +148,15 @@ def _replaced(den: int, codes, ci: int, lo: int, hi: int) -> IntervalSet:
 # -- proposals ---------------------------------------------------------
 
 
-def _below(bits, n: int) -> int:
-    """A uniform int in [0, n) for an int n >= 1, from ``bits``, a
-    ``Random.getrandbits``.
-
-    CPython's ``randrange(n)`` draws n.bit_length() bits and redraws
-    until the value is below n; this is that loop without its argument
-    checks, so it consumes and returns the same stream.
-    """
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _draw(rng: random.Random, n: int):
-    """The parameters of one proposal on a state of n components: None
-    for a stack, else a nudge's (component, t, step count, lo side).
-    Given the state, they fix the candidate.  The stream is that of
-    ``randrange(n)``, ``randint(0, GRID_STAGES + 3)`` and
-    ``randint(1, 3)``, drawn through ``_below``."""
-    if rng.random() < 0.75:
-        bits = rng.getrandbits
-        return (_below(bits, n), _below(bits, GRID_STAGES + 4), 1 + _below(bits, 3),
-                rng.random() < 0.5)
-    return None
+def _scan(S):
+    """The candidates of one scan of S, unstripped: the stack, then every
+    nudge by component, grid exponent, step count and side (lo first)."""
+    yield _propose_stack(S)
+    for ci in range(len(S)):
+        for t in range(GRID_STAGES + 4):
+            for steps in (1, 2, 3):
+                yield _propose_nudge(S, ci, t, steps, True)
+                yield _propose_nudge(S, ci, t, steps, False)
 
 
 def _propose_stack(S):
@@ -200,7 +169,7 @@ def _propose_stack(S):
     the largest value keeping c*S inside its own head window, which
     lands stacked local optima exactly on the frontier.  S is a state, a
     3-sum-free subset of [0, 1] of positive measure (the first state has
-    one and the walk never loses measure), so 0 < sup S - inf S / 3 <= 1
+    one and the climb never loses measure), so 0 < sup S - inf S / 3 <= 1
     and c >= 2/9.  c*S stays below the top block: c * sup S =
     (2/9) sup S / (sup S - inf S / 3) < 2/3 because inf S < 2 sup S.
     """
@@ -211,9 +180,7 @@ def _propose_stack(S):
 
 def _propose_nudge(S, ci, t, steps, lo_side):
     """Move the lo or hi endpoint of component ci outward by ``steps``
-    steps of 1/(6 * 2**t).  Coarse and fine steps are drawn alike at
-    every iteration, so the walk can hop between basins late in the run.
-    An inward move gives a subset of the 3-sum-free S, which the strip
+    steps of 1/(6 * 2**t).  An inward move gives a subset of the 3-sum-free S, which the strip
     keeps and which measures less, so it could never be accepted."""
     step_den = 6 * 2 ** t
     den = lcm(S._den, step_den)
@@ -232,8 +199,8 @@ def _propose_nudge(S, ci, t, steps, lo_side):
 def _close(S: IntervalSet) -> IntervalSet:
     """S with every endpoint closed whose closing keeps S feasible.
 
-    The walk leaves an endpoint open unless a proposal closed it, so a
-    walk that ends on A0 has not yet reached a maximal set.  One pass,
+    The climb leaves an endpoint open unless a proposal closed it, so a
+    climb that ends on A0 has not yet reached a maximal set.  One pass,
     right to left and hi before lo, suffices: a merge with a neighbour
     never shifts the index of a component still to come, and since
     adding points only adds constraints, an endpoint that cannot be

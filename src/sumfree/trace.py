@@ -249,11 +249,13 @@ def _case2(ctx, muR, r):
     )
     verdicts.append(CheckRecord("measure-linear", mu, _THIRD + linear,
                                 mu <= _THIRD + linear))
+    # each constant is the exact supremum of 1/3 + linear on its side of
+    # 2/15: 22/51 at a = 2/51, and 2/5 at a = 2/15
     if a < rational(2, 15):
         const = rational(22, 51)
         note = "a < 2/15"
     else:
-        const = rational(11, 27)
+        const = rational(2, 5)
         note = "a >= 2/15"
     verdicts.append(CheckRecord("case2-constant", _THIRD + linear, const,
                                 _THIRD + linear <= const, note=note))

@@ -5,6 +5,7 @@ import pytest
 
 from sumfree.cli import CHECK_FAILED, USAGE_ERROR, run
 from sumfree.discrete import DEFAULT_BUDGET
+from sumfree.optimize import optimize
 
 NOT_SUM_FREE = "(0,1/4)|(2/3,1)"  # 1/8 + 1/8 = 3 * 1/12
 
@@ -32,6 +33,11 @@ class TestUsageErrors:
     def test_other_precondition_is_usage_error(self, capsys):
         assert run(["lemmas", "[-1,-1]|[1,1]"]) == USAGE_ERROR
         assert "inside [0, +inf)" in capsys.readouterr().err
+
+    def test_containment_outside_the_unit_interval_is_usage_error(self, capsys):
+        assert run(["extremal", "(1,3/2)"]) == USAGE_ERROR
+        assert capsys.readouterr().err == (
+            "error: containment check requires A inside [0, 1]\n")
 
     def test_parse_error(self, capsys):
         assert run(["lemmas", "(0,1"]) == USAGE_ERROR
@@ -98,7 +104,7 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
     (["optimize", "-m", "1", "--iters", "300", "--format", "records"],
      "optimize\t1/3\t77/177\tpass\n[2/3,1)\n"),
     (["optimize", "-m", "1", "--iters", "300"],
-     "best set: [2/3,1)\nmeasure: 1/3\naccepted 1 of 300 evaluated moves, 111 checked\n"),
+     "best set: [2/3,1)\nmeasure: 1/3\naccepted 1 of 135 evaluated moves\n"),
     (["construct", "a3"], "[8/177,4/59)|(28/177,14/59]|(2/3,1]\n"),
     (["measure", A0], "77/177\n"),
     (["measure", "--decimal", "4", "(0,1/3)"], "1/3 ~0.3333\n"),
@@ -122,11 +128,32 @@ def test_passing_verbs(argv, out, capsys):
 @pytest.mark.parametrize("seed", range(1, 31))
 def test_optimize_one_component_moves_once(seed, capsys):
     # the one move closes 2/3: a lo nudge, stripped, is [2/3,1).  A
-    # stack has two components, more than m = 1, so it is never a move
-    assert run(["optimize", "-m", "1", "--iters", "300", "--seed", str(seed)]) == 0
+    # stack has two components, more than m = 1, so it is never a move.
+    # The CLI reads no seed; what it prints is the library's walk for
+    # any seed, since the seed does not affect the result
+    assert run(["optimize", "-m", "1", "--iters", "300"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "best set: [2/3,1)"
-    assert lines[2].startswith("accepted 1 of 300 evaluated moves, ")
+    result = optimize(1, seed, 300)
+    assert lines[0] == "best set: [2/3,1)" == f"best set: {result.best}"
+    assert result.accepted == 1
+    assert lines[2] == f"accepted 1 of {result.evaluated} evaluated moves"
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--format", "records", "(0,1)"],
+    ["verify", "--decimal", "3", "(0,1)"],
+    ["construct", "a0", "--format", "records"],
+    ["construct", "a0", "--decimal", "3"],
+    ["forbidden", "--format", "records", "(2/3,1)"],
+    ["forbidden", "--decimal", "3", "(2/3,1)"],
+    ["gen", "--seed", "1", "--format", "records"],
+    ["gen", "--seed", "1", "--decimal", "3"],
+    ["discrete", "max", "-n", "10", "--decimal", "3"],
+    ["optimize", "-m", "1", "--seed", "1"],
+], ids=" ".join)
+def test_verb_rejects_an_option_it_does_not_read(argv, capsys):
+    assert run(argv) == USAGE_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_trace_prints_the_context_of_an_early_exit(capsys):

@@ -1,15 +1,11 @@
-import random
-from math import lcm
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_sets
-from sumfree.intervals import Interval, IntervalSet, _scaled
+from sumfree.intervals import Interval, IntervalSet
 from sumfree.constructions import construct_extremal
-from sumfree.optimize import (GRID_STAGES, _TOP_BLOCK, _close, _draw, _propose_stack, _replaced,
-                              optimize)
+from sumfree.optimize import GRID_STAGES, _TOP_BLOCK, _close, _propose_stack, _replaced, optimize
 from sumfree.predicates import is_k_sum_free, strip
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
@@ -29,9 +25,10 @@ def test_deterministic_in_its_arguments(run):
 
 
 # exact outputs, so a change to the interval core that alters the walk fails
+A7 = "(8/177,4/59]|(28/177,14/59]|(2/3,1]"
 PINNED = {
-    1: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 3, 300),
-    2: ("(8/177,4/59]|(28/177,14/59]|(2/3,1]", rational(77, 177), 2, 300),
+    1: (A7, rational(77, 177), 2, 300),
+    2: (A7, rational(77, 177), 2, 300),
 }
 
 
@@ -42,16 +39,12 @@ def test_pinned_outputs(seed, run):
 
 
 #: the benchmark's optimize workload, optimize(3, seed, 1600), in full
+#: (two stacks, then a scan of A0 that accepts nothing)
 BENCH_PINNED = {
-    1: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 3, 1600),
-    2: ("(8/177,4/59]|(28/177,14/59]|(2/3,1]", rational(77, 177), 2, 1600),
-    3: ("[8/177,4/59)|(28/177,14/59]|(2/3,1]", rational(77, 177), 3, 1600),
+    1: (A7, rational(77, 177), 2, 399),
+    2: (A7, rational(77, 177), 2, 399),
+    3: (A7, rational(77, 177), 2, 399),
 }
-
-
-#: candidates the benchmark's walks build; the other iterations repeat
-#: a proposal already rejected on the same state
-BENCH_CHECKED = {1: 390, 2: 389, 3: 379}
 
 
 @pytest.mark.parametrize("seed", sorted(BENCH_PINNED))
@@ -59,7 +52,6 @@ def test_pinned_bench_walks(seed):
     result = optimize(3, seed, 1600)
     assert (str(result.best), result.measure, result.accepted,
             result.evaluated) == BENCH_PINNED[seed]
-    assert result.checked == BENCH_CHECKED[seed]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -78,19 +70,40 @@ def test_result_is_feasible_and_under_the_ceiling(run):
     assert 0 <= run.accepted <= run.evaluated <= ITERATIONS
 
 
-@pytest.mark.parametrize("m,iterations", [(1, 0), (1, 300), (3, 0), (3, 1), (5, 300)])
+#: the candidates built until a whole scan accepts nothing: for m = 1 the
+#: stack and one nudge, then a scan of [2/3,1); for m = 2 one stack, then
+#: a scan of the 3/7 set; for m >= 3 two stacks, then a scan of A0
+SCAN_LENGTH = {1: 135, 2: 266, 3: 399, 5: 399}
+
+
+@pytest.mark.parametrize("m,iterations", [(1, 0), (1, 300), (2, 300), (2, 40000), (3, 0),
+                                          (3, 1), (3, 2), (3, 300), (3, 40000), (5, 300)])
 def test_every_iteration_evaluates_one_candidate(m, iterations):
-    assert optimize(m, 2, iterations).evaluated == iterations
+    # until the climb stops at a local optimum
+    assert optimize(m, 2, iterations).evaluated == min(iterations, SCAN_LENGTH[m])
+
+
+@pytest.mark.parametrize("iterations,text", [(0, "(2/3,1]"), (1, "(4/21,2/7]|(2/3,1]"),
+                                             (2, A7)])
+def test_each_stack_takes_one_candidate(iterations, text):
+    # the first candidate of each scan is the stack, so for m = 3 a budget
+    # of two candidates already ends on a maximal set of measure 77/177
+    assert str(optimize(3, 1, iterations).best) == text
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_checked_is_bounded_by_the_keys_per_state(m):
-    # each state has m * (GRID_STAGES + 4) * 6 nudge keys and one stack
-    # key at most, and each is checked at most once per state
-    for seed in range(1, 6):
-        r = optimize(m, seed, 1600)
-        assert r.checked <= r.evaluated
-        assert r.checked <= (r.accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1)
+    # each scan builds one stack and at most m * (GRID_STAGES + 4) * 6
+    # nudges, and only a move starts another scan
+    r = optimize(m, 1, 40000)
+    assert r.evaluated <= (r.accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_seed_does_not_affect_the_result(m):
+    outs = {(str(r.best), r.measure, r.accepted, r.evaluated)
+            for r in (optimize(m, seed, 1600) for seed in range(1, 21))}
+    assert len(outs) == 1
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
@@ -100,68 +113,6 @@ def test_short_walks_reach_the_optimum_for_each_m(seed):
     assert optimize(1, seed, ITERATIONS).measure == rational(1, 3)
     assert optimize(2, seed, ITERATIONS).measure == rational(3, 7)
     assert optimize(3, seed, ITERATIONS).best in [construct_extremal(i) for i in range(1, 8)]
-
-
-# -- the walk without the skip of rejected proposals, as a reference ------
-
-
-def propose_reference(rng, S):
-    """One proposal with its parameters drawn as it is built."""
-    if rng.random() >= 0.75:
-        return _propose_stack(S)
-    ci = rng.randrange(len(S))
-    step_den = 6 * 2 ** rng.randint(0, GRID_STAGES + 3)
-    den = lcm(S._den, step_den)
-    codes = _scaled(S._codes, den // S._den)
-    step = 2 * rng.randint(1, 3) * (den // step_den)
-    lo, hi = codes[2 * ci], codes[2 * ci + 1]
-    if rng.random() < 0.5:
-        return _replaced(den, codes, ci, max(lo - step, lo & 1), hi)
-    return _replaced(den, codes, ci, lo, min(hi + step, 2 * den + (hi & 1)))
-
-
-def optimize_reference(m, seed, iterations):
-    """(best, measure, accepted, evaluated) of a walk that builds and
-    strips the candidate of every iteration."""
-    rng = random.Random(seed)
-    state = _TOP_BLOCK
-    mu = state.measure()
-    accepted = 0
-    for _ in range(iterations):
-        cand = strip(propose_reference(rng, state))
-        if len(cand) > m:
-            continue
-        cmu = cand.measure()
-        if cmu > mu or cmu == mu and cand != state and state.is_subset_of(cand):
-            accepted += 1
-            state, mu = cand, cmu
-    best = _close(state)
-    return best, best.measure(), accepted, iterations
-
-
-@pytest.mark.parametrize("m", range(1, 6))
-def test_skipping_rejected_proposals_changes_no_output(m):
-    for seed in range(1, 11):
-        r = optimize(m, seed, ITERATIONS)
-        assert (r.best, r.measure, r.accepted, r.evaluated) == optimize_reference(
-            m, seed, ITERATIONS)
-
-
-def draw_reference(rng, n):
-    """``_draw`` through the ``random`` module's range functions."""
-    if rng.random() < 0.75:
-        return (rng.randrange(n), rng.randint(0, GRID_STAGES + 3), rng.randint(1, 3),
-                rng.random() < 0.5)
-    return None
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_draw_is_the_randrange_stream(n):
-    # same values and same generator state after, on this interpreter
-    for seed in range(300):
-        ours, ref = random.Random(seed), random.Random(seed)
-        assert [_draw(ours, n) for _ in range(40)] == [draw_reference(ref, n) for _ in range(40)]
-        assert ours.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("m", range(1, 7))

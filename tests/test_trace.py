@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 import sumfree.lemmas
@@ -19,6 +21,7 @@ from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import (
     ContainmentReport,
     TraceCase,
+    _case2,
     check_extremal_containment,
     trace_measure_bound,
 )
@@ -243,3 +246,34 @@ class TestContainment:
         assert parses == []
         assert reports == [ContainmentReport(MAX_MEASURE, True, True, (i,), i)
                            for i in range(1, 8)]
+
+    @pytest.mark.parametrize("text", ["(1,3/2)", "[-1,-1]|[1,1]"])
+    def test_outside_the_unit_interval_is_a_precondition_error(self, text):
+        # both sets are 3-sum-free, so the error is the containment check's
+        with pytest.raises(PreconditionError, match=r"inside \[0, 1\]") as err:
+            check_extremal_containment(IntervalSet.parse(text))
+        assert not isinstance(err.value, NotSumFreeError)
+
+
+class TestCase2Constant:
+    """``case2-constant`` bounds 1/3 + linear by its exact supremum on each
+    side of a = 2/15.  Case2 has no pinned example, so a stub context
+    stands in for one; the head arguments do not enter this verdict."""
+
+    @staticmethod
+    def verdict(a):
+        ctx = types.SimpleNamespace(a=a, measure=rational(0))
+        _, verdicts, _ = _case2(ctx, rational(0), rational(1))
+        (v,) = [v for v in verdicts if v.name == "case2-constant"]
+        return v
+
+    @pytest.mark.parametrize("a,sup", [(rational(2, 51), rational(22, 51)),
+                                       (rational(2, 15), rational(2, 5))])
+    def test_attained(self, a, sup):
+        v = self.verdict(a)
+        assert v.lhs == v.rhs == sup
+
+    def test_holds_on_the_range_of_a(self):
+        for i in range(223):  # a = i/1000 in [0, 2/9]
+            v = self.verdict(rational(i, 1000))
+            assert v.passed and v.lhs <= v.rhs, i
