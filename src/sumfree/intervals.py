@@ -113,10 +113,6 @@ class Interval:
     lo_closed: bool = False
     hi_closed: bool = False
 
-    @property
-    def length(self) -> Rational:
-        return self.hi - self.lo
-
     def contains(self, x) -> bool:
         if x < self.lo or x > self.hi:
             return False

@@ -2,8 +2,9 @@
 
 Each checker evaluates one proved inequality on a concrete interval
 set, with exact rational arithmetic and no tolerance, and returns its
-verdict as a ``CheckRecord`` (lhs <= rhs), or None when the inequality
-does not apply to the set.  The inequalities are theorems, so a failing
+verdict as a ``CheckRecord``, or None when the inequality does not
+apply to the set.  Every record states its inequality as lhs <= rhs and
+passes exactly when that holds.  The inequalities are theorems, so a failing
 verdict on a genuinely 3-sum-free input means an implementation bug (or
 a falsified theorem) and the caller is expected to treat it as fatal.
 
@@ -61,13 +62,20 @@ _TWO_THIRDS = rational(2, 3)
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One exact inequality verdict: lhs <= rhs (or = for equalities)."""
+    """One exact inequality, stated as its two sides: lhs <= rhs.
+
+    The record holds the sides and nothing else; ``passed`` is derived
+    from them, so it is True exactly when lhs <= rhs.
+    """
 
     name: str
     lhs: Rational
     rhs: Rational
-    passed: bool
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs
 
     def __str__(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -164,14 +172,12 @@ def check_extent_bound(ctx: LemmaContext) -> CheckRecord:
 
     This is mu(A) <= (2 sup A - inf A) / 4 at sup A = 1.
     """
-    bound = (2 - ctx.a) / 4
-    return CheckRecord("extent-bound", ctx.measure, bound, ctx.measure <= bound)
+    return CheckRecord("extent-bound", ctx.measure, (2 - ctx.a) / 4)
 
 
 def check_top_window_bound(ctx: LemmaContext) -> CheckRecord:
     """mu(S) <= 1/3 + mu(S & [2/3,1]) / 2 for 3-sum-free S with sup = 1."""
-    bound = _THIRD + ctx.mu_A1 / 2
-    return CheckRecord("top-window-bound", ctx.measure, bound, ctx.measure <= bound)
+    return CheckRecord("top-window-bound", ctx.measure, _THIRD + ctx.mu_A1 / 2)
 
 
 def check_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
@@ -187,14 +193,16 @@ def check_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
         branch, bound = "small-eps1", _THIRD - ctx.eps1 / 6
     else:
         branch, bound = "large-eps1", _THIRD - (ctx.eps1 - 2 * ctx.a / 3) / 24
-    return CheckRecord(f"tail-bound[{branch}]", ctx.tail, bound, ctx.tail <= bound)
+    return CheckRecord(f"tail-bound[{branch}]", ctx.tail, bound)
 
 
 def check_tail_equality(ctx: LemmaContext) -> CheckRecord | None:
     """Tail mass exactly 1/3 forces eps1 = eps2 = 0.
 
-    The verdict is eps1 + eps2 <= 0.  None where the tail bound does not
-    apply (eps1 + 2*eps2 > 1/3) and when the tail mass is not 1/3.  The
+    The verdict is eps1 + eps2 <= 0, which holds exactly when both are 0:
+    neither is negative, because A1 lies in [2/3 + eps1, 1], so
+    eps1 >= 0 and mu(A1) <= 1/3 - eps1.  None where the tail bound does
+    not apply (eps1 + 2*eps2 > 1/3) and when the tail mass is not 1/3.  The
     statement needs a > 0, which every context has: 0 in S gives
     0 + 0 = 3*0, and an interval (0, e) in S gives x = y = 3z/2.
 
@@ -204,7 +212,7 @@ def check_tail_equality(ctx: LemmaContext) -> CheckRecord | None:
     if ctx.eps1 + 2 * ctx.eps2 > _THIRD or ctx.tail != _THIRD:
         return None
     return CheckRecord("tail-equality-rigidity", ctx.eps1 + ctx.eps2, rational(0),
-                       ctx.eps1 == 0 and ctx.eps2 == 0, note="tail mass is exactly 1/3")
+                       note="tail mass is exactly 1/3")
 
 
 def check_dense_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
@@ -214,17 +222,15 @@ def check_dense_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
     """
     if ctx.measure < rational(5, 12):
         return None
-    return CheckRecord("dense-tail-bound", ctx.tail, _THIRD, ctx.tail <= _THIRD,
-                       note="mu(A) >= 5/12")
+    return CheckRecord("dense-tail-bound", ctx.tail, _THIRD, note="mu(A) >= 5/12")
 
 
 def check_superadditivity(A: IntervalSet, B: IntervalSet) -> CheckRecord:
     """mu(A+B) >= mu(A) + mu(B) for nonempty bounded sets."""
     if A.is_empty or B.is_empty:
         raise PreconditionError("superadditivity requires nonempty operands")
-    lhs = A.measure() + B.measure()
-    rhs = A.minkowski(B).measure()
-    return CheckRecord("sumset-superadditive", lhs, rhs, lhs <= rhs)
+    return CheckRecord("sumset-superadditive", A.measure() + B.measure(),
+                       A.minkowski(B).measure())
 
 
 def check_sumset_min_bound(A: IntervalSet, B: IntervalSet, mA: Rational | None = None,
@@ -242,16 +248,14 @@ def check_sumset_min_bound(A: IntervalSet, B: IntervalSet, mA: Rational | None =
         mB = B.measure()
     if mA > mB:
         A, B, mA, mB = B, A, mB, mA
-    lhs = min(2 * mA + mB, mA + B.diameter())
-    rhs = A.minkowski(B).measure()
-    return CheckRecord("sumset-min-bound", lhs, rhs, lhs <= rhs)
+    return CheckRecord("sumset-min-bound", min(2 * mA + mB, mA + B.diameter()),
+                       A.minkowski(B).measure())
 
 
 @dataclass
 class LemmaReport:
     """All lemma verdicts for one set, plus the context they used."""
 
-    original: IntervalSet
     checked: IntervalSet
     rescaled: bool
     context: LemmaContext
@@ -287,4 +291,4 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
     if not ctx.R.is_empty:
         records.append(replace(check_sumset_min_bound(ctx.R, ctx.A1, ctx.mu_R, ctx.mu_A1),
                                name="sumset-min-bound(R,A1)"))
-    return LemmaReport(A, ctx.S, ctx.rescaled, ctx, records)
+    return LemmaReport(ctx.S, ctx.rescaled, ctx, records)

@@ -11,7 +11,8 @@ the argument manipulates:
     b    = sup R0
     eta1, eta2                         the top-window slacks of (1/r)*R
 
-and records one exact verdict per displayed inequality.  The final
+and records one exact verdict per displayed inequality, stated as its
+two sides lhs <= rhs; a verdict passes exactly when that holds.  The final
 certified bound is the minimum over all applicable bounds and is >=
 mu(A); on the extremal set it equals 77/177 exactly, with every step an
 equality.  R0 and the auxiliary windows of ``_window_verdicts`` are cut
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .constructions import construct_extremal
 from .intervals import IntervalSet
@@ -75,9 +76,14 @@ class TraceCase(Enum):
 
 @dataclass
 class ProofTrace:
-    """Everything the certification computed for one concrete set."""
+    """Everything the certification computed for one concrete set.
 
-    original: IntervalSet
+    ``trace_measure_bound`` builds it at entry and fills it in as the
+    proof goes: R, r, eta1 and eta2 once mu(A) >= 5/12, R0 in Case1 and
+    b once R0 is nonempty.  ``final_bound`` is the minimum of the bounds
+    of the case reached.
+    """
+
     checked: IntervalSet
     rescaled: bool
     measure: Rational
@@ -112,157 +118,123 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     A's context comes from ``LemmaContext.from_set``, which checks A and
     builds the context once per set and rescale flag across all entry
     points; the context of the head (1/r)*R is derived from it without a
-    second check, as R is a subset.
+    second check, as R is a subset.  Every verdict is lhs <= rhs and
+    passes exactly when that holds.
     """
     ctx = LemmaContext.from_set(A, rescale)
-    S, mu = ctx.S, ctx.measure
+    a, mu, muR = ctx.a, ctx.measure, ctx.mu_R
+    t = ProofTrace(ctx.S, ctx.rescaled, mu, TraceCase.EARLY_EXIT, ctx)
 
     if mu < _DENSE_THRESHOLD:
-        t = ProofTrace(A, S, ctx.rescaled, mu, TraceCase.EARLY_EXIT, ctx)
-        t.verdicts.append(CheckRecord("below-dense-threshold", mu, _DENSE_THRESHOLD,
-                                      mu < _DENSE_THRESHOLD, note="strict"))
-        t.verdicts.append(CheckRecord("threshold-vs-ceiling", _DENSE_THRESHOLD,
-                                      MAX_MEASURE, _DENSE_THRESHOLD <= MAX_MEASURE))
+        t.verdicts += [CheckRecord("below-dense-threshold", mu, _DENSE_THRESHOLD,
+                                   note="strict"),
+                       CheckRecord("threshold-vs-ceiling", _DENSE_THRESHOLD, MAX_MEASURE)]
         t.final_bound = _DENSE_THRESHOLD
         return t
 
-    a, R = ctx.a, ctx.R
-    bounds = []
-    verdicts = _window_verdicts(ctx)
-    verdicts += [v for v in (check_tail_bound(ctx), check_dense_tail_bound(ctx))
-                 if v is not None]
-
-    muR = ctx.mu_R
-    verdicts.append(CheckRecord("head-split", mu, _THIRD + muR, mu <= _THIRD + muR))
-    verdicts.append(CheckRecord("head-window-cap", muR, rational(2, 9) - 2 * a / 3,
-                                muR <= rational(2, 9) - 2 * a / 3))
-    bounds.append(_THIRD + muR)
+    t.verdicts += _window_verdicts(ctx)
+    t.verdicts += [v for v in (check_tail_bound(ctx), check_dense_tail_bound(ctx))
+                   if v is not None]
+    window_cap = rational(2, 9) - 2 * a / 3
+    t.final_bound = _THIRD + muR  # the first bound; each case may lower it
+    t.verdicts += [CheckRecord("head-split", mu, t.final_bound),
+                   CheckRecord("head-window-cap", muR, window_cap)]
 
     # dense-tail-bound caps the tail at 1/3, so muR = mu - tail >= 1/12 > 0
-    r = R.sup()
-    ctx_r = ctx.head(R)  # the head (1/r)*R
-    eta1, eta2 = ctx_r.eps1, ctx_r.eps2
-
-    if eta1 + 2 * eta2 <= _THIRD:
-        R0 = R.clip(a, 2 * r / 9 + a / 3)
-        case, extra, final_extra = _case1(ctx, ctx_r, muR, r, R0)
+    t.R, t.r = ctx.R, ctx.R.sup()
+    ctx_r = ctx.head(ctx.R)  # the head (1/r)*R
+    t.eta1, t.eta2 = ctx_r.eps1, ctx_r.eps2
+    if t.eta1 + 2 * t.eta2 <= _THIRD:
+        _case1(t, ctx_r, window_cap)
     else:
-        case, extra, final_extra = _case2(ctx, muR, r)
-    verdicts.extend(extra)
-    bounds.extend(final_extra)
-
-    t = ProofTrace(A, S, ctx.rescaled, mu, case, ctx, R, r,
-                   verdicts=verdicts, eta1=eta1, eta2=eta2)
-    if case is TraceCase.CASE1_R0_NONEMPTY:
-        t.R0, t.b = R0, R0.sup()
-    t.final_bound = min(bounds)
-    t.verdicts.append(CheckRecord("final-vs-ceiling", t.final_bound, MAX_MEASURE,
-                                  t.final_bound <= MAX_MEASURE))
+        _case2(t)
+    t.verdicts.append(CheckRecord("final-vs-ceiling", t.final_bound, MAX_MEASURE))
     return t
 
 
-def _window_verdicts(ctx: LemmaContext) -> list:
+def _window_verdicts(ctx: LemmaContext) -> Iterator[CheckRecord]:
     """Mass bounds for the auxiliary windows that bound the middle of S.
 
     None apply when eps1 + 2*eps2 > 1/3.  The B and C bounds are only
     derived on the large-eps1 branch (eps1 > 2a/3); outside it their
     windows are degenerate and the bounds' right-hand sides go negative,
-    so they are not claims there.
+    so they are not claims there.  It reads only the context.
     """
     S, a, e1, e2 = ctx.S, ctx.a, ctx.eps1, ctx.eps2
     if e1 + 2 * e2 > _THIRD:
-        return []
-    out = []
+        return
     for name, lo, hi in (
         ("2/3", rational(4, 9) + 2 * e1 / 3, rational(2, 3)),
         ("4/9", _THIRD + e1 / 2, rational(4, 9) + e1 / 6),
         ("1/3", rational(2, 9) + (a + e1) / 3, _THIRD + a / 3),
     ):
-        m = S.clip(lo, hi).measure()
-        out.append(CheckRecord(f"window-{name}-mass", m, e2 / 3, m <= e2 / 3))
+        yield CheckRecord(f"window-{name}-mass", S.clip(lo, hi).measure(), e2 / 3)
     if e1 > 2 * a / 3:
         mB = S.clip(_THIRD + a / 3, _THIRD + e1 / 2).measure()
         mC = S.clip(rational(2, 9) + 2 * a / 9, rational(2, 9) + e1 / 3).measure()
-        rhsB = rational(3, 4) * (e1 / 2 - a / 3)
-        out.append(CheckRecord("window-B_1/3-mass", mB, rhsB, mB <= rhsB))
-        rhsBC = e1 / 3 - 2 * a / 9
-        lhsBC = 2 * mB / 3 + mC
-        out.append(CheckRecord("window-B+C-mass", lhsBC, rhsBC, lhsBC <= rhsBC))
-    return out
+        yield CheckRecord("window-B_1/3-mass", mB, rational(3, 4) * (e1 / 2 - a / 3))
+        yield CheckRecord("window-B+C-mass", 2 * mB / 3 + mC, e1 / 3 - 2 * a / 9)
 
 
-def _case1(ctx, ctx_r, muR, r, R0):
-    """eta1 + 2*eta2 <= 1/3: recurse the tail bound into the head."""
-    a, mu = ctx.a, ctx.measure
-    verdicts = []
-    bounds = []
-    tb = check_tail_bound(ctx_r)
-    verdicts.append(replace(tb, name="head-" + tb.name, note="on (1/r)*R"))
+def _case1(t: ProofTrace, ctx_r: LemmaContext, window_cap: Rational) -> None:
+    """eta1 + 2*eta2 <= 1/3: recurse the tail bound into the head.
+
+    ``window_cap`` is head-window-cap's bound 2/9 - 2a/3 on mu(R).
+    """
+    a, mu, muR, r = t.context.a, t.measure, t.context.mu_R, t.r
+    R0_cap = 2 * r / 9 + a / 3
+    t.R0 = R0 = t.R.clip(a, R0_cap)
     muR0 = R0.measure()
-    verdicts.append(CheckRecord("head-split-again", muR, r / 3 + muR0,
-                                muR <= r / 3 + muR0))
-    bounds.append(_THIRD + r / 3 + muR0)
+    split = r / 3 + muR0
+    tb = check_tail_bound(ctx_r)
+    t.verdicts += [replace(tb, name="head-" + tb.name, note="on (1/r)*R"),
+                   CheckRecord("head-split-again", muR, split)]
 
     if R0.is_empty:
-        cap = min(r / 3, rational(2, 9) - 2 * a / 3)
-        lin = min(rational(2, 27) + a / 9, rational(2, 9) - 2 * a / 3)
-        verdicts.append(CheckRecord("head-cap-combined", muR, cap, muR <= cap))
-        verdicts.append(CheckRecord("head-cap-linear", muR, lin, muR <= lin))
-        verdicts.append(CheckRecord("head-cap-constant", lin, rational(2, 21),
-                                    lin <= rational(2, 21)))
-        bounds.extend([_THIRD + cap, _THIRD + rational(2, 21)])
-        return TraceCase.CASE1_R0_EMPTY, verdicts, bounds
+        t.case = TraceCase.CASE1_R0_EMPTY
+        cap = min(r / 3, window_cap)
+        lin = min(rational(2, 27) + a / 9, window_cap)
+        t.verdicts += [CheckRecord("head-cap-combined", muR, cap),
+                       CheckRecord("head-cap-linear", muR, lin),
+                       CheckRecord("head-cap-constant", lin, rational(2, 21))]
+        t.final_bound = min(t.final_bound, _THIRD + split, _THIRD + cap,
+                            _THIRD + rational(2, 21))
+        return
 
-    b = R0.sup()
-    extent = (2 * b - a) / 4
-    room = b - a
-    verdicts.append(CheckRecord("head2-extent-bound", muR0, extent, muR0 <= extent))
-    verdicts.append(CheckRecord("head2-room", muR0, room, muR0 <= room))
-    bcap = 2 * r / 9 + a / 3
-    verdicts.append(CheckRecord("head2-sup-cap", b, bcap, b <= bcap))
+    t.case = TraceCase.CASE1_R0_NONEMPTY
+    t.b = b = R0.sup()
     combined = min(4 * r / 9 - a / 12, 5 * r / 9 - 2 * a / 3)
-    verdicts.append(CheckRecord("head-combined", muR, combined, muR <= combined))
-    linear = min(rational(8, 81) + 7 * a / 108, rational(10, 81) - 13 * a / 27)
-    verdicts.append(CheckRecord("measure-linear", mu, _THIRD + linear,
-                                mu <= _THIRD + linear))
-    verdicts.append(CheckRecord("linear-vs-ceiling", _THIRD + linear, MAX_MEASURE,
-                                _THIRD + linear <= MAX_MEASURE,
-                                note="equality only at a = 8/177"))
-    bounds.extend([_THIRD + combined, _THIRD + linear])
-    return TraceCase.CASE1_R0_NONEMPTY, verdicts, bounds
+    linear = _THIRD + min(rational(8, 81) + 7 * a / 108, rational(10, 81) - 13 * a / 27)
+    t.verdicts += [CheckRecord("head2-extent-bound", muR0, (2 * b - a) / 4),
+                   CheckRecord("head2-room", muR0, b - a),
+                   CheckRecord("head2-sup-cap", b, R0_cap),
+                   CheckRecord("head-combined", muR, combined),
+                   CheckRecord("measure-linear", mu, linear),
+                   CheckRecord("linear-vs-ceiling", linear, MAX_MEASURE,
+                               note="equality only at a = 8/177")]
+    t.final_bound = min(t.final_bound, _THIRD + split, _THIRD + combined, linear)
 
 
-def _case2(ctx, muR, r):
+def _case2(t: ProofTrace) -> None:
     """eta1 + 2*eta2 > 1/3: the head is sparse enough to bound directly."""
-    a, mu = ctx.a, ctx.measure
-    verdicts = []
-    bounds = []
+    a, mu, muR, r = t.context.a, t.measure, t.context.mu_R, t.r
+    t.case = TraceCase.CASE2
     top = 5 * r / 12
-    verdicts.append(CheckRecord("head-top-window", muR, top, muR <= top))
     dichotomy = max((r - a) / 2, (2 * r - a) / 6)
-    verdicts.append(CheckRecord("head-dichotomy", muR, dichotomy, muR <= dichotomy))
-    combined = min(dichotomy, top)
-    bounds.append(_THIRD + combined)
-    linear = min(
-        max(rational(1, 9) - a / 3, rational(2, 27) - a / 18),
-        rational(5, 54) + 5 * a / 36,
-    )
-    verdicts.append(CheckRecord("measure-linear", mu, _THIRD + linear,
-                                mu <= _THIRD + linear))
+    linear = _THIRD + min(max(rational(1, 9) - a / 3, rational(2, 27) - a / 18),
+                          rational(5, 54) + 5 * a / 36)
     # each constant is the exact supremum of 1/3 + linear on its side of
     # 2/15: 22/51 at a = 2/51, and 2/5 at a = 2/15
     if a < rational(2, 15):
-        const = rational(22, 51)
-        note = "a < 2/15"
+        const, note = rational(22, 51), "a < 2/15"
     else:
-        const = rational(2, 5)
-        note = "a >= 2/15"
-    verdicts.append(CheckRecord("case2-constant", _THIRD + linear, const,
-                                _THIRD + linear <= const, note=note))
-    verdicts.append(CheckRecord("constant-vs-ceiling", const, MAX_MEASURE,
-                                const < MAX_MEASURE))
-    bounds.extend([_THIRD + linear, const])
-    return TraceCase.CASE2, verdicts, bounds
+        const, note = rational(2, 5), "a >= 2/15"
+    t.verdicts += [CheckRecord("head-top-window", muR, top),
+                   CheckRecord("head-dichotomy", muR, dichotomy),
+                   CheckRecord("measure-linear", mu, linear),
+                   CheckRecord("case2-constant", linear, const, note=note),
+                   CheckRecord("constant-vs-ceiling", const, MAX_MEASURE)]
+    t.final_bound = min(t.final_bound, _THIRD + min(dichotomy, top), linear, const)
 
 
 @dataclass
@@ -273,7 +245,11 @@ class ContainmentReport:
     is_extremal: bool
     sym_diff_zero: Optional[bool] = None
     containers: tuple = ()
-    container: Optional[int] = None
+
+    @property
+    def container(self) -> Optional[int]:
+        """The smallest index of a container, or None when there is none."""
+        return self.containers[0] if self.containers else None
 
     @property
     def consistent(self) -> bool:
@@ -303,5 +279,4 @@ def check_extremal_containment(A: IntervalSet) -> ContainmentReport:
     containers = tuple(
         i for i in range(1, 8) if A.is_subset_of(construct_extremal(i))
     )
-    return ContainmentReport(mu, True, sym_zero, containers,
-                             containers[0] if containers else None)
+    return ContainmentReport(mu, True, sym_zero, containers)

@@ -1,3 +1,4 @@
+import io
 import runpy
 import sys
 
@@ -118,8 +119,38 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
      "extremal: measure 77/177\n"
      "symmetric difference with base set has measure zero: True\n"
      "contained in a1 (all containers: a1, a2, a3, a4, a5, a6, a7)\n"),
+    (["extremal", "(2/3,1)"], "not extremal: measure 1/3 != 77/177\n"),
+    (["verify", "(2/3,1)"], "3-sum-free: yes\n"),
+    (["verify", "--format", "records", "(2/3,1)"], "sum-free\tk=3\t-\tpass\n"),
+    (["discrete", "max", "-n", "20", "-k", "3", "--format", "records"],
+     "max-size\t10\t-\tpass\nextremal-count\t4\t-\tpass\n"),
+    (["discrete", "max", "-n", "12", "-k", "4", "--all"],
+     "n=12 k=4: max size 7, 3 extremal set(s), 117 nodes\n"
+     "{1,6,7,8,9,10,11}\n{1,7,8,9,10,11,12}\n{2,7,8,9,10,11,12}\n"),
+    (["discrete", "max", "-n", "12", "-k", "4", "--all", "--format", "records"],
+     "max-size\t7\t-\tpass\nextremal-count\t3\t-\tpass\n"
+     "{1,6,7,8,9,10,11}\n{1,7,8,9,10,11,12}\n{2,7,8,9,10,11,12}\n"),
+    (["trace", "--format", "records", A0],
+     "window-2/3-mass\t0\t0\tpass\n"
+     "window-4/9-mass\t0\t0\tpass\n"
+     "window-1/3-mass\t0\t0\tpass\n"
+     "tail-bound[small-eps1]\t1/3\t1/3\tpass\n"
+     "dense-tail-bound\t1/3\t1/3\tpass\n"
+     "head-split\t77/177\t77/177\tpass\n"
+     "head-window-cap\t6/59\t34/177\tpass\n"
+     "head-tail-bound[small-eps1]\t1/3\t1/3\tpass\n"
+     "head-split-again\t6/59\t6/59\tpass\n"
+     "head2-extent-bound\t4/177\t4/177\tpass\n"
+     "head2-room\t4/177\t4/177\tpass\n"
+     "head2-sup-cap\t4/59\t4/59\tpass\n"
+     "head-combined\t6/59\t6/59\tpass\n"
+     "measure-linear\t77/177\t77/177\tpass\n"
+     "linear-vs-ceiling\t77/177\t77/177\tpass\n"
+     "final-vs-ceiling\t77/177\t77/177\tpass\n"),
 ], ids=["optimize-records", "optimize-text", "construct", "measure", "measure-decimal",
-        "gen", "forbidden", "extremal-records", "extremal-text"])
+        "gen", "forbidden", "extremal-records", "extremal-text", "extremal-not-extremal",
+        "verify-text", "verify-records", "discrete-records", "discrete-all",
+        "discrete-all-records", "trace-records"])
 def test_passing_verbs(argv, out, capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == out
@@ -160,3 +191,54 @@ def test_trace_prints_the_context_of_an_early_exit(capsys):
     assert run(["trace", "(2/3,1)"]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["case: early-exit",
                                                         "a=2/3 eps1=0 eps2=0"]
+
+
+A0_HALF = "(4/177,2/59)|(14/177,7/59)|(1/3,1/2)"
+
+
+class TestSetSources:
+    """A set is given as text, as ``@file`` or as ``@-`` for stdin."""
+
+    def test_at_file(self, tmp_path, capsys):
+        path = tmp_path / "set.txt"
+        path.write_text(A0 + "\n", encoding="ascii")
+        assert run(["measure", f"@{path}"]) == 0
+        assert capsys.readouterr().out == "77/177\n"
+
+    def test_at_stdin(self, capsys):
+        assert run(["verify", "--format", "records", "@-"], io.StringIO(A0 + "\n")) == 0
+        assert capsys.readouterr().out == "sum-free\tk=3\t-\tpass\n"
+
+
+def test_lemmas_reports_the_rescaling(capsys):
+    assert run(["lemmas", A0_HALF]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"rescaled by 1/sup to {A0}", "context: a=8/177 eps1=0 eps2=0"]
+
+
+def test_trace_prints_the_rescaling_and_the_heads(capsys):
+    # R0 is nonempty, so its line follows R's
+    assert run(["trace", A0_HALF]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == [
+        f"rescaled by 1/sup to {A0}",
+        "case: Case1-R0-nonempty",
+        "a=8/177 eps1=0 eps2=0",
+        "R=(8/177,4/59)|(28/177,14/59)  r=14/59  eta1=0  eta2=0",
+        "R0=(8/177,4/59)  b=4/59",
+    ]
+    assert lines[-1] == "measure 77/177 <= certified bound 77/177 (attained with equality)"
+
+
+def test_trace_prints_no_r0_line_when_r0_is_empty(capsys):
+    text = ("[640/3357,952/3357]|(2860/10071,2876/10071)"
+            "|(8633/30213,2878/10071)|(2/3,1)")
+    assert run(["trace", text]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "case: Case1-R0-empty",
+        "a=640/3357 eps1=0 eps2=0",
+        "R=[640/3357,952/3357]|(2860/10071,2876/10071)|(8633/30213,2878/10071)"
+        "  r=2878/10071  eta1=2/4317  eta2=17/8634",
+    ]
+    assert lines[3] == "[PASS] window-2/3-mass: 0 <= 0"

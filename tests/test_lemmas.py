@@ -8,6 +8,7 @@ from conftest import interval_sets, random_interval_set, window
 from sumfree.constructions import extremal_base, random_sum_free
 from sumfree.intervals import IntervalSet
 from sumfree.lemmas import (
+    CheckRecord,
     LemmaContext,
     PreconditionError,
     check_dense_tail_bound,
@@ -151,6 +152,25 @@ class TestTailBound:
         assert res.passed
 
 
+class TestCheckRecord:
+    """A record is its two sides; its verdict is derived from them."""
+
+    @pytest.mark.parametrize("lhs,rhs,passed", [(rational(1, 3), rational(1, 2), True),
+                                                (rational(1, 2), rational(1, 2), True),
+                                                (rational(1, 2), rational(1, 3), False)])
+    def test_passed_is_lhs_at_most_rhs(self, lhs, rhs, passed):
+        rec = CheckRecord("r", lhs, rhs)
+        assert rec.passed is passed
+        assert str(rec).startswith("[PASS]" if passed else "[FAIL]")
+
+    def test_the_verdict_is_not_a_field(self):
+        rec = CheckRecord("r", rational(0), rational(0))
+        with pytest.raises(AttributeError):
+            rec.passed = False
+        with pytest.raises(TypeError):
+            CheckRecord("r", rational(1), rational(0), passed=True)
+
+
 class TestTailEquality:
     def test_extremal_base_triggered(self):
         res = check_tail_equality(LemmaContext.from_set(extremal_base()))
@@ -178,6 +198,16 @@ class TestTailEquality:
         with pytest.raises(PreconditionError, match=r"inside \[0, \+inf\)") as err:
             LemmaContext.from_set(s)
         assert not isinstance(err.value, NotSumFreeError)
+
+    def test_both_slacks_are_nonnegative(self):
+        # eps1 + eps2 <= 0 is the verdict, so it must hold exactly when
+        # eps1 = eps2 = 0: A1 lies in [2/3 + eps1, 1]
+        for seed in range(300):
+            A = random_sum_free(seed, 5)
+            if A.is_empty:
+                continue
+            ctx = LemmaContext.from_set(A, rescale=True)
+            assert ctx.eps1 >= 0 and ctx.eps2 >= 0, seed
 
     def test_not_applicable_where_tail_bound_is_not(self):
         # eps1 = 0 and mu(A1) = 1/12, so eps1 + 2*eps2 = 1/2 > 1/3

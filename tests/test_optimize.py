@@ -117,9 +117,9 @@ def test_short_walks_reach_the_optimum_for_each_m(seed):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_endpoint_denominators_fit_a_machine_word(m):
-    for seed in range(1, 11):
-        best = optimize(m, seed, ITERATIONS).best
-        assert all(x.denominator <= 2 ** 63 for c in best for x in (c.lo, c.hi)), (seed, best)
+    # one run per m: test_the_seed_does_not_affect_the_result covers the seed
+    best = optimize(m, 1, ITERATIONS).best
+    assert all(x.denominator <= 2 ** 63 for c in best for x in (c.lo, c.hi)), best
 
 
 def test_single_interval_lands_on_exact_optimum():

@@ -20,8 +20,10 @@ from sumfree.predicates import NotSumFreeError, is_k_sum_free
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import (
     ContainmentReport,
+    ProofTrace,
     TraceCase,
     _case2,
+    _window_verdicts,
     check_extremal_containment,
     trace_measure_bound,
 )
@@ -228,8 +230,9 @@ class TestContainment:
     """The inverse-statement check compares against the cached extremal sets."""
 
     def test_a0_fits_every_augmentation(self):
-        assert check_extremal_containment(construct_extremal(0)) == ContainmentReport(
-            MAX_MEASURE, True, True, (1, 2, 3, 4, 5, 6, 7), 1)
+        rep = check_extremal_containment(construct_extremal(0))
+        assert rep == ContainmentReport(MAX_MEASURE, True, True, (1, 2, 3, 4, 5, 6, 7))
+        assert rep.container == 1
 
     def test_warm_checks_parse_nothing(self, monkeypatch):
         for i in range(8):
@@ -244,8 +247,9 @@ class TestContainment:
         monkeypatch.setattr(IntervalSet, "parse", staticmethod(counting))
         reports = [check_extremal_containment(construct_extremal(i)) for i in range(1, 8)]
         assert parses == []
-        assert reports == [ContainmentReport(MAX_MEASURE, True, True, (i,), i)
+        assert reports == [ContainmentReport(MAX_MEASURE, True, True, (i,))
                            for i in range(1, 8)]
+        assert [rep.container for rep in reports] == list(range(1, 8))
 
     @pytest.mark.parametrize("text", ["(1,3/2)", "[-1,-1]|[1,1]"])
     def test_outside_the_unit_interval_is_a_precondition_error(self, text):
@@ -257,14 +261,17 @@ class TestContainment:
 
 class TestCase2Constant:
     """``case2-constant`` bounds 1/3 + linear by its exact supremum on each
-    side of a = 2/15.  Case2 has no pinned example, so a stub context
-    stands in for one; the head arguments do not enter this verdict."""
+    side of a = 2/15.  Case2 has no pinned example, so a stub context and
+    trace stand in for one; the head's mu(R) and r do not enter this
+    verdict."""
 
     @staticmethod
     def verdict(a):
-        ctx = types.SimpleNamespace(a=a, measure=rational(0))
-        _, verdicts, _ = _case2(ctx, rational(0), rational(1))
-        (v,) = [v for v in verdicts if v.name == "case2-constant"]
+        ctx = types.SimpleNamespace(a=a, mu_R=rational(0))
+        t = ProofTrace(IntervalSet.empty(), False, rational(0), TraceCase.CASE2, ctx,
+                       r=rational(1))
+        _case2(t)
+        (v,) = [v for v in t.verdicts if v.name == "case2-constant"]
         return v
 
     @pytest.mark.parametrize("a,sup", [(rational(2, 51), rational(22, 51)),
@@ -277,3 +284,52 @@ class TestCase2Constant:
         for i in range(223):  # a = i/1000 in [0, 2/9]
             v = self.verdict(rational(i, 1000))
             assert v.passed and v.lhs <= v.rhs, i
+
+
+# random_sum_free(12, 5); after rescaling eps1 = 10/93 > 2a/3 = 118/1705
+WINDOW_BC_SET = "[1/10,1771/15930]|[3473/7080,88/177)|[44/59,41/45)|[14/15,341/354)"
+
+# random_sum_free(44, 5): its B+C mass meets the bound
+WINDOW_BC_TIGHT = [
+    "[PASS] window-2/3-mass: 0 <= 0",
+    "[PASS] window-4/9-mass: 0 <= 0",
+    "[PASS] window-1/3-mass: 0 <= 0",
+    "[PASS] window-B_1/3-mass: 0 <= 1669/42240",
+    "[PASS] window-B+C-mass: 1669/47520 <= 1669/47520",
+]
+
+
+class TestWindowVerdicts:
+    """The auxiliary window bounds, on the contexts of generated sets.  The
+    B and C windows are claims only on the large-eps1 branch, which no
+    pinned trace reaches."""
+
+    def test_pinned_large_eps1_set(self):
+        A = random_sum_free(12, 5)
+        assert str(A) == WINDOW_BC_SET
+        ctx = LemmaContext.from_set(A, rescale=True)
+        assert ctx.eps1 == rational(10, 93) > 2 * ctx.a / 3
+        records = list(_window_verdicts(ctx))
+        assert [r.name for r in records] == [
+            "window-2/3-mass", "window-4/9-mass", "window-1/3-mass",
+            "window-B_1/3-mass", "window-B+C-mass"]
+        assert all(r.passed for r in records)
+
+    def test_a_tight_b_plus_c_bound(self):
+        ctx = LemmaContext.from_set(random_sum_free(44, 5), rescale=True)
+        assert [str(r) for r in _window_verdicts(ctx)] == WINDOW_BC_TIGHT
+
+    def test_every_record_passes_on_generated_sets(self):
+        reached, massive = 0, set()
+        for seed in range(600):
+            A = random_sum_free(seed, 5)
+            if A.is_empty:
+                continue
+            records = list(_window_verdicts(LemmaContext.from_set(A, rescale=True)))
+            assert all(r.passed for r in records), (seed, [str(r) for r in records])
+            reached += "window-B+C-mass" in {r.name for r in records}
+            massive |= {r.name for r in records if r.lhs > 0}
+        assert reached == 61
+        # every window holds mass on some set, so no verdict passes only as 0 <= rhs
+        assert massive == {"window-2/3-mass", "window-4/9-mass", "window-1/3-mass",
+                           "window-B_1/3-mass", "window-B+C-mass"}
