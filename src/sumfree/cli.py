@@ -1,11 +1,21 @@
 """Command-line front end with exact rational I/O.
 
-Exit codes: 0 when every check passes, 1 when a mathematical check
-fails (a sum-free violation, a failed inequality, an inconsistent
-containment), 2 for usage or parse errors and for a set file that
-cannot be read.  Machine-readable output (``--format records``) prints
-exact rationals only, one record per line; ``--decimal N`` adds a
-rounded column that is convenience only, never authoritative.
+Every verb computes two lists, its rows and its text lines, and ``run``
+prints one of them: the rows with ``--format records``, else the text.
+Every records line is ``name\\tlhs\\trhs\\tverdict``.  A checked row is
+the inequality lhs <= rhs, and its verdict is whether that holds.  A
+value row reports a value with ``-`` on the right and passes.  The
+``sum-free``, ``sym-diff-zero`` and ``containment`` rows carry their own
+verdicts; a failed ``sum-free`` row has the witness on the right.
+Plain lines, such as the set ``optimize`` found or the sets
+``discrete max --all`` lists, follow as they are.  ``--decimal N`` adds
+an N-digit rounded column to every rational cell; it is convenience
+only, never authoritative.
+
+Exit codes: 1 exactly when a row fails (a sum-free violation, a failed
+inequality, an inconsistent containment), whichever format is printed;
+0 otherwise; 2 for usage or parse errors and for a set file that cannot
+be read.
 """
 
 from __future__ import annotations
@@ -13,12 +23,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .constructions import cg_density, construct_extremal, random_sum_free
+from .constructions import construct_extremal, random_sum_free
 from .intervals import IntervalSet, ParseError
-from .lemmas import PreconditionError, lemma_report
+from .lemmas import CheckRecord, PreconditionError, lemma_report
 from .optimize import optimize
 from .predicates import NotSumFreeError, forbidden_region, is_k_sum_free
-from .rationals import format_rational, to_decimal
+from .rationals import MAX_MEASURE, format_rational, to_decimal
 from .trace import check_extremal_containment, trace_measure_bound
 from .discrete import DEFAULT_BUDGET, BudgetError, density_report, max_k_sum_free
 
@@ -37,17 +47,27 @@ def run(argv, stdin=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.handler(args, stdin or sys.stdin)
+        try:
+            records, text = args.handler(args, stdin or sys.stdin)
+        except NotSumFreeError as exc:
+            # a checker rejected its input: a failed check, not a usage
+            # error, printed as verify prints it
+            records, text = _sum_free(exc.witness.k, exc.witness)
+        rows = [(r.name, r.lhs, r.rhs, r.passed) if isinstance(r, CheckRecord) else r
+                for r in records]
+        if args.format == "records":
+            text = [r if isinstance(r, str) else "\t".join(
+                        (r[0], _rat(r[1], args), _rat(r[2], args), "pass" if r[3] else "fail"))
+                    for r in rows]
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except NotSumFreeError as exc:
-        # a checker rejected its input: a failed check, not a usage error
-        _emit_sum_free(False, exc.witness.k, exc.witness, args)
-        return CHECK_FAILED
     except (PreconditionError, BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    for line in text:
+        print(line)
+    return 0 if all(isinstance(r, str) or r[3] for r in rows) else CHECK_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,6 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sumfree",
         description="exact toolkit for 3-sum-free (and k-sum-free) sets",
     )
+    # run and _rat read both on every verb, also on one without the option
+    parser.set_defaults(format="text", decimal=None)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_set(p):
@@ -87,16 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_forbidden)
 
     p = sub.add_parser("lemmas", help="run every inequality check on a set")
-    p.add_argument("--raw", action="store_true",
-                   help="require sup = 1 instead of rescaling")
     add_set(p)
     add_format(p)
     add_decimal(p)
     p.set_defaults(handler=_cmd_lemmas)
 
     p = sub.add_parser("trace", help="step-by-step 77/177 certification")
-    p.add_argument("--raw", action="store_true",
-                   help="require sup = 1 instead of rescaling")
     add_set(p)
     add_format(p)
     add_decimal(p)
@@ -150,161 +168,106 @@ def _read_set(token: str, stdin) -> IntervalSet:
 
 
 def _rat(value, args) -> str:
+    if isinstance(value, str):
+        return value
     out = format_rational(value)
     if args.decimal is not None:
         out += f" ~{to_decimal(value, args.decimal)}"
     return out
 
 
-def _emit_records(records, args) -> None:
-    for r in records:
-        verdict = "pass" if r.passed else "fail"
-        line = f"{r.name}\t{_rat(r.lhs, args)}\t{_rat(r.rhs, args)}\t{verdict}"
-        print(line)
+def _sum_free(k, witness):
+    """The rows and text of a k-sum-free verdict; witness is None when it holds."""
+    if witness is None:
+        return [("sum-free", f"k={k}", "-", True)], [f"{k}-sum-free: yes"]
+    return ([("sum-free", f"k={k}", f"x={witness.x},y={witness.y},z={witness.z}", False)],
+            [f"{k}-sum-free: NO; witness {witness}"])
 
 
-def _cmd_measure(args, stdin) -> int:
-    S = _read_set(args.set, stdin)
-    print(_rat(S.measure(), args))
-    return 0
+def _cmd_measure(args, stdin):
+    return [], [_rat(_read_set(args.set, stdin).measure(), args)]
 
 
-def _emit_sum_free(ok, k, witness, args) -> None:
-    if args.format == "records":
-        if ok:
-            print(f"sum-free\tk={k}\t-\tpass")
-        else:
-            print(f"sum-free\tk={k}\t"
-                  f"x={witness.x},y={witness.y},z={witness.z}\tfail")
-    else:
-        if ok:
-            print(f"{k}-sum-free: yes")
-        else:
-            print(f"{k}-sum-free: NO; witness {witness}")
+def _cmd_verify(args, stdin):
+    return _sum_free(args.k, is_k_sum_free(_read_set(args.set, stdin), args.k)[1])
 
 
-def _cmd_verify(args, stdin) -> int:
-    S = _read_set(args.set, stdin)
-    ok, witness = is_k_sum_free(S, args.k)
-    _emit_sum_free(ok, args.k, witness, args)
-    return 0 if ok else CHECK_FAILED
+def _cmd_construct(args, stdin):
+    return [], [str(construct_extremal(int(args.which[1:])))]
 
 
-def _cmd_construct(args, stdin) -> int:
-    print(construct_extremal(int(args.which[1:])))
-    return 0
+def _cmd_forbidden(args, stdin):
+    return [], [str(forbidden_region(_read_set(args.set, stdin)))]
 
 
-def _cmd_forbidden(args, stdin) -> int:
-    S = _read_set(args.set, stdin)
-    print(forbidden_region(S))
-    return 0
+def _cmd_lemmas(args, stdin):
+    report = lemma_report(_read_set(args.set, stdin))
+    ctx = report.context
+    text = [f"rescaled by 1/sup to {report.checked}"] if report.rescaled else []
+    text += [f"context: a={ctx.a} eps1={ctx.eps1} eps2={ctx.eps2}",
+             *map(str, report.records),
+             "all checks passed" if report.all_passed
+             else f"{len(report.failures)} CHECK(S) FAILED"]
+    return report.records, text
 
 
-def _cmd_lemmas(args, stdin) -> int:
-    S = _read_set(args.set, stdin)
-    report = lemma_report(S, rescale=not args.raw)
-    if args.format == "records":
-        _emit_records(report.records, args)
-    else:
-        if report.rescaled:
-            print(f"rescaled by 1/sup to {report.checked}")
-        print(f"context: a={report.context.a} eps1={report.context.eps1} "
-              f"eps2={report.context.eps2}")
-        for r in report.records:
-            print(r)
-        print("all checks passed" if report.all_passed
-              else f"{len(report.failures)} CHECK(S) FAILED")
-    return 0 if report.all_passed else CHECK_FAILED
+def _cmd_trace(args, stdin):
+    t = trace_measure_bound(_read_set(args.set, stdin), rescale=True)
+    text = [f"rescaled by 1/sup to {t.checked}"] if t.rescaled else []
+    text += [f"case: {t.case}", f"a={t.context.a} eps1={t.context.eps1} eps2={t.context.eps2}"]
+    if t.r is not None:
+        text.append(f"R={t.R}  r={t.r}  eta1={t.eta1}  eta2={t.eta2}")
+    if t.b is not None:
+        text.append(f"R0={t.R0}  b={t.b}")
+    eq = " (attained with equality)" if t.equality_attained else ""
+    text += [*map(str, t.verdicts),
+             f"measure {_rat(t.measure, args)} <= certified bound "
+             f"{_rat(t.final_bound, args)}{eq}"]
+    if t.failures:
+        text.append(f"{len(t.failures)} CHECK(S) FAILED")
+    return t.verdicts, text
 
 
-def _cmd_trace(args, stdin) -> int:
-    S = _read_set(args.set, stdin)
-    t = trace_measure_bound(S, rescale=not args.raw)
-    if args.format == "records":
-        _emit_records(t.verdicts, args)
-    else:
-        if t.rescaled:
-            print(f"rescaled by 1/sup to {t.checked}")
-        print(f"case: {t.case}")
-        print(f"a={t.context.a} eps1={t.context.eps1} eps2={t.context.eps2}")
-        if t.r is not None:
-            print(f"R={t.R}  r={t.r}  eta1={t.eta1}  eta2={t.eta2}")
-        if t.b is not None:
-            print(f"R0={t.R0}  b={t.b}")
-        for v in t.verdicts:
-            print(v)
-        eq = " (attained with equality)" if t.equality_attained else ""
-        print(f"measure {_rat(t.measure, args)} <= certified bound "
-              f"{_rat(t.final_bound, args)}{eq}")
-    return 0 if t.all_passed else CHECK_FAILED
+def _cmd_extremal(args, stdin):
+    rep = check_extremal_containment(_read_set(args.set, stdin))
+    records = [CheckRecord("extremal-measure", rep.measure, MAX_MEASURE)]
+    if not rep.is_extremal:
+        return records, [f"not extremal: measure {_rat(rep.measure, args)} != 77/177"]
+    c = rep.container
+    records += [("sym-diff-zero", "-", "-", rep.sym_diff_zero),
+                ("containment", "-" if c is None else f"A{c}", "-", c is not None)]
+    return records, [
+        "extremal: measure 77/177",
+        f"symmetric difference with base set has measure zero: {rep.sym_diff_zero}",
+        "CONTAINED IN NO MAXIMAL SET (inconsistent!)" if c is None else
+        f"contained in a{c} (all containers: {', '.join(f'a{i}' for i in rep.containers)})"]
 
 
-def _cmd_extremal(args, stdin) -> int:
-    S = _read_set(args.set, stdin)
-    rep = check_extremal_containment(S)
-    if args.format == "records":
-        print(f"extremal-measure\t{_rat(rep.measure, args)}\t77/177\t"
-              + ("pass" if rep.is_extremal else "fail"))
-        if rep.is_extremal:
-            print(f"sym-diff-zero\t-\t-\t{'pass' if rep.sym_diff_zero else 'fail'}")
-            print(f"containment\tA{rep.container if rep.container else '-'}\t-\t"
-                  + ("pass" if rep.container else "fail"))
-    else:
-        if not rep.is_extremal:
-            print(f"not extremal: measure {_rat(rep.measure, args)} != 77/177")
-        else:
-            print("extremal: measure 77/177")
-            print(f"symmetric difference with base set has measure zero: "
-                  f"{rep.sym_diff_zero}")
-            if rep.container:
-                print(f"contained in a{rep.container} "
-                      f"(all containers: {', '.join('a%d' % i for i in rep.containers)})")
-            else:
-                print("CONTAINED IN NO MAXIMAL SET (inconsistent!)")
-    return 0 if rep.consistent else CHECK_FAILED
-
-
-def _cmd_optimize(args, stdin) -> int:
+def _cmd_optimize(args, stdin):
     result = optimize(args.m, 0, args.iters)  # the seed does not affect the result
-    if args.format == "records":
-        print(f"optimize\t{_rat(result.measure, args)}\t77/177\tpass")
-        print(result.best)
-    else:
-        print(f"best set: {result.best}")
-        print(f"measure: {_rat(result.measure, args)}")
-        print(f"accepted {result.accepted} of {result.evaluated} evaluated moves")
-    return 0
+    return ([CheckRecord("optimize", result.measure, MAX_MEASURE), str(result.best)],
+            [f"best set: {result.best}", f"measure: {_rat(result.measure, args)}",
+             f"accepted {result.accepted} of {result.evaluated} evaluated moves"])
 
 
-def _cmd_discrete_max(args, stdin) -> int:
+def _cmd_discrete_max(args, stdin):
     result = max_k_sum_free(args.n, args.k, enumerate_sets=args.all, budget=args.budget)
-    if args.format == "records":
-        print(f"max-size\t{result.max_size}\t-\tpass")
-        print(f"extremal-count\t{result.extremal_count}\t-\tpass")
-    else:
-        print(f"n={result.n} k={result.k}: max size {result.max_size}, "
-              f"{result.extremal_count} extremal set(s), "
-              f"{result.nodes_explored} nodes")
-    if args.all and result.extremal_sets:
-        for s in result.extremal_sets:
-            print(s)
-    return 0
+    sets = [str(s) for s in result.extremal_sets or ()]
+    return ([("max-size", result.max_size, "-", True),
+             ("extremal-count", result.extremal_count, "-", True), *sets],
+            [f"n={result.n} k={result.k}: max size {result.max_size}, "
+             f"{result.extremal_count} extremal set(s), {result.nodes_explored} nodes",
+             *sets])
 
 
-def _cmd_gen(args, stdin) -> int:
-    print(random_sum_free(args.seed, args.components))
-    return 0
+def _cmd_gen(args, stdin):
+    return [], [str(random_sum_free(args.seed, args.components))]
 
 
-def _cmd_density(args, stdin) -> int:
+def _cmd_density(args, stdin):
     rep = density_report(args.k, args.n)
-    if args.format == "records":
-        print(f"search-ratio\t{_rat(rep.search_ratio, args)}\t-\tpass")
-        print(f"asymptotic-density\t{_rat(rep.asymptotic_density, args)}\t-\tpass")
-    else:
-        print(rep)
-    return 0
+    return ([("search-ratio", rep.search_ratio, "-", True),
+             ("asymptotic-density", rep.asymptotic_density, "-", True)], [str(rep)])
 
 
 if __name__ == "__main__":

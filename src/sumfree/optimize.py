@@ -79,10 +79,6 @@ class OptimizeResult:
     accepted: int
     evaluated: int
 
-    def __str__(self) -> str:
-        return (f"best measure {self.measure} (~{float(self.measure):.9f}) "
-                f"with {len(self.best)} component(s): {self.best}")
-
 
 def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
     """Search for a 3-sum-free subset of [0,1] with at most m components.

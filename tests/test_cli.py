@@ -1,11 +1,15 @@
 import io
 import runpy
 import sys
+from fractions import Fraction
 
 import pytest
 
 from sumfree.cli import CHECK_FAILED, USAGE_ERROR, run
+from sumfree.constructions import construct_extremal, random_sum_free
 from sumfree.discrete import DEFAULT_BUDGET
+from sumfree.intervals import IntervalSet
+from sumfree.lemmas import CheckRecord
 from sumfree.optimize import optimize
 
 NOT_SUM_FREE = "(0,1/4)|(2/3,1)"  # 1/8 + 1/8 = 3 * 1/12
@@ -22,11 +26,9 @@ class TestSumFreeViolation:
         assert run(["lemmas", "--format", "records", NOT_SUM_FREE]) == CHECK_FAILED
         assert capsys.readouterr().out == "sum-free\tk=3\tx=1/8,y=1/8,z=1/12\tfail\n"
 
-
-    @pytest.mark.parametrize("raw", [[], ["--raw"]], ids=["rescale", "raw"])
-    def test_trace_witness_is_in_the_input(self, raw, capsys):
+    def test_trace_witness_is_in_the_input(self, capsys):
         # sup 1/2: the witness comes from the set as given, not its rescaling
-        assert run(["trace", *raw, "(0,1/8)|(1/3,1/2)"]) == CHECK_FAILED
+        assert run(["trace", "(0,1/8)|(1/3,1/2)"]) == CHECK_FAILED
         assert "witness x=1/16, y=1/16, z=1/24" in capsys.readouterr().out
 
 
@@ -120,6 +122,9 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
      "symmetric difference with base set has measure zero: True\n"
      "contained in a1 (all containers: a1, a2, a3, a4, a5, a6, a7)\n"),
     (["extremal", "(2/3,1)"], "not extremal: measure 1/3 != 77/177\n"),
+    # a set below the ceiling passes it; only extremal sets get the other rows
+    (["extremal", "--format", "records", "--decimal", "4", "(2/3,1)"],
+     "extremal-measure\t1/3 ~0.3333\t77/177 ~0.4350\tpass\n"),
     (["verify", "(2/3,1)"], "3-sum-free: yes\n"),
     (["verify", "--format", "records", "(2/3,1)"], "sum-free\tk=3\t-\tpass\n"),
     (["discrete", "max", "-n", "20", "-k", "3", "--format", "records"],
@@ -149,6 +154,7 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
      "final-vs-ceiling\t77/177\t77/177\tpass\n"),
 ], ids=["optimize-records", "optimize-text", "construct", "measure", "measure-decimal",
         "gen", "forbidden", "extremal-records", "extremal-text", "extremal-not-extremal",
+        "extremal-not-extremal-records",
         "verify-text", "verify-records", "discrete-records", "discrete-all",
         "discrete-all-records", "trace-records"])
 def test_passing_verbs(argv, out, capsys):
@@ -181,6 +187,8 @@ def test_optimize_one_component_moves_once(seed, capsys):
     ["gen", "--seed", "1", "--decimal", "3"],
     ["discrete", "max", "-n", "10", "--decimal", "3"],
     ["optimize", "-m", "1", "--seed", "1"],
+    ["lemmas", "--raw", A0],
+    ["trace", "--raw", A0],
 ], ids=" ".join)
 def test_verb_rejects_an_option_it_does_not_read(argv, capsys):
     assert run(argv) == USAGE_ERROR
@@ -242,3 +250,63 @@ def test_trace_prints_no_r0_line_when_r0_is_empty(capsys):
         "  r=2878/10071  eta1=2/4317  eta2=17/8634",
     ]
     assert lines[3] == "[PASS] window-2/3-mass: 0 <= 0"
+
+
+class TestFailedCheck:
+    """A failed verdict is printed in either format, and the exit code is 1.
+
+    No 3-sum-free set fails a check, so each test makes one fail.
+    """
+
+    @pytest.mark.parametrize("verb,checker", [
+        ("lemmas", "sumfree.lemmas.check_extent_bound"),
+        ("trace", "sumfree.trace.check_dense_tail_bound"),
+    ])
+    def test_a_failed_inequality(self, verb, checker, monkeypatch, capsys):
+        monkeypatch.setattr(checker, lambda ctx: CheckRecord("patched", 1, 0))
+        assert run([verb, A0]) == CHECK_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert "[FAIL] patched: 1 <= 0" in lines
+        assert lines[-1] == "1 CHECK(S) FAILED"
+        assert run([verb, "--format", "records", A0]) == CHECK_FAILED
+        assert "patched\t1\t0\tfail" in capsys.readouterr().out.splitlines()
+
+    def test_an_extremal_set_in_no_container(self, monkeypatch, capsys):
+        # with A1..A7 emptied, A0 is still A0 but lies in none of them
+        base = construct_extremal(0)
+        monkeypatch.setattr("sumfree.trace.construct_extremal",
+                            lambda i: base if i == 0 else IntervalSet.empty())
+        assert run(["extremal", A0]) == CHECK_FAILED
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "CONTAINED IN NO MAXIMAL SET (inconsistent!)")
+        assert run(["extremal", "--format", "records", A0]) == CHECK_FAILED
+        assert capsys.readouterr().out == (
+            "extremal-measure\t77/177\t77/177\tpass\n"
+            "sym-diff-zero\t-\t-\tpass\n"
+            "containment\t-\t-\tfail\n")
+
+    def test_an_optimum_above_the_ceiling(self, monkeypatch, capsys):
+        # the optimize row compares the measure with 77/177
+        result = optimize(1, 0, 300)
+        result.measure = Fraction(1, 2)
+        monkeypatch.setattr("sumfree.cli.optimize", lambda m, seed, iterations: result)
+        assert run(["optimize", "-m", "1", "--format", "records"]) == CHECK_FAILED
+        assert capsys.readouterr().out == "optimize\t1/2\t77/177\tfail\n[2/3,1)\n"
+
+
+EXIT_RULE_SETS = ([str(construct_extremal(i)) for i in range(8)]
+                  + [str(random_sum_free(s, 4)) for s in range(20)]
+                  + [NOT_SUM_FREE, "(0,1/8)|(1/3,1/2)"])
+
+
+@pytest.mark.parametrize("argv", [
+    *([verb, s] for verb in ("verify", "lemmas", "trace", "extremal") for s in EXIT_RULE_SETS),
+    ["optimize", "-m", "2", "--iters", "300"],
+    ["discrete", "max", "-n", "12", "-k", "4", "--all"],
+    ["density", "-k", "4", "-n", "20"],
+], ids=" ".join)
+def test_exit_code_is_one_exactly_when_a_record_fails(argv, capsys):
+    code = run([*argv, "--format", "records"])
+    failed = any(line.endswith("\tfail") for line in capsys.readouterr().out.splitlines())
+    assert code == (CHECK_FAILED if failed else 0)
+    assert run(argv) == code
