@@ -10,7 +10,9 @@ verdicts; a failed ``sum-free`` row has the witness on the right.
 Plain lines, such as the set ``optimize`` found or the sets
 ``discrete max --all`` lists, follow as they are.  ``--decimal N`` adds
 an N-digit rounded column to every rational cell; it is convenience
-only, never authoritative.
+only, never authoritative.  A negative N is a usage error on every verb
+that takes the option, in either format, as it is checked when the
+arguments are parsed.
 
 Exit codes: 1 exactly when a row fails (a sum-free violation, a failed
 inequality, an inconsistent containment), whichever format is printed;
@@ -86,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "records"), default="text")
 
     def add_decimal(p):
-        p.add_argument("--decimal", type=int, default=None, metavar="D",
+        p.add_argument("--decimal", type=_places, default=None, metavar="D",
                        help="add a D-digit rounded column (display only)")
 
     p = sub.add_parser("measure", help="exact measure of a set")
@@ -156,6 +158,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_density)
 
     return parser
+
+
+def _places(text: str) -> int:
+    """``--decimal``'s value, checked as it is parsed: whether a rational
+    cell gets printed then does not decide whether a bad one is an error."""
+    try:
+        places = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if places < 0:
+        raise argparse.ArgumentTypeError("places must be >= 0")
+    return places
 
 
 def _read_set(token: str, stdin) -> IntervalSet:

@@ -44,18 +44,28 @@ integer range ``[lo, hi)``.  Invariants:
 So each point set has exactly one code list, and two sets are equal if
 and only if their ``(D, codes)`` are.  Boolean operations are one sweep
 over the two code lists put on their least common denominator; the
-sumset adds codes pairwise and sort-merges plain ints.  ``Fraction``
-values are built only for what a caller reads: ``components``, the
-extrema and ``measure``.  The sweep, the pairwise sum, the merge and
+sumset adds codes pairwise and sort-merges plain ints, and the sumset of
+a set with itself adds only the pairs of components i <= j, since the
+pair (j, i) gives the same range.  ``Fraction`` values are built only
+for what a caller reads: ``components``, the extrema and ``measure``;
+everything else, the proof checkers of ``lemmas`` and ``trace``
+included, works on ints.  The sweep, the pairwise sums, the merge and
 the scaling are module-level helpers on code lists, which
 ``predicates`` and ``optimize`` call directly: the codes of A+A over D
 are those of (1/k)(A+A) over kD, so a set meets its own scaled sumset
 in one sweep, and the optimizer moves an endpoint by rewriting two
-codes, with no intermediate set and no ``Fraction``.  ``clip`` cuts a
-set to a closed window [lo, hi] in code space: the window is the code
-range [2p, 2q+1), and two bisections find the codes inside it.
-``parse`` reads each endpoint as an int numerator and denominator and
-codes it over their least common denominator, building no ``Fraction``.
+codes, with no intermediate set and no ``Fraction``.
+
+Windows.  ``_clip(lo, hi, den)`` cuts a set to the closed window
+[lo/den, hi/den], for ints lo and hi over a multiple den of D: the
+window is the code range [2lo, 2hi+1) over den, and two bisections
+find the codes inside it.  ``clip(lo, hi)`` takes rationals and is
+``_clip`` over their least common denominator with D.  ``_mass(den,
+lo, hi)`` is the int numerator over den of the measure of the same
+window's part of the set, summed over the components with no set
+built; either end may be left open.  ``parse`` reads each endpoint as
+an int numerator and denominator and codes it over their least common
+denominator, building no ``Fraction``.
 
 Canonical text form, accepted and emitted by :meth:`IntervalSet.parse`
 and ``str()``::
@@ -166,6 +176,15 @@ def _sumset_codes(a, b) -> list:
     ``IntervalSet.minkowski`` for the endpoint flags."""
     los = [p + q - (p & q & 1) for p in a[::2] for q in b[::2]]
     his = [r + s - ((r | s) & 1) for r in a[1::2] for s in b[1::2]]
+    return _merge(los, his)
+
+
+def _self_sumset_codes(a) -> list:
+    """``_sumset_codes(a, a)`` from the pairs i <= j of components only:
+    the pair (j, i) adds the same range as (i, j)."""
+    lo, hi = a[::2], a[1::2]
+    los = [p + q - (p & q & 1) for i, p in enumerate(lo) for q in lo[i:]]
+    his = [r + s - ((r | s) & 1) for i, r in enumerate(hi) for s in hi[i:]]
     return _merge(los, his)
 
 
@@ -416,23 +435,28 @@ class IntervalSet:
             return _EMPTY
         if other is self:
             sums = getattr(self, "_sums", None)
-            if sums is not None:
-                return IntervalSet._of(self._den, sums)
+            return IntervalSet._of(self._den, _self_sumset_codes(self._codes)
+                                   if sums is None else sums)
         den, a, b = self._aligned(other)
         return IntervalSet._of(den, _sumset_codes(a, b))
 
     __add__ = minkowski
 
     def clip(self, lo, hi) -> "IntervalSet":
-        """``self & [lo, hi]`` for rationals lo and hi; empty when lo > hi.
-
-        The closed window is the code range [2p, 2q+1) over the least
-        common denominator, so the codes of the result are those strictly
-        inside it, with a window end added where it falls inside the set.
-        """
+        """``self & [lo, hi]`` for rationals lo and hi; empty when lo > hi."""
         den = lcm(self._den, lo.denominator, hi.denominator)
-        a = 2 * lo.numerator * (den // lo.denominator)
-        b = 2 * hi.numerator * (den // hi.denominator) + 1
+        return self._clip(lo.numerator * (den // lo.denominator),
+                          hi.numerator * (den // hi.denominator), den)
+
+    def _clip(self, lo: int, hi: int, den: int) -> "IntervalSet":
+        """``self & [lo/den, hi/den]`` for ints lo and hi over a multiple
+        ``den`` of D; empty when lo > hi.
+
+        The closed window is the code range [2lo, 2hi+1) over den, so the
+        codes of the result are those strictly inside it, with a window
+        end added where it falls inside the set.
+        """
+        a, b = 2 * lo, 2 * hi + 1
         if a >= b or not self._codes:
             return _EMPTY
         c = _scaled(self._codes, den // self._den)
@@ -444,6 +468,23 @@ class IntervalSet:
         if j & 1:
             out.append(b)
         return IntervalSet._of(den, out)
+
+    def _mass(self, den: int, lo: int | None = None, hi: int | None = None) -> int:
+        """The numerator over a multiple ``den`` of D of
+        mu(self & [lo/den, hi/den]), for ints lo and hi over den; a
+        missing end leaves that side unbounded.  Builds no set."""
+        k = den // self._den
+        c = self._codes
+        total = 0
+        for i in range(0, len(c), 2):
+            x, y = (c[i] >> 1) * k, (c[i + 1] >> 1) * k
+            if lo is not None and x < lo:
+                x = lo
+            if hi is not None and y > hi:
+                y = hi
+            if y > x:
+                total += y - x
+        return total
 
     # -- boolean operations --------------------------------------------
 

@@ -21,10 +21,25 @@ tracer and the containment check.  ``is_k_sum_free`` keeps the
 3-sum-free verdict on the set, and with it the codes of A+A, which
 ``minkowski`` reads for the sumset bound on (S, S), also when S is the
 rescaled set; ``from_set`` keeps the context on the set, so the report
-and the trace of one set share it.  The windows A1 and R are cut with
-``IntervalSet.clip``, in integer codes, with no window set built.
+and the trace of one set share it.
 
-Notation used throughout (all exact rationals):
+A context's quantities are ints over N = 648 * D, D the denominator of
+S, and a checker compares ints.  A ``Fraction`` is built only for a
+side of a ``CheckRecord`` or for a public field when it is read.  The
+windows A1 and R are cut with ``IntervalSet._clip`` and measured with
+``IntervalSet._mass`` over N.  648 = 2^3 * 3^4 makes every division in
+the checkers and in the tracer's Case1 exact.  Over N an endpoint of S
+is a multiple of 648 and 1/3 is 216 * D, so a and mu(S) are multiples of
+648; eps1, eps2 and mu(A1), whose ends are endpoints or 2/3, are
+multiples of 216 = 8 * 27, so eps1/6, 3*eps1/8 and (eps1 - 2a/3)/24 are
+ints; the head's ends, endpoints or 2/9 + a/3, are multiples of 72, so
+r/3, 4r/9 and the end 2r/9 + a/3 of the second head R0 are ints, the
+latter a multiple of 8, and (2b - a)/4 is one; and 81 divides 648 for
+the constants 8/81 and 10/81, 108 for 7a/108.  The head (1/r) * R gets
+a context of its own, over its own N.
+
+Notation used throughout (exact rationals; a context holds each as an
+int over its N):
 
     a    = inf A
     A1   = A & [2/3, 1]          the top window
@@ -35,6 +50,7 @@ Notation used throughout (all exact rationals):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import lcm
 
 from .intervals import IntervalSet
 from .predicates import NotSumFreeError, PreconditionError, is_k_sum_free
@@ -55,10 +71,6 @@ __all__ = [
     "lemma_report",
     "tail_cut",
 ]
-
-_THIRD = rational(1, 3)
-_TWO_THIRDS = rational(2, 3)
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -83,6 +95,12 @@ class CheckRecord:
         return f"[{mark}] {self.name}: {self.lhs} <= {self.rhs}{extra}"
 
 
+def _fraction(name: str) -> property:
+    """The public Fraction value of the int field ``name`` over N."""
+    return property(lambda self: rational(getattr(self, name), self.N),
+                    doc=f"``{name} / N`` as an exact rational, built on read.")
+
+
 @dataclass(frozen=True)
 class LemmaContext:
     """A checked set S with sup 1, and the quantities every checker reads.
@@ -96,6 +114,10 @@ class LemmaContext:
     mu(S & [2/9 + a/3, 1]) = mu(S) - mu(R).  ``mu_A1`` and ``mu_R`` are
     mu(A1) and mu(R), kept so no checker measures them again.
 
+    Each of these numbers is held as an int over ``N = 648 * D``, D the
+    denominator of S: ``a_N`` is a * N, and so on.  The Fractions a,
+    eps1, eps2, measure, mu_A1, mu_R and tail are built only when read.
+
     ``from_set`` keeps the context on A together with ``rescale`` and
     returns it to a repeat call with the same flag; a call that raises
     keeps nothing, so it raises again on every call.  When sup A = 1 the
@@ -103,17 +125,29 @@ class LemmaContext:
     collector frees.
     """
 
-    a: Rational
-    A1: IntervalSet
-    eps1: Rational
-    eps2: Rational
     S: IntervalSet
     rescaled: bool
-    measure: Rational
+    A1: IntervalSet
     R: IntervalSet
-    tail: Rational
-    mu_A1: Rational
-    mu_R: Rational
+    N: int
+    a_N: int
+    eps1_N: int
+    eps2_N: int
+    measure_N: int
+    mu_A1_N: int
+    mu_R_N: int
+
+    a = _fraction("a_N")
+    eps1 = _fraction("eps1_N")
+    eps2 = _fraction("eps2_N")
+    measure = _fraction("measure_N")
+    mu_A1 = _fraction("mu_A1_N")
+    mu_R = _fraction("mu_R_N")
+    tail = _fraction("tail_N")
+
+    @property
+    def tail_N(self) -> int:
+        return self.measure_N - self.mu_R_N
 
     @classmethod
     def from_set(cls, A: IntervalSet, rescale: bool = False) -> "LemmaContext":
@@ -122,7 +156,7 @@ class LemmaContext:
             return memo[1]
         if A.is_empty:
             raise PreconditionError("checker requires a nonempty set")
-        if A.inf() < 0:
+        if A._codes[0] < 0:  # inf A < 0
             raise PreconditionError("checker requires A inside [0, +inf)")
         ok, witness = is_k_sum_free(A, 3)
         if not ok:
@@ -138,6 +172,10 @@ class LemmaContext:
         """
         return self._of(R, rescale=True)
 
+    def _record(self, name: str, lhs: int, rhs: int, note: str = "") -> CheckRecord:
+        """The record lhs <= rhs of two ints over N."""
+        return CheckRecord(name, rational(lhs, self.N), rational(rhs, self.N), note)
+
     @classmethod
     def _of(cls, A: IntervalSet, rescale: bool) -> "LemmaContext":
         """The quantities of a nonempty 3-sum-free set inside [0, +inf).
@@ -145,21 +183,28 @@ class LemmaContext:
         0 is not in such a set (0 + 0 = 3*0), so sup A > 0.  After scaling
         sup S = 1, so S has points in [2/3, 1] and A1 is nonempty.
         """
-        s = A.sup()
-        if s != 1:
+        top = A._codes[-1] >> 1  # sup A is top / D
+        rescaled = top != A._den
+        if rescaled:
             if not rescale:
                 raise PreconditionError(
-                    f"checker requires sup(A) = 1, got {s} (pass rescale=True)")
-            A = A.dilate(1 / s)
-        A1 = A.clip(_TWO_THIRDS, 1)
-        mu_A1 = A1.measure()
-        eps1 = A1.inf() - _TWO_THIRDS
-        eps2 = (_THIRD - eps1) - mu_A1
-        a = A.inf()
+                    f"checker requires sup(A) = 1, got {A.sup()} (pass rescale=True)")
+            A = A.dilate(rational(A._den, top))
+        N = 648 * A._den
+        A1 = A._clip(2 * N // 3, N, N)
+        mu_A1 = A1._mass(N)
+        eps1 = _end(A1, N, 0) - 2 * N // 3
+        a = _end(A, N, 0)
         # A lies in [a, 1] and the head and tail windows share one point
-        R = A.clip(a, tail_cut(a))
-        mu, mu_R = A.measure(), R.measure()
-        return cls(a, A1, eps1, eps2, A, s != 1, mu, R, mu - mu_R, mu_A1, mu_R)
+        R = A._clip(a, 2 * N // 9 + a // 3, N)
+        eps2 = N // 3 - eps1 - mu_A1
+        return cls(A, rescaled, A1, R, N, a, eps1, eps2, A._mass(N), mu_A1, R._mass(N))
+
+
+def _end(S: IntervalSet, N: int, i: int) -> int:
+    """inf S (i = 0) or sup S (i = -1) of a nonempty S as an int over N,
+    a multiple of S's denominator."""
+    return (S._codes[i] >> 1) * (N // S._den)
 
 
 def tail_cut(a) -> Rational:
@@ -172,12 +217,12 @@ def check_extent_bound(ctx: LemmaContext) -> CheckRecord:
 
     This is mu(A) <= (2 sup A - inf A) / 4 at sup A = 1.
     """
-    return CheckRecord("extent-bound", ctx.measure, (2 - ctx.a) / 4)
+    return ctx._record("extent-bound", ctx.measure_N, (2 * ctx.N - ctx.a_N) // 4)
 
 
 def check_top_window_bound(ctx: LemmaContext) -> CheckRecord:
     """mu(S) <= 1/3 + mu(S & [2/3,1]) / 2 for 3-sum-free S with sup = 1."""
-    return CheckRecord("top-window-bound", ctx.measure, _THIRD + ctx.mu_A1 / 2)
+    return ctx._record("top-window-bound", ctx.measure_N, ctx.N // 3 + ctx.mu_A1_N // 2)
 
 
 def check_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
@@ -187,13 +232,14 @@ def check_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
     1/3 - eps1/6 when eps1 <= 2a/3 (named "tail-bound[small-eps1]"), and
     1/3 - (eps1 - 2a/3)/24 otherwise ("tail-bound[large-eps1]").
     """
-    if ctx.eps1 + 2 * ctx.eps2 > _THIRD:
+    N, a, e1, e2 = ctx.N, ctx.a_N, ctx.eps1_N, ctx.eps2_N
+    if e1 + 2 * e2 > N // 3:
         return None
-    if ctx.eps1 <= 2 * ctx.a / 3:
-        branch, bound = "small-eps1", _THIRD - ctx.eps1 / 6
+    if e1 <= 2 * a // 3:
+        branch, bound = "small-eps1", N // 3 - e1 // 6
     else:
-        branch, bound = "large-eps1", _THIRD - (ctx.eps1 - 2 * ctx.a / 3) / 24
-    return CheckRecord(f"tail-bound[{branch}]", ctx.tail, bound)
+        branch, bound = "large-eps1", N // 3 - (e1 - 2 * a // 3) // 24
+    return ctx._record(f"tail-bound[{branch}]", ctx.tail_N, bound)
 
 
 def check_tail_equality(ctx: LemmaContext) -> CheckRecord | None:
@@ -209,10 +255,10 @@ def check_tail_equality(ctx: LemmaContext) -> CheckRecord | None:
     A failing verdict would falsify the rigidity statement; the suite
     treats it as fatal.
     """
-    if ctx.eps1 + 2 * ctx.eps2 > _THIRD or ctx.tail != _THIRD:
+    N, e1, e2 = ctx.N, ctx.eps1_N, ctx.eps2_N
+    if e1 + 2 * e2 > N // 3 or ctx.tail_N != N // 3:
         return None
-    return CheckRecord("tail-equality-rigidity", ctx.eps1 + ctx.eps2, rational(0),
-                       note="tail mass is exactly 1/3")
+    return ctx._record("tail-equality-rigidity", e1 + e2, 0, note="tail mass is exactly 1/3")
 
 
 def check_dense_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
@@ -220,9 +266,9 @@ def check_dense_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
 
     None when mu(S) < 5/12.
     """
-    if ctx.measure < rational(5, 12):
+    if ctx.measure_N < 5 * ctx.N // 12:
         return None
-    return CheckRecord("dense-tail-bound", ctx.tail, _THIRD, note="mu(A) >= 5/12")
+    return ctx._record("dense-tail-bound", ctx.tail_N, ctx.N // 3, note="mu(A) >= 5/12")
 
 
 def check_superadditivity(A: IntervalSet, B: IntervalSet) -> CheckRecord:
@@ -238,28 +284,41 @@ def check_sumset_min_bound(A: IntervalSet, B: IntervalSet, mA: Rational | None =
     """mu(A+B) >= min(2 mu(A) + mu(B), mu(A) + diam(B)) with mu(A) <= mu(B).
 
     Operands are swapped internally if needed.  A caller that already
-    holds mu(A) or mu(B) passes it as ``mA`` or ``mB``.
+    holds mu(A) or mu(B) may pass it as ``mA`` or ``mB``.  Every term is
+    an int over the least common denominator of A and B, and the record's
+    two sides are its only Fractions.
     """
     if A.is_empty or B.is_empty:
         raise PreconditionError("sumset bound requires nonempty operands")
-    if mA is None:
-        mA = A.measure()
-    if mB is None:
-        mB = B.measure()
-    if mA > mB:
-        A, B, mA, mB = B, A, mB, mA
-    return CheckRecord("sumset-min-bound", min(2 * mA + mB, mA + B.diameter()),
-                       A.minkowski(B).measure())
+    den = lcm(A._den, B._den)
+    # a measure's denominator divides its set's, and so den
+    nA = A._mass(den) if mA is None else mA.numerator * (den // mA.denominator)
+    nB = B._mass(den) if mB is None else mB.numerator * (den // mB.denominator)
+    if nA > nB:
+        A, B, nA, nB = B, A, nB, nA
+    diam = _end(B, den, -1) - _end(B, den, 0)
+    return CheckRecord("sumset-min-bound", rational(min(2 * nA + nB, nA + diam), den),
+                       rational(A.minkowski(B)._mass(den), den))
 
 
 @dataclass
 class LemmaReport:
-    """All lemma verdicts for one set, plus the context they used."""
+    """All lemma verdicts for one set, plus the context they used.
 
-    checked: IntervalSet
-    rescaled: bool
+    ``checked`` and ``rescaled`` are read from the context: the checked
+    set S and whether it is a rescaled copy of the caller's set.
+    """
+
     context: LemmaContext
     records: list[CheckRecord] = field(default_factory=list)
+
+    @property
+    def checked(self) -> IntervalSet:
+        return self.context.S
+
+    @property
+    def rescaled(self) -> bool:
+        return self.context.rescaled
 
     @property
     def all_passed(self) -> bool:
@@ -286,9 +345,8 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
     records = [r for r in (check_extent_bound(ctx), check_top_window_bound(ctx),
                            check_tail_bound(ctx), check_tail_equality(ctx),
                            check_dense_tail_bound(ctx)) if r is not None]
-    records.append(replace(check_sumset_min_bound(ctx.S, ctx.S, ctx.measure, ctx.measure),
-                           name="sumset-min-bound(S,S)"))
+    records.append(replace(check_sumset_min_bound(ctx.S, ctx.S), name="sumset-min-bound(S,S)"))
     if not ctx.R.is_empty:
-        records.append(replace(check_sumset_min_bound(ctx.R, ctx.A1, ctx.mu_R, ctx.mu_A1),
+        records.append(replace(check_sumset_min_bound(ctx.R, ctx.A1),
                                name="sumset-min-bound(R,A1)"))
-    return LemmaReport(ctx.S, ctx.rescaled, ctx, records)
+    return LemmaReport(ctx, records)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intervals import (_DIFFERENCE, _INTERSECT, IntervalSet, _scaled, _sumset_codes,
+from .intervals import (_DIFFERENCE, _INTERSECT, IntervalSet, _scaled, _self_sumset_codes,
                         _sweep_codes)
 from .rationals import Rational, rational
 
@@ -88,7 +88,7 @@ def conflicts(A: IntervalSet, k: int) -> IntervalSet:
     """
     sums = getattr(A, "_sums", None)
     if sums is None:
-        sums = _sumset_codes(A._codes, A._codes)
+        sums = _self_sumset_codes(A._codes)
         object.__setattr__(A, "_sums", sums)
     return _against_sums(A, k, _INTERSECT, sums)
 
@@ -101,7 +101,7 @@ def strip(A: IntervalSet) -> IntervalSet:
     ``A.difference(A.minkowski(A).dilate(1/3))``.  The sums are not
     kept: the optimizer strips thousands of candidates it then drops.
     """
-    return _against_sums(A, 3, _DIFFERENCE, _sumset_codes(A._codes, A._codes))
+    return _against_sums(A, 3, _DIFFERENCE, _self_sumset_codes(A._codes))
 
 
 def is_k_sum_free(A: IntervalSet, k: int):

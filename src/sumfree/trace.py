@@ -15,8 +15,14 @@ and records one exact verdict per displayed inequality, stated as its
 two sides lhs <= rhs; a verdict passes exactly when that holds.  The final
 certified bound is the minimum over all applicable bounds and is >=
 mu(A); on the extremal set it equals 77/177 exactly, with every step an
-equality.  R0 and the auxiliary windows of ``_window_verdicts`` are cut
-with ``IntervalSet.clip``, in integer codes, with no window set built.
+equality.  The early exit, the auxiliary windows of
+``_window_verdicts`` and Case1 compute in the ints over N = 648 * D of
+the set's ``LemmaContext`` (see ``lemmas`` for why every division is
+exact there): R0 is cut with ``IntervalSet._clip``, the window masses
+come from ``IntervalSet._mass`` with no window set built, and a
+``Fraction`` is built only for a verdict's side and for the public
+fields r, b, eta1, eta2 and ``final_bound``.  Case2, which no known set
+reaches, computes in ``Fraction``s from the context's public fields.
 
 Cases:
     early-exit          mu(A) < 5/12, nothing to do
@@ -51,6 +57,7 @@ from .lemmas import (
     CheckRecord,
     LemmaContext,
     PreconditionError,
+    _end,
     check_dense_tail_bound,
     check_tail_bound,
 )
@@ -62,6 +69,7 @@ __all__ = ["TraceCase", "ProofTrace", "trace_measure_bound",
 
 _THIRD = rational(1, 3)
 _DENSE_THRESHOLD = rational(5, 12)
+_HEAD_CAP = rational(2, 21)  # head-cap-constant's bound on mu(R) when R0 is empty
 
 
 class TraceCase(Enum):
@@ -81,12 +89,11 @@ class ProofTrace:
     ``trace_measure_bound`` builds it at entry and fills it in as the
     proof goes: R, r, eta1 and eta2 once mu(A) >= 5/12, R0 in Case1 and
     b once R0 is nonempty.  ``final_bound`` is the minimum of the bounds
-    of the case reached.
+    of the case reached.  ``checked``, ``rescaled`` and ``measure`` are
+    read from the context: the checked set S, whether it is a rescaled
+    copy of the caller's set, and mu(S).
     """
 
-    checked: IntervalSet
-    rescaled: bool
-    measure: Rational
     case: TraceCase
     context: LemmaContext
     R: IntervalSet = field(default_factory=IntervalSet.empty)
@@ -97,6 +104,18 @@ class ProofTrace:
     eta2: Optional[Rational] = None
     verdicts: list = field(default_factory=list)
     final_bound: Rational = MAX_MEASURE
+
+    @property
+    def checked(self) -> IntervalSet:
+        return self.context.S
+
+    @property
+    def rescaled(self) -> bool:
+        return self.context.rescaled
+
+    @property
+    def measure(self) -> Rational:
+        return self.context.measure
 
     @property
     def all_passed(self) -> bool:
@@ -122,11 +141,11 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     passes exactly when that holds.
     """
     ctx = LemmaContext.from_set(A, rescale)
-    a, mu, muR = ctx.a, ctx.measure, ctx.mu_R
-    t = ProofTrace(ctx.S, ctx.rescaled, mu, TraceCase.EARLY_EXIT, ctx)
+    N, a, mu, muR = ctx.N, ctx.a_N, ctx.measure_N, ctx.mu_R_N
+    t = ProofTrace(TraceCase.EARLY_EXIT, ctx)
 
-    if mu < _DENSE_THRESHOLD:
-        t.verdicts += [CheckRecord("below-dense-threshold", mu, _DENSE_THRESHOLD,
+    if mu < 5 * N // 12:
+        t.verdicts += [CheckRecord("below-dense-threshold", ctx.measure, _DENSE_THRESHOLD,
                                    note="strict"),
                        CheckRecord("threshold-vs-ceiling", _DENSE_THRESHOLD, MAX_MEASURE)]
         t.final_bound = _DENSE_THRESHOLD
@@ -135,17 +154,18 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     t.verdicts += _window_verdicts(ctx)
     t.verdicts += [v for v in (check_tail_bound(ctx), check_dense_tail_bound(ctx))
                    if v is not None]
-    window_cap = rational(2, 9) - 2 * a / 3
-    t.final_bound = _THIRD + muR  # the first bound; each case may lower it
-    t.verdicts += [CheckRecord("head-split", mu, t.final_bound),
-                   CheckRecord("head-window-cap", muR, window_cap)]
+    window_cap = 2 * N // 9 - 2 * a // 3
+    split = ctx._record("head-split", mu, N // 3 + muR)
+    t.final_bound = split.rhs  # the first bound; each case may lower it
+    t.verdicts += [split, ctx._record("head-window-cap", muR, window_cap)]
 
     # dense-tail-bound caps the tail at 1/3, so muR = mu - tail >= 1/12 > 0
-    t.R, t.r = ctx.R, ctx.R.sup()
+    r = _end(ctx.R, N, -1)
+    t.R, t.r = ctx.R, rational(r, N)
     ctx_r = ctx.head(ctx.R)  # the head (1/r)*R
     t.eta1, t.eta2 = ctx_r.eps1, ctx_r.eps2
-    if t.eta1 + 2 * t.eta2 <= _THIRD:
-        _case1(t, ctx_r, window_cap)
+    if ctx_r.eps1_N + 2 * ctx_r.eps2_N <= ctx_r.N // 3:
+        _case1(t, ctx_r, r, window_cap)
     else:
         _case2(t)
     t.verdicts.append(CheckRecord("final-vs-ceiling", t.final_bound, MAX_MEASURE))
@@ -158,61 +178,65 @@ def _window_verdicts(ctx: LemmaContext) -> Iterator[CheckRecord]:
     None apply when eps1 + 2*eps2 > 1/3.  The B and C bounds are only
     derived on the large-eps1 branch (eps1 > 2a/3); outside it their
     windows are degenerate and the bounds' right-hand sides go negative,
-    so they are not claims there.  It reads only the context.
+    so they are not claims there.  It reads only the context, in ints
+    over its N.
     """
-    S, a, e1, e2 = ctx.S, ctx.a, ctx.eps1, ctx.eps2
-    if e1 + 2 * e2 > _THIRD:
+    S, N, a, e1, e2 = ctx.S, ctx.N, ctx.a_N, ctx.eps1_N, ctx.eps2_N
+    if e1 + 2 * e2 > N // 3:
         return
     for name, lo, hi in (
-        ("2/3", rational(4, 9) + 2 * e1 / 3, rational(2, 3)),
-        ("4/9", _THIRD + e1 / 2, rational(4, 9) + e1 / 6),
-        ("1/3", rational(2, 9) + (a + e1) / 3, _THIRD + a / 3),
+        ("2/3", 4 * N // 9 + 2 * e1 // 3, 2 * N // 3),
+        ("4/9", N // 3 + e1 // 2, 4 * N // 9 + e1 // 6),
+        ("1/3", 2 * N // 9 + (a + e1) // 3, N // 3 + a // 3),
     ):
-        yield CheckRecord(f"window-{name}-mass", S.clip(lo, hi).measure(), e2 / 3)
-    if e1 > 2 * a / 3:
-        mB = S.clip(_THIRD + a / 3, _THIRD + e1 / 2).measure()
-        mC = S.clip(rational(2, 9) + 2 * a / 9, rational(2, 9) + e1 / 3).measure()
-        yield CheckRecord("window-B_1/3-mass", mB, rational(3, 4) * (e1 / 2 - a / 3))
-        yield CheckRecord("window-B+C-mass", 2 * mB / 3 + mC, e1 / 3 - 2 * a / 9)
+        yield ctx._record(f"window-{name}-mass", S._mass(N, lo, hi), e2 // 3)
+    if e1 > 2 * a // 3:
+        mB = S._mass(N, N // 3 + a // 3, N // 3 + e1 // 2)
+        mC = S._mass(N, 2 * N // 9 + 2 * a // 9, 2 * N // 9 + e1 // 3)
+        yield ctx._record("window-B_1/3-mass", mB, 3 * (e1 // 2 - a // 3) // 4)
+        yield ctx._record("window-B+C-mass", 2 * mB // 3 + mC, e1 // 3 - 2 * a // 9)
 
 
-def _case1(t: ProofTrace, ctx_r: LemmaContext, window_cap: Rational) -> None:
+def _case1(t: ProofTrace, ctx_r: LemmaContext, r: int, window_cap: int) -> None:
     """eta1 + 2*eta2 <= 1/3: recurse the tail bound into the head.
 
-    ``window_cap`` is head-window-cap's bound 2/9 - 2a/3 on mu(R).
+    ``r`` is sup R and ``window_cap`` head-window-cap's bound 2/9 - 2a/3
+    on mu(R), both ints over the context's N.
     """
-    a, mu, muR, r = t.context.a, t.measure, t.context.mu_R, t.r
-    R0_cap = 2 * r / 9 + a / 3
-    t.R0 = R0 = t.R.clip(a, R0_cap)
-    muR0 = R0.measure()
-    split = r / 3 + muR0
+    ctx = t.context
+    N, a, mu, muR = ctx.N, ctx.a_N, ctx.measure_N, ctx.mu_R_N
+    R0_cap = 2 * r // 9 + a // 3
+    t.R0 = R0 = t.R._clip(a, R0_cap, N)
+    muR0 = R0._mass(N)
+    split = r // 3 + muR0
     tb = check_tail_bound(ctx_r)
     t.verdicts += [replace(tb, name="head-" + tb.name, note="on (1/r)*R"),
-                   CheckRecord("head-split-again", muR, split)]
+                   ctx._record("head-split-again", muR, split)]
 
     if R0.is_empty:
         t.case = TraceCase.CASE1_R0_EMPTY
-        cap = min(r / 3, window_cap)
-        lin = min(rational(2, 27) + a / 9, window_cap)
-        t.verdicts += [CheckRecord("head-cap-combined", muR, cap),
-                       CheckRecord("head-cap-linear", muR, lin),
-                       CheckRecord("head-cap-constant", lin, rational(2, 21))]
-        t.final_bound = min(t.final_bound, _THIRD + split, _THIRD + cap,
-                            _THIRD + rational(2, 21))
+        cap = min(r // 3, window_cap)
+        lin = ctx._record("head-cap-linear", muR, min(2 * N // 27 + a // 9, window_cap))
+        t.verdicts += [ctx._record("head-cap-combined", muR, cap), lin,
+                       CheckRecord("head-cap-constant", lin.rhs, _HEAD_CAP)]
+        t.final_bound = min(t.final_bound, rational(N // 3 + min(split, cap), N),
+                            _THIRD + _HEAD_CAP)
         return
 
     t.case = TraceCase.CASE1_R0_NONEMPTY
-    t.b = b = R0.sup()
-    combined = min(4 * r / 9 - a / 12, 5 * r / 9 - 2 * a / 3)
-    linear = _THIRD + min(rational(8, 81) + 7 * a / 108, rational(10, 81) - 13 * a / 27)
-    t.verdicts += [CheckRecord("head2-extent-bound", muR0, (2 * b - a) / 4),
-                   CheckRecord("head2-room", muR0, b - a),
-                   CheckRecord("head2-sup-cap", b, R0_cap),
-                   CheckRecord("head-combined", muR, combined),
-                   CheckRecord("measure-linear", mu, linear),
-                   CheckRecord("linear-vs-ceiling", linear, MAX_MEASURE,
+    b = _end(R0, N, -1)
+    t.b = rational(b, N)
+    combined = min(4 * r // 9 - a // 12, 5 * r // 9 - 2 * a // 3)
+    linear = ctx._record("measure-linear", mu, N // 3 + min(8 * N // 81 + 7 * a // 108,
+                                                            10 * N // 81 - 13 * a // 27))
+    t.verdicts += [ctx._record("head2-extent-bound", muR0, (2 * b - a) // 4),
+                   ctx._record("head2-room", muR0, b - a),
+                   ctx._record("head2-sup-cap", b, R0_cap),
+                   ctx._record("head-combined", muR, combined),
+                   linear,
+                   CheckRecord("linear-vs-ceiling", linear.rhs, MAX_MEASURE,
                                note="equality only at a = 8/177")]
-    t.final_bound = min(t.final_bound, _THIRD + split, _THIRD + combined, linear)
+    t.final_bound = min(t.final_bound, rational(N // 3 + min(split, combined), N), linear.rhs)
 
 
 def _case2(t: ProofTrace) -> None:
@@ -267,7 +291,8 @@ def check_extremal_containment(A: IntervalSet) -> ContainmentReport:
     of at least one of the seven maximal augmentations; the report lists
     every container and the smallest index.
     """
-    if not A.is_empty and (A.inf() < 0 or A.sup() > 1):
+    # inf A < 0 or sup A > 1, read from the codes
+    if not A.is_empty and (A._codes[0] < 0 or A._codes[-1] >> 1 > A._den):
         raise PreconditionError("containment check requires A inside [0, 1]")
     ok, witness = is_k_sum_free(A, 3)
     if not ok:

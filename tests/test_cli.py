@@ -195,6 +195,21 @@ def test_verb_rejects_an_option_it_does_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", A0],
+    *([verb, *fmt, A0] for verb in ("lemmas", "trace", "extremal")
+      for fmt in ([], ["--format", "records"])),
+    *(["optimize", "-m", "1", "--iters", "1", *fmt] for fmt in ([], ["--format", "records"])),
+    *(["density", "-k", "4", "-n", "10", *fmt] for fmt in ([], ["--format", "records"])),
+], ids=" ".join)
+def test_negative_decimal_is_a_usage_error_on_every_verb(argv, capsys):
+    # rejected as the arguments are parsed, before any cell is formatted
+    assert run([*argv, "--decimal", "-1"]) == USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(": error: argument --decimal: places must be >= 0\n")
+
+
 def test_trace_prints_the_context_of_an_early_exit(capsys):
     assert run(["trace", "(2/3,1)"]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["case: early-exit",

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_sets, random_interval_set, rationals, window
-from sumfree.intervals import EmptySetError, Interval, IntervalSet, ParseError
+from sumfree.intervals import (EmptySetError, Interval, IntervalSet, ParseError,
+                               _self_sumset_codes, _sumset_codes)
 from sumfree.rationals import rational
 
 A0_TEXT = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
@@ -302,6 +303,67 @@ class TestClip:
         assert str(a.clip(rational(1, 2), rational(2, 3))) == "[1/2,1/2]|[2/3,2/3]"
         assert str(a.clip(rational(0), rational(1))) == str(a)
         assert str(a.clip(rational(1, 4), rational(3, 4))) == "[1/4,1/2]|[2/3,3/4]"
+
+
+@st.composite
+def code_windows(draw):
+    """``(set, den, lo, hi)``: a set with negative values and singletons,
+    a multiple den of its D, and window ends as ints over den that are
+    the set's endpoints or any ints in [-2, 3] * den; either end is None
+    (unbounded) one time in six, hi is lo one time in five, and lo > hi
+    is common."""
+    a = draw(interval_sets())
+    for x in draw(st.lists(rationals(), max_size=2)):
+        a = a.union(IntervalSet.point(x))
+    den = a._den * draw(st.sampled_from([1, 2, 3, 7, 648]))
+    ends = [int(e * den) for c in a.components for e in (c.lo, c.hi)]
+    end = st.integers(-2 * den, 3 * den)
+    if ends:
+        end = st.sampled_from(ends) | end
+    lo = None if draw(st.integers(0, 5)) == 0 else draw(end)
+    if lo is not None and draw(st.integers(0, 4)) == 0:
+        return a, den, lo, lo
+    return a, den, lo, None if draw(st.integers(0, 5)) == 0 else draw(end)
+
+
+class TestCodeSpace:
+    """The int forms of the window cut and its measure, and the
+    self-sumset from half the pairs, against the rational forms."""
+
+    @settings(max_examples=400)
+    @given(code_windows())
+    @example((S("(0,1/2)|(1/2,1)"), 2, 1, 1))  # a window on a missing point
+    @example((S("[0,0]|(1/3,2/3)"), 3, 0, 0))  # a window on a singleton
+    @example((S("(-1,1)"), 6, 5, -5))  # lo > hi
+    @example((S("(-1,1)"), 6, None, None))
+    def test_mass_is_the_measure_of_the_clip(self, case):
+        a, den, lo, hi = case
+        if a.is_empty:
+            assert a._mass(den, lo, hi) == 0
+            return
+        # an unbounded end cuts nothing, as the window from inf A would not
+        wlo = a.inf() if lo is None else rational(lo, den)
+        whi = a.sup() if hi is None else rational(hi, den)
+        assert a._mass(den, lo, hi) == a.clip(wlo, whi).measure() * den
+
+    @settings(max_examples=400)
+    @given(code_windows())
+    def test_int_clip_is_clip(self, case):
+        a, den, lo, hi = case
+        if lo is None or hi is None:
+            return
+        assert a._clip(lo, hi, den) == a.clip(rational(lo, den), rational(hi, den))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-300, 300), unique=True, max_size=14))
+    def test_self_sumset_is_the_full_pairwise_merge(self, values):
+        codes = sorted(values)[:len(values) // 2 * 2]
+        assert _self_sumset_codes(codes) == _sumset_codes(codes, list(codes))
+
+    def test_self_sumset_of_a0(self):
+        a0 = S(A0_TEXT)
+        assert _self_sumset_codes(a0._codes) == _sumset_codes(a0._codes, list(a0._codes))
+        assert a0.minkowski(a0) == a0.minkowski(S(A0_TEXT))
 
 
 class TestExtrema:

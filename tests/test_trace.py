@@ -267,9 +267,8 @@ class TestCase2Constant:
 
     @staticmethod
     def verdict(a):
-        ctx = types.SimpleNamespace(a=a, mu_R=rational(0))
-        t = ProofTrace(IntervalSet.empty(), False, rational(0), TraceCase.CASE2, ctx,
-                       r=rational(1))
+        ctx = types.SimpleNamespace(a=a, mu_R=rational(0), measure=rational(0))
+        t = ProofTrace(TraceCase.CASE2, ctx, r=rational(1))
         _case2(t)
         (v,) = [v for v in t.verdicts if v.name == "case2-constant"]
         return v
