@@ -1,31 +1,2 @@
-from .search import (
-    DEFAULT_BUDGET,
-    EXTREMAL_CAP,
-    KERNEL_BACKEND,
-    NAIVE_BUDGET,
-    BudgetError,
-    DensityReport,
-    IntSet,
-    SearchResult,
-    density_report,
-    discretize,
-    is_k_sum_free_int,
-    max_k_sum_free,
-    max_k_sum_free_naive,
-)
-
-__all__ = [
-    "DEFAULT_BUDGET",
-    "EXTREMAL_CAP",
-    "KERNEL_BACKEND",
-    "NAIVE_BUDGET",
-    "BudgetError",
-    "DensityReport",
-    "IntSet",
-    "SearchResult",
-    "density_report",
-    "discretize",
-    "is_k_sum_free_int",
-    "max_k_sum_free",
-    "max_k_sum_free_naive",
-]
+from .search import *  # noqa: F403 -- the names of search.__all__
+from .search import __all__

@@ -9,13 +9,13 @@ k-sum-free verdict, stored by ``predicates.is_k_sum_free`` together
 with its k; the codes of A+A over D, stored by ``predicates.conflicts``,
 read by ``minkowski`` when both operands are the set and carried by
 ``dilate``, as alpha(A+A) = alpha A + alpha A; and the set's
-``lemmas.LemmaContext``, stored by ``LemmaContext.from_set`` together
-with its rescale flag.  Each is one attribute store of a value that is
-complete before the store and never changed after it (the sum codes
-are a list that no code mutates), so a thread reads either nothing or
-a complete value, and a verdict or a context is read together with the
-k or flag it answers; threads that race compute and store equal values,
-or for a different k or flag replace each other's.
+``lemmas.LemmaContext``, stored by ``LemmaContext.from_set``, one per
+set whatever the rescale flag.  Each is one attribute store of a value
+that is complete before the store and never changed after it (the sum
+codes are a list that no code mutates), so a thread reads either
+nothing or a complete value, and a verdict is read together with the k
+it answers; threads that race compute and store equal values, or for a
+different k replace each other's.
 
 Endpoint topology matters here: adjoining or removing single endpoints
 changes which sets are sum-free, so measure-only representations are
@@ -63,9 +63,11 @@ find the codes inside it.  ``clip(lo, hi)`` takes rationals and is
 ``_clip`` over their least common denominator with D.  ``_mass(den,
 lo, hi)`` is the int numerator over den of the measure of the same
 window's part of the set, summed over the components with no set
-built; either end may be left open.  ``parse`` reads each endpoint as
-an int numerator and denominator and codes it over their least common
-denominator, building no ``Fraction``.
+built; either end may be left open.  ``_end(den, i)`` is the inf or sup
+as an int over den.  ``lemmas`` and ``trace`` read windows, masses and
+extrema through these three and decode no code themselves.  ``parse``
+reads each endpoint as an int numerator and denominator and codes it
+over their least common denominator, building no ``Fraction``.
 
 Canonical text form, accepted and emitted by :meth:`IntervalSet.parse`
 and ``str()``::
@@ -468,6 +470,11 @@ class IntervalSet:
         if j & 1:
             out.append(b)
         return IntervalSet._of(den, out)
+
+    def _end(self, den: int, i: int) -> int:
+        """inf (i = 0) or sup (i = -1) of a nonempty set as an int over a
+        multiple ``den`` of D."""
+        return (self._codes[i] >> 1) * (den // self._den)
 
     def _mass(self, den: int, lo: int | None = None, hi: int | None = None) -> int:
         """The numerator over a multiple ``den`` of D of

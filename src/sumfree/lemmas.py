@@ -20,23 +20,30 @@ across all entry points: the caller's own check, ``lemma_report``, the
 tracer and the containment check.  ``is_k_sum_free`` keeps the
 3-sum-free verdict on the set, and with it the codes of A+A, which
 ``minkowski`` reads for the sumset bound on (S, S), also when S is the
-rescaled set; ``from_set`` keeps the context on the set, so the report
-and the trace of one set share it.
+rescaled set.  ``from_set`` keeps one context on the set, so the report
+and the trace of one set share it: its S always has sup 1, and the
+rescale flag only decides whether a rescaled context may be returned.
+A ``rescale=False`` call on a set whose sup is not 1 is refused and
+keeps the context, which a later ``rescale=True`` call returns.
 
 A context's quantities are ints over N = 648 * D, D the denominator of
 S, and a checker compares ints.  A ``Fraction`` is built only for a
 side of a ``CheckRecord`` or for a public field when it is read.  The
-windows A1 and R are cut with ``IntervalSet._clip`` and measured with
-``IntervalSet._mass`` over N.  648 = 2^3 * 3^4 makes every division in
-the checkers and in the tracer's Case1 exact.  Over N an endpoint of S
-is a multiple of 648 and 1/3 is 216 * D, so a and mu(S) are multiples of
-648; eps1, eps2 and mu(A1), whose ends are endpoints or 2/3, are
-multiples of 216 = 8 * 27, so eps1/6, 3*eps1/8 and (eps1 - 2a/3)/24 are
-ints; the head's ends, endpoints or 2/9 + a/3, are multiples of 72, so
-r/3, 4r/9 and the end 2r/9 + a/3 of the second head R0 are ints, the
-latter a multiple of 8, and (2b - a)/4 is one; and 81 divides 648 for
-the constants 8/81 and 10/81, 108 for 7a/108.  The head (1/r) * R gets
-a context of its own, over its own N.
+windows A1 and R are cut with ``IntervalSet._clip``, measured with
+``IntervalSet._mass`` and their ends read with ``IntervalSet._end``,
+all over N.  648 = 2^3 * 3^4 makes every division in the checkers and
+in the tracer exact.  Over N an endpoint of S is a multiple of 648 and
+1/3 is 216 * D, so a and mu(S) are multiples of 648; eps1, eps2 and
+mu(A1), whose ends are endpoints or 2/3, are multiples of 216 = 8 * 27,
+so eps1/6, 3*eps1/8 and (eps1 - 2a/3)/24 are ints; the head's ends,
+endpoints or 2/9 + a/3, are multiples of 72, so r/3, 4r/9, 5r/12,
+(r - a)/2, (2r - a)/6 and the end 2r/9 + a/3 of the second head R0 are
+ints, the latter a multiple of 8, and (2b - a)/4 is one; and 81, 54 and
+36 divide 648 for the constants 8/81, 10/81, 5/54 and 5a/36, as 108
+does for 7a/108.  The head (1/r) * R gets a context of its own, over
+its own N.  The two conditions the proof branches on are stated once
+each, on the context: ``tail_applies`` (eps1 + 2*eps2 <= 1/3) and
+``dense`` (mu(S) >= 5/12).
 
 Notation used throughout (exact rationals; a context holds each as an
 int over its N):
@@ -69,7 +76,6 @@ __all__ = [
     "check_superadditivity",
     "check_sumset_min_bound",
     "lemma_report",
-    "tail_cut",
 ]
 
 @dataclass(frozen=True)
@@ -118,8 +124,9 @@ class LemmaContext:
     denominator of S: ``a_N`` is a * N, and so on.  The Fractions a,
     eps1, eps2, measure, mu_A1, mu_R and tail are built only when read.
 
-    ``from_set`` keeps the context on A together with ``rescale`` and
-    returns it to a repeat call with the same flag; a call that raises
+    ``from_set`` keeps the one context of A on A and returns it to every
+    later call; a ``rescale=False`` call on a context that is
+    ``rescaled`` is refused, and the context stays.  A check that fails
     keeps nothing, so it raises again on every call.  When sup A = 1 the
     context's S is A itself, a reference cycle that the garbage
     collector frees.
@@ -149,20 +156,34 @@ class LemmaContext:
     def tail_N(self) -> int:
         return self.measure_N - self.mu_R_N
 
+    @property
+    def tail_applies(self) -> bool:
+        """eps1 + 2*eps2 <= 1/3: the tail bound and the auxiliary windows
+        apply, and a head with this property takes Case1."""
+        return self.eps1_N + 2 * self.eps2_N <= self.N // 3
+
+    @property
+    def dense(self) -> bool:
+        """mu(S) >= 5/12: the dense tail bound applies, and the tracer
+        does not exit early."""
+        return self.measure_N >= 5 * self.N // 12
+
     @classmethod
     def from_set(cls, A: IntervalSet, rescale: bool = False) -> "LemmaContext":
-        memo = getattr(A, "_context", None)
-        if memo is not None and memo[0] == rescale:
-            return memo[1]
-        if A.is_empty:
-            raise PreconditionError("checker requires a nonempty set")
-        if A._codes[0] < 0:  # inf A < 0
-            raise PreconditionError("checker requires A inside [0, +inf)")
-        ok, witness = is_k_sum_free(A, 3)
-        if not ok:
-            raise NotSumFreeError(witness)
-        ctx = cls._of(A, rescale)
-        object.__setattr__(A, "_context", (rescale, ctx))
+        ctx = getattr(A, "_context", None)
+        if ctx is None:
+            if A.is_empty:
+                raise PreconditionError("checker requires a nonempty set")
+            if A._end(A._den, 0) < 0:
+                raise PreconditionError("checker requires A inside [0, +inf)")
+            ok, witness = is_k_sum_free(A, 3)
+            if not ok:
+                raise NotSumFreeError(witness)
+            ctx = cls._of(A)
+            object.__setattr__(A, "_context", ctx)
+        if ctx.rescaled and not rescale:
+            raise PreconditionError(
+                f"checker requires sup(A) = 1, got {A.sup()} (pass rescale=True)")
         return ctx
 
     def head(self, R: IntervalSet) -> "LemmaContext":
@@ -170,46 +191,33 @@ class LemmaContext:
 
         R is 3-sum-free because S is, so it is not checked again.
         """
-        return self._of(R, rescale=True)
+        return self._of(R)
 
     def _record(self, name: str, lhs: int, rhs: int, note: str = "") -> CheckRecord:
         """The record lhs <= rhs of two ints over N."""
         return CheckRecord(name, rational(lhs, self.N), rational(rhs, self.N), note)
 
     @classmethod
-    def _of(cls, A: IntervalSet, rescale: bool) -> "LemmaContext":
-        """The quantities of a nonempty 3-sum-free set inside [0, +inf).
+    def _of(cls, A: IntervalSet) -> "LemmaContext":
+        """The quantities of a nonempty 3-sum-free set inside [0, +inf),
+        scaled to sup 1.
 
         0 is not in such a set (0 + 0 = 3*0), so sup A > 0.  After scaling
         sup S = 1, so S has points in [2/3, 1] and A1 is nonempty.
         """
-        top = A._codes[-1] >> 1  # sup A is top / D
+        top = A._end(A._den, -1)  # sup A is top / D
         rescaled = top != A._den
         if rescaled:
-            if not rescale:
-                raise PreconditionError(
-                    f"checker requires sup(A) = 1, got {A.sup()} (pass rescale=True)")
             A = A.dilate(rational(A._den, top))
         N = 648 * A._den
         A1 = A._clip(2 * N // 3, N, N)
         mu_A1 = A1._mass(N)
-        eps1 = _end(A1, N, 0) - 2 * N // 3
-        a = _end(A, N, 0)
+        eps1 = A1._end(N, 0) - 2 * N // 3
+        a = A._end(N, 0)
         # A lies in [a, 1] and the head and tail windows share one point
         R = A._clip(a, 2 * N // 9 + a // 3, N)
         eps2 = N // 3 - eps1 - mu_A1
         return cls(A, rescaled, A1, R, N, a, eps1, eps2, A._mass(N), mu_A1, R._mass(N))
-
-
-def _end(S: IntervalSet, N: int, i: int) -> int:
-    """inf S (i = 0) or sup S (i = -1) of a nonempty S as an int over N,
-    a multiple of S's denominator."""
-    return (S._codes[i] >> 1) * (N // S._den)
-
-
-def tail_cut(a) -> Rational:
-    """The cut point 2/9 + a/3 splitting a set into head and tail."""
-    return rational(2, 9) + rational(a) / 3
 
 
 def check_extent_bound(ctx: LemmaContext) -> CheckRecord:
@@ -232,9 +240,9 @@ def check_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
     1/3 - eps1/6 when eps1 <= 2a/3 (named "tail-bound[small-eps1]"), and
     1/3 - (eps1 - 2a/3)/24 otherwise ("tail-bound[large-eps1]").
     """
-    N, a, e1, e2 = ctx.N, ctx.a_N, ctx.eps1_N, ctx.eps2_N
-    if e1 + 2 * e2 > N // 3:
+    if not ctx.tail_applies:
         return None
+    N, a, e1 = ctx.N, ctx.a_N, ctx.eps1_N
     if e1 <= 2 * a // 3:
         branch, bound = "small-eps1", N // 3 - e1 // 6
     else:
@@ -255,10 +263,10 @@ def check_tail_equality(ctx: LemmaContext) -> CheckRecord | None:
     A failing verdict would falsify the rigidity statement; the suite
     treats it as fatal.
     """
-    N, e1, e2 = ctx.N, ctx.eps1_N, ctx.eps2_N
-    if e1 + 2 * e2 > N // 3 or ctx.tail_N != N // 3:
+    if not ctx.tail_applies or ctx.tail_N != ctx.N // 3:
         return None
-    return ctx._record("tail-equality-rigidity", e1 + e2, 0, note="tail mass is exactly 1/3")
+    return ctx._record("tail-equality-rigidity", ctx.eps1_N + ctx.eps2_N, 0,
+                       note="tail mass is exactly 1/3")
 
 
 def check_dense_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
@@ -266,7 +274,7 @@ def check_dense_tail_bound(ctx: LemmaContext) -> CheckRecord | None:
 
     None when mu(S) < 5/12.
     """
-    if ctx.measure_N < 5 * ctx.N // 12:
+    if not ctx.dense:
         return None
     return ctx._record("dense-tail-bound", ctx.tail_N, ctx.N // 3, note="mu(A) >= 5/12")
 
@@ -279,24 +287,20 @@ def check_superadditivity(A: IntervalSet, B: IntervalSet) -> CheckRecord:
                        A.minkowski(B).measure())
 
 
-def check_sumset_min_bound(A: IntervalSet, B: IntervalSet, mA: Rational | None = None,
-                           mB: Rational | None = None) -> CheckRecord:
+def check_sumset_min_bound(A: IntervalSet, B: IntervalSet) -> CheckRecord:
     """mu(A+B) >= min(2 mu(A) + mu(B), mu(A) + diam(B)) with mu(A) <= mu(B).
 
-    Operands are swapped internally if needed.  A caller that already
-    holds mu(A) or mu(B) may pass it as ``mA`` or ``mB``.  Every term is
-    an int over the least common denominator of A and B, and the record's
-    two sides are its only Fractions.
+    Operands are swapped internally if needed.  Every term is an int over
+    the least common denominator of A and B, and the record's two sides
+    are its only Fractions.
     """
     if A.is_empty or B.is_empty:
         raise PreconditionError("sumset bound requires nonempty operands")
     den = lcm(A._den, B._den)
-    # a measure's denominator divides its set's, and so den
-    nA = A._mass(den) if mA is None else mA.numerator * (den // mA.denominator)
-    nB = B._mass(den) if mB is None else mB.numerator * (den // mB.denominator)
+    nA, nB = A._mass(den), B._mass(den)
     if nA > nB:
         A, B, nA, nB = B, A, nB, nA
-    diam = _end(B, den, -1) - _end(B, den, 0)
+    diam = B._end(den, -1) - B._end(den, 0)
     return CheckRecord("sumset-min-bound", rational(min(2 * nA + nB, nA + diam), den),
                        rational(A.minkowski(B)._mass(den), den))
 

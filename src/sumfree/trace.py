@@ -15,14 +15,15 @@ and records one exact verdict per displayed inequality, stated as its
 two sides lhs <= rhs; a verdict passes exactly when that holds.  The final
 certified bound is the minimum over all applicable bounds and is >=
 mu(A); on the extremal set it equals 77/177 exactly, with every step an
-equality.  The early exit, the auxiliary windows of
-``_window_verdicts`` and Case1 compute in the ints over N = 648 * D of
-the set's ``LemmaContext`` (see ``lemmas`` for why every division is
-exact there): R0 is cut with ``IntervalSet._clip``, the window masses
-come from ``IntervalSet._mass`` with no window set built, and a
-``Fraction`` is built only for a verdict's side and for the public
-fields r, b, eta1, eta2 and ``final_bound``.  Case2, which no known set
-reaches, computes in ``Fraction``s from the context's public fields.
+equality.  Every case computes in the ints over N = 648 * D of the
+set's ``LemmaContext`` (see ``lemmas`` for why every division is exact
+there): R0 is cut with ``IntervalSet._clip``, the window masses come
+from ``IntervalSet._mass`` with no window set built, r and b are read
+with ``IntervalSet._end``, and a ``Fraction`` is built only for a
+verdict's side, for the public fields r, b, eta1, eta2 and
+``final_bound``, and for the named constants 2/21, 3/7, 22/51 and 2/5,
+which are not ints over N.  The early exit and the Case1/Case2 split
+read the context's ``dense`` and ``tail_applies``.
 
 Cases:
     early-exit          mu(A) < 5/12, nothing to do
@@ -32,9 +33,9 @@ Cases:
 
 The tracer takes its set's context from ``LemmaContext.from_set`` and
 hands it to the checkers it reuses.  The 3-sum-free verdict and the
-context are kept on the set, so a set is validated once, and its
-context built once per rescale flag, across all entry points, however
-many of them a caller runs on it: after ``lemma_report(A)``,
+context are kept on the set, so a set is validated once, and its one
+context built once, across all entry points, however many of them a
+caller runs on it: after ``lemma_report(A)``,
 ``trace_measure_bound(A, rescale=True)`` checks nothing and shares the
 report's context.
 
@@ -57,7 +58,6 @@ from .lemmas import (
     CheckRecord,
     LemmaContext,
     PreconditionError,
-    _end,
     check_dense_tail_bound,
     check_tail_bound,
 )
@@ -67,9 +67,9 @@ from .rationals import MAX_MEASURE, Rational, rational
 __all__ = ["TraceCase", "ProofTrace", "trace_measure_bound",
            "ContainmentReport", "check_extremal_containment"]
 
-_THIRD = rational(1, 3)
 _DENSE_THRESHOLD = rational(5, 12)
 _HEAD_CAP = rational(2, 21)  # head-cap-constant's bound on mu(R) when R0 is empty
+_R0_EMPTY_BOUND = rational(3, 7)  # 1/3 + _HEAD_CAP
 
 
 class TraceCase(Enum):
@@ -135,16 +135,16 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
 
     Pass ``rescale=True`` to work on (1/sup A)*A when sup differs from 1.
     A's context comes from ``LemmaContext.from_set``, which checks A and
-    builds the context once per set and rescale flag across all entry
-    points; the context of the head (1/r)*R is derived from it without a
-    second check, as R is a subset.  Every verdict is lhs <= rhs and
-    passes exactly when that holds.
+    builds its one context once across all entry points; the context of
+    the head (1/r)*R is derived from it without a second check, as R is
+    a subset.  Every verdict is lhs <= rhs and passes exactly when that
+    holds.
     """
     ctx = LemmaContext.from_set(A, rescale)
     N, a, mu, muR = ctx.N, ctx.a_N, ctx.measure_N, ctx.mu_R_N
     t = ProofTrace(TraceCase.EARLY_EXIT, ctx)
 
-    if mu < 5 * N // 12:
+    if not ctx.dense:
         t.verdicts += [CheckRecord("below-dense-threshold", ctx.measure, _DENSE_THRESHOLD,
                                    note="strict"),
                        CheckRecord("threshold-vs-ceiling", _DENSE_THRESHOLD, MAX_MEASURE)]
@@ -160,14 +160,14 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     t.verdicts += [split, ctx._record("head-window-cap", muR, window_cap)]
 
     # dense-tail-bound caps the tail at 1/3, so muR = mu - tail >= 1/12 > 0
-    r = _end(ctx.R, N, -1)
+    r = ctx.R._end(N, -1)
     t.R, t.r = ctx.R, rational(r, N)
     ctx_r = ctx.head(ctx.R)  # the head (1/r)*R
     t.eta1, t.eta2 = ctx_r.eps1, ctx_r.eps2
-    if ctx_r.eps1_N + 2 * ctx_r.eps2_N <= ctx_r.N // 3:
+    if ctx_r.tail_applies:
         _case1(t, ctx_r, r, window_cap)
     else:
-        _case2(t)
+        _case2(t, r)
     t.verdicts.append(CheckRecord("final-vs-ceiling", t.final_bound, MAX_MEASURE))
     return t
 
@@ -181,9 +181,9 @@ def _window_verdicts(ctx: LemmaContext) -> Iterator[CheckRecord]:
     so they are not claims there.  It reads only the context, in ints
     over its N.
     """
-    S, N, a, e1, e2 = ctx.S, ctx.N, ctx.a_N, ctx.eps1_N, ctx.eps2_N
-    if e1 + 2 * e2 > N // 3:
+    if not ctx.tail_applies:
         return
+    S, N, a, e1, e2 = ctx.S, ctx.N, ctx.a_N, ctx.eps1_N, ctx.eps2_N
     for name, lo, hi in (
         ("2/3", 4 * N // 9 + 2 * e1 // 3, 2 * N // 3),
         ("4/9", N // 3 + e1 // 2, 4 * N // 9 + e1 // 6),
@@ -219,12 +219,11 @@ def _case1(t: ProofTrace, ctx_r: LemmaContext, r: int, window_cap: int) -> None:
         lin = ctx._record("head-cap-linear", muR, min(2 * N // 27 + a // 9, window_cap))
         t.verdicts += [ctx._record("head-cap-combined", muR, cap), lin,
                        CheckRecord("head-cap-constant", lin.rhs, _HEAD_CAP)]
-        t.final_bound = min(t.final_bound, rational(N // 3 + min(split, cap), N),
-                            _THIRD + _HEAD_CAP)
+        t.final_bound = min(t.final_bound, rational(N // 3 + min(split, cap), N), _R0_EMPTY_BOUND)
         return
 
     t.case = TraceCase.CASE1_R0_NONEMPTY
-    b = _end(R0, N, -1)
+    b = R0._end(N, -1)
     t.b = rational(b, N)
     combined = min(4 * r // 9 - a // 12, 5 * r // 9 - 2 * a // 3)
     linear = ctx._record("measure-linear", mu, N // 3 + min(8 * N // 81 + 7 * a // 108,
@@ -239,26 +238,31 @@ def _case1(t: ProofTrace, ctx_r: LemmaContext, r: int, window_cap: int) -> None:
     t.final_bound = min(t.final_bound, rational(N // 3 + min(split, combined), N), linear.rhs)
 
 
-def _case2(t: ProofTrace) -> None:
-    """eta1 + 2*eta2 > 1/3: the head is sparse enough to bound directly."""
-    a, mu, muR, r = t.context.a, t.measure, t.context.mu_R, t.r
+def _case2(t: ProofTrace, r: int) -> None:
+    """eta1 + 2*eta2 > 1/3: the head is sparse enough to bound directly.
+
+    ``r`` is sup R, an int over the context's N.
+    """
+    ctx = t.context
+    N, a, mu, muR = ctx.N, ctx.a_N, ctx.measure_N, ctx.mu_R_N
     t.case = TraceCase.CASE2
-    top = 5 * r / 12
-    dichotomy = max((r - a) / 2, (2 * r - a) / 6)
-    linear = _THIRD + min(max(rational(1, 9) - a / 3, rational(2, 27) - a / 18),
-                          rational(5, 54) + 5 * a / 36)
+    top = 5 * r // 12
+    dichotomy = max((r - a) // 2, (2 * r - a) // 6)
+    linear = ctx._record("measure-linear", mu, N // 3 + min(
+        max(N // 9 - a // 3, 2 * N // 27 - a // 18), 5 * N // 54 + 5 * a // 36))
     # each constant is the exact supremum of 1/3 + linear on its side of
     # 2/15: 22/51 at a = 2/51, and 2/5 at a = 2/15
-    if a < rational(2, 15):
+    if 15 * a < 2 * N:
         const, note = rational(22, 51), "a < 2/15"
     else:
         const, note = rational(2, 5), "a >= 2/15"
-    t.verdicts += [CheckRecord("head-top-window", muR, top),
-                   CheckRecord("head-dichotomy", muR, dichotomy),
-                   CheckRecord("measure-linear", mu, linear),
-                   CheckRecord("case2-constant", linear, const, note=note),
+    t.verdicts += [ctx._record("head-top-window", muR, top),
+                   ctx._record("head-dichotomy", muR, dichotomy),
+                   linear,
+                   CheckRecord("case2-constant", linear.rhs, const, note=note),
                    CheckRecord("constant-vs-ceiling", const, MAX_MEASURE)]
-    t.final_bound = min(t.final_bound, _THIRD + min(dichotomy, top), linear, const)
+    t.final_bound = min(t.final_bound, rational(N // 3 + min(dichotomy, top), N),
+                        linear.rhs, const)
 
 
 @dataclass
@@ -291,8 +295,7 @@ def check_extremal_containment(A: IntervalSet) -> ContainmentReport:
     of at least one of the seven maximal augmentations; the report lists
     every container and the smallest index.
     """
-    # inf A < 0 or sup A > 1, read from the codes
-    if not A.is_empty and (A._codes[0] < 0 or A._codes[-1] >> 1 > A._den):
+    if not A.is_empty and (A._end(A._den, 0) < 0 or A._end(A._den, -1) > A._den):
         raise PreconditionError("containment check requires A inside [0, 1]")
     ok, witness = is_k_sum_free(A, 3)
     if not ok:

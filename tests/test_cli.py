@@ -210,6 +210,13 @@ def test_negative_decimal_is_a_usage_error_on_every_verb(argv, capsys):
     assert err.endswith(": error: argument --decimal: places must be >= 0\n")
 
 
+def test_a_decimal_that_is_not_an_int_is_a_usage_error(capsys):
+    assert run(["measure", "--decimal", "abc", "(0,1)"]) == USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(": error: argument --decimal: invalid int value: 'abc'\n")
+
+
 def test_trace_prints_the_context_of_an_early_exit(capsys):
     assert run(["trace", "(2/3,1)"]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["case: early-exit",

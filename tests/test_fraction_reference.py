@@ -3,11 +3,12 @@ every quantity, window mass and verdict side is recomputed from the
 proof's formulas in ``Fraction`` arithmetic, with windows cut by
 ``intersect`` and sumsets taken pairwise, and compared with theirs.
 Equal records on these sets show that each division over N is exact:
-a floor division that truncated would give a different side.  Case2,
-which no known set reaches, computes in ``Fraction``s and is not
-compared."""
+a floor division that truncated would give a different side.  No known
+set reaches Case2, so its formulas are also compared on a grid of
+contexts built from its numbers."""
 
 import random
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from conftest import interval_sets, window
 from sumfree.constructions import construct_extremal, random_sum_free
 from sumfree.intervals import IntervalSet
-from sumfree.lemmas import LemmaContext, lemma_report, tail_cut
+from sumfree.lemmas import LemmaContext, lemma_report
 from sumfree.predicates import strip
 from sumfree.rationals import MAX_MEASURE, rational as F
-from sumfree.trace import TraceCase, _window_verdicts, trace_measure_bound
+from sumfree.trace import ProofTrace, TraceCase, _case2, _window_verdicts, trace_measure_bound
 from test_trace import CASE1_R0_EMPTY_SET, WINDOW_BC_SET
 
 THIRD = F(1, 3)
@@ -31,7 +32,7 @@ def context(A):
     A1 = S.intersect(window(F(2, 3), 1))
     eps1 = A1.inf() - F(2, 3)
     a = S.inf()
-    R = S.intersect(window(a, tail_cut(a)))
+    R = S.intersect(window(a, F(2, 9) + a / 3))
     mu, mu_A1, mu_R = S.measure(), A1.measure(), R.measure()
     return SimpleNamespace(S=S, A1=A1, R=R, a=a, eps1=eps1, eps2=THIRD - eps1 - mu_A1,
                            measure=mu, mu_A1=mu_A1, mu_R=mu_R, tail=mu - mu_R)
@@ -88,9 +89,20 @@ def window_records(c):
     return out
 
 
+def case2(a, mu, muR, r, final):
+    """Case2's verdict sides and its final bound, lowered from ``final``."""
+    top = 5 * r / 12
+    dichotomy = max((r - a) / 2, (2 * r - a) / 6)
+    linear = THIRD + min(max(F(1, 9) - a / 3, F(2, 27) - a / 18), F(5, 54) + 5 * a / 36)
+    const = F(22, 51) if a < F(2, 15) else F(2, 5)
+    out = [("head-top-window", muR, top), ("head-dichotomy", muR, dichotomy),
+           ("measure-linear", mu, linear), ("case2-constant", linear, const),
+           ("constant-vs-ceiling", const, MAX_MEASURE)]
+    return out, min(final, THIRD + min(dichotomy, top), linear, const)
+
+
 def trace(c):
-    """``(case, verdict sides, final bound, r, b, eta1, eta2)`` of the
-    proof's Case1 path; None when the trace reaches Case2."""
+    """``(case, verdict sides, final bound, r, b, eta1, eta2)`` of the proof."""
     a, mu, muR = c.a, c.measure, c.mu_R
     if mu < F(5, 12):
         return (TraceCase.EARLY_EXIT, [("below-dense-threshold", mu, F(5, 12)),
@@ -103,7 +115,9 @@ def trace(c):
     r = c.R.sup()
     h = context(c.R)
     if h.eps1 + 2 * h.eps2 > THIRD:
-        return None
+        verdicts, final = case2(a, mu, muR, r, final)
+        out += [*verdicts, ("final-vs-ceiling", final, MAX_MEASURE)]
+        return TraceCase.CASE2, out, final, r, None, h.eps1, h.eps2
     R0_cap = 2 * r / 9 + a / 3
     R0 = c.R.intersect(window(a, R0_cap))
     muR0 = R0.measure()
@@ -143,11 +157,8 @@ def assert_matches_the_fraction_formulas(A):
         assert [getattr(c, n) for n in names] == [getattr(r, n) for n in names]
         assert sides(_window_verdicts(c)) == window_records(r)
     assert sides(lemma_report(A).records) == lemma_records(ref)
-    expected = trace(ref)
-    if expected is None:  # Case2 computes in Fractions itself
-        return
     t = trace_measure_bound(A, rescale=True)
-    case, verdicts, final, r, b, eta1, eta2 = expected
+    case, verdicts, final, r, b, eta1, eta2 = trace(ref)
     assert (t.case, sides(t.verdicts), t.final_bound) == (case, verdicts, final)
     assert (t.r, t.b, t.eta1, t.eta2) == (r, b, eta1, eta2)
 
@@ -195,3 +206,22 @@ def test_integer_path_matches_on_stripped_sets(a):
     stripped = strip(a)
     if not stripped.is_empty:
         assert_matches_the_fraction_formulas(stripped)
+
+
+def test_case2_matches_the_fraction_formulas():
+    # contexts of Case2's numbers alone, over N = 648 times their common
+    # denominator; r < 2a makes (2r - a)/6 the larger term of head-dichotomy
+    empty = IntervalSet.empty()
+    for a in [F(i, 1000) for i in range(223)] + [F(2, 51), F(2, 15)]:
+        cut = F(2, 9) + a / 3
+        for r in {a + (cut - a) * k / 4 for k in range(5)} | {3 * a / 2}:
+            for mu in (F(5, 12), MAX_MEASURE, F(1, 2)):
+                for muR in (F(0), F(1, 12), r / 3):
+                    N = 648 * lcm(a.denominator, r.denominator, mu.denominator, muR.denominator)
+                    ctx = LemmaContext(empty, False, empty, empty, N, int(a * N), 0, 0,
+                                       int(mu * N), 0, int(muR * N))
+                    t = ProofTrace(TraceCase.CASE2, ctx, r=r, final_bound=THIRD + muR)
+                    _case2(t, int(r * N))
+                    verdicts, final = case2(a, mu, muR, r, THIRD + muR)
+                    assert (sides(t.verdicts), t.final_bound) == (verdicts, final), (a, r, mu, muR)
+                    assert t.verdicts[3].note == ("a < 2/15" if a < F(2, 15) else "a >= 2/15")

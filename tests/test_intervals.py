@@ -466,6 +466,11 @@ class TestTextFormat:
             rng.shuffle(shuffled)
             assert IntervalSet(shuffled) == s
 
+    def test_a_set_never_equals_a_non_set(self):
+        s = S("(0,1)")
+        assert s.__eq__(1) is NotImplemented
+        assert not s == 1 and s != "(0,1)"
+
 
 class TestImmutability:
     def test_setattr_blocked(self):

@@ -19,7 +19,6 @@ from sumfree.lemmas import (
     check_tail_equality,
     check_top_window_bound,
     lemma_report,
-    tail_cut,
 )
 from sumfree.predicates import NotSumFreeError, is_k_sum_free, strip
 from sumfree.rationals import rational
@@ -65,7 +64,7 @@ class TestContext:
 
     def test_head_equals_checked_context_of_the_head(self):
         ctx = LemmaContext.from_set(extremal_base())
-        R = ctx.S.intersect(window(ctx.a, tail_cut(ctx.a)))
+        R = ctx.S.intersect(window(ctx.a, rational(2, 9) + ctx.a / 3))
         assert R == S("(8/177,4/59)|(28/177,14/59)")
         head = ctx.head(R)
         assert head == LemmaContext.from_set(R, rescale=True)
@@ -80,7 +79,7 @@ class TestContext:
             ctx = LemmaContext.from_set(A, rescale=True)
             contexts = [ctx] if ctx.R.is_empty else [ctx, ctx.head(ctx.R)]
             for c in contexts:
-                cut = tail_cut(c.a)
+                cut = rational(2, 9) + c.a / 3
                 assert c.R == c.S.intersect(window(c.a, cut))
                 assert c.tail == c.S.intersect(window(cut, 1)).measure()
                 assert (c.mu_A1, c.mu_R) == (c.A1.measure(), c.R.measure())
@@ -248,10 +247,13 @@ class TestSumsetChecks:
             if a.is_empty or b.is_empty:
                 continue
             assert check_superadditivity(a, b).passed
-            rec = check_sumset_min_bound(a, b)
-            assert rec.passed
-            # measures passed in give the same record
-            assert check_sumset_min_bound(a, b, a.measure(), b.measure()) == rec
+            assert check_sumset_min_bound(a, b).passed
+
+    @pytest.mark.parametrize("check", [check_superadditivity, check_sumset_min_bound])
+    def test_an_empty_operand_is_a_precondition_error(self, check):
+        for a, b in ((IntervalSet.empty(), S("(0,1)")), (S("(0,1)"), IntervalSet.empty())):
+            with pytest.raises(PreconditionError, match="nonempty operands"):
+                check(a, b)
 
 
 class TestLemmaReport:

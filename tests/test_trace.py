@@ -1,5 +1,3 @@
-import types
-
 import pytest
 
 import sumfree.lemmas
@@ -155,9 +153,9 @@ class TestValidateOnce:
         built = []
         real = LemmaContext._of.__func__
 
-        def counting(cls, B, rescale):
+        def counting(cls, B):
             built.append(B)
-            return real(cls, B, rescale)
+            return real(cls, B)
 
         monkeypatch.setattr(LemmaContext, "_of", classmethod(counting))
         report = lemma_report(A)
@@ -174,6 +172,24 @@ class TestValidateOnce:
             with pytest.raises(PreconditionError, match="rescale=True"):
                 trace_measure_bound(A)
         assert LemmaContext.from_set(A, True) is ctx
+
+    def test_one_context_per_set_whatever_the_flag(self, monkeypatch):
+        built = []
+        real = LemmaContext._of.__func__
+
+        def counting(cls, B):
+            built.append(B)
+            return real(cls, B)
+
+        monkeypatch.setattr(LemmaContext, "_of", classmethod(counting))
+        A = IntervalSet.parse(str(extremal_base()))  # sup 1, with no kept context
+        ctx = LemmaContext.from_set(A)
+        assert LemmaContext.from_set(A, True) is ctx is LemmaContext.from_set(A, False)
+        half = extremal_base().dilate(rational(1, 2))
+        with pytest.raises(PreconditionError, match="rescale=True"):
+            LemmaContext.from_set(half)  # refused, and the context is kept
+        assert LemmaContext.from_set(half, True).rescaled
+        assert built == [A, half]
 
     @pytest.mark.parametrize("text", ["(1/2,1)", "(1/4,1/2)"])
     def test_a_set_that_is_not_sum_free_raises_on_every_call(self, text):
@@ -251,6 +267,11 @@ class TestContainment:
                            for i in range(1, 8)]
         assert [rep.container for rep in reports] == list(range(1, 8))
 
+    def test_a_set_below_the_ceiling_is_consistent(self):
+        rep = check_extremal_containment(IntervalSet.parse("(2/3,1)"))
+        assert rep == ContainmentReport(rational(1, 3), False)
+        assert rep.consistent and rep.container is None
+
     @pytest.mark.parametrize("text", ["(1,3/2)", "[-1,-1]|[1,1]"])
     def test_outside_the_unit_interval_is_a_precondition_error(self, text):
         # both sets are 3-sum-free, so the error is the containment check's
@@ -261,15 +282,18 @@ class TestContainment:
 
 class TestCase2Constant:
     """``case2-constant`` bounds 1/3 + linear by its exact supremum on each
-    side of a = 2/15.  Case2 has no pinned example, so a stub context and
-    trace stand in for one; the head's mu(R) and r do not enter this
-    verdict."""
+    side of a = 2/15.  Case2 has no pinned example, so a context built from
+    its numbers over N = 648 * denominator(a), with the empty set for its
+    sets, and a trace stand in for one; the head's mu(R) and r do not
+    enter this verdict."""
 
     @staticmethod
     def verdict(a):
-        ctx = types.SimpleNamespace(a=a, mu_R=rational(0), measure=rational(0))
+        N = 648 * a.denominator
+        empty = IntervalSet.empty()
+        ctx = LemmaContext(empty, False, empty, empty, N, a.numerator * 648, 0, 0, 0, 0, 0)
         t = ProofTrace(TraceCase.CASE2, ctx, r=rational(1))
-        _case2(t)
+        _case2(t, N)
         (v,) = [v for v in t.verdicts if v.name == "case2-constant"]
         return v
 
