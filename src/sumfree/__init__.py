@@ -5,9 +5,10 @@ package provides the exact rational interval-set algebra needed to
 decide that predicate on finite interval unions, the extremal
 three-interval construction of measure 77/177 inside [0,1] together
 with its seven maximal augmentations, executable verifiers for the
-measure inequalities these sets obey, a deterministic optimizer that
-rediscovers the optimum, and an exhaustive search for the integer
-variant on {1..n}.
+measure inequalities these sets obey, an exact LP branch and bound
+that finds the optimum over sets of at most m components with a
+certificate that checks without the solver, and an exhaustive search
+for the integer variant on {1..n}.
 
 Everything numeric is an exact rational; no verdict anywhere depends on
 floating point.

@@ -128,9 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_decimal(p)
     p.set_defaults(handler=_cmd_extremal)
 
-    p = sub.add_parser("optimize", help="deterministic search for maximal measure")
+    p = sub.add_parser("optimize", help="exact search for maximal measure")
     p.add_argument("-m", type=int, required=True, help="max component count")
-    p.add_argument("--iters", type=int, default=40000)
+    # 2000 LP nodes prove every m <= 6 (m = 6 takes 919); a larger m stops
+    # at the budget, after about 1 s for m = 7 and 6 s for m = 20 on a 2-core host
+    p.add_argument("--iters", type=int, default=2000, metavar="NODES",
+                   help="node budget of the LP branch and bound (default 2000)")
     add_format(p)
     add_decimal(p)
     p.set_defaults(handler=_cmd_optimize)
@@ -259,9 +262,12 @@ def _cmd_extremal(args, stdin):
 
 def _cmd_optimize(args, stdin):
     result = optimize(args.m, 0, args.iters)  # the seed does not affect the result
+    s = result.search
+    verdict = (f"proved: no set of at most {args.m} components measures more" if s.proved
+               else "not proved: the node budget ran out")
     return ([CheckRecord("optimize", result.measure, MAX_MEASURE), str(result.best)],
             [f"best set: {result.best}", f"measure: {_rat(result.measure, args)}",
-             f"accepted {result.accepted} of {result.evaluated} evaluated moves"])
+             f"nodes {s.nodes}, pivots {s.pivots}, pruned leaves {s.pruned}, {verdict}"])
 
 
 def _cmd_discrete_max(args, stdin):

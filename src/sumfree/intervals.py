@@ -53,21 +53,20 @@ included, works on ints.  The sweep, the pairwise sums, the merge and
 the scaling are module-level helpers on code lists, which
 ``predicates`` and ``optimize`` call directly: the codes of A+A over D
 are those of (1/k)(A+A) over kD, so a set meets its own scaled sumset
-in one sweep, and the optimizer moves an endpoint by rewriting two
-codes, with no intermediate set and no ``Fraction``.
+in one sweep, and the optimizer closes an endpoint by rewriting one
+code, with no intermediate set and no ``Fraction``.
 
 Windows.  ``_clip(lo, hi, den)`` cuts a set to the closed window
 [lo/den, hi/den], for ints lo and hi over a multiple den of D: the
 window is the code range [2lo, 2hi+1) over den, and two bisections
-find the codes inside it.  ``clip(lo, hi)`` takes rationals and is
-``_clip`` over their least common denominator with D.  ``_mass(den,
-lo, hi)`` is the int numerator over den of the measure of the same
-window's part of the set, summed over the components with no set
-built; either end may be left open.  ``_end(den, i)`` is the inf or sup
-as an int over den.  ``lemmas`` and ``trace`` read windows, masses and
-extrema through these three and decode no code themselves.  ``parse``
-reads each endpoint as an int numerator and denominator and codes it
-over their least common denominator, building no ``Fraction``.
+find the codes inside it.  ``_mass(den, lo, hi)`` is the int numerator
+over den of the measure of the same window's part of the set, summed
+over the components with no set built; either end may be left open.
+``_end(den, i)`` is the inf or sup as an int over den.  ``lemmas`` and
+``trace`` read windows, masses and extrema through these three and
+decode no code themselves.  ``parse`` reads each endpoint as an int
+numerator and denominator and codes it over their least common
+denominator, building no ``Fraction``.
 
 Canonical text form, accepted and emitted by :meth:`IntervalSet.parse`
 and ``str()``::
@@ -228,9 +227,9 @@ _PIECE_RE = re.compile(
 class IntervalSet:
     """Canonical finite union of disjoint, sorted, maximal intervals."""
 
-    # _verdict, _sums and _context are left unset by _init: the optimizer
-    # builds thousands of sets whose verdicts nobody asks for, and a read
-    # of an unset slot falls back to getattr's default
+    # _verdict, _sums and _context are left unset by _init: most sets are
+    # intermediate results whose verdicts nobody asks for, and a read of
+    # an unset slot falls back to getattr's default
     __slots__ = ("_den", "_codes", "_components", "_verdict", "_sums", "_context")
 
     def __init__(self, pieces=()):
@@ -443,12 +442,6 @@ class IntervalSet:
         return IntervalSet._of(den, _sumset_codes(a, b))
 
     __add__ = minkowski
-
-    def clip(self, lo, hi) -> "IntervalSet":
-        """``self & [lo, hi]`` for rationals lo and hi; empty when lo > hi."""
-        den = lcm(self._den, lo.denominator, hi.denominator)
-        return self._clip(lo.numerator * (den // lo.denominator),
-                          hi.numerator * (den // hi.denominator), den)
 
     def _clip(self, lo: int, hi: int, den: int) -> "IntervalSet":
         """``self & [lo/den, hi/den]`` for ints lo and hi over a multiple

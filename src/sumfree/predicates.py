@@ -99,7 +99,8 @@ def strip(A: IntervalSet) -> IntervalSet:
     x + y = 3z in A' would put z in (1/3)(A'+A'), a subset of
     (1/3)(A+A), which A' misses.  Equal to
     ``A.difference(A.minkowski(A).dilate(1/3))``.  The sums are not
-    kept: the optimizer strips thousands of candidates it then drops.
+    kept on A, which is the raw sample of ``random_sum_free`` and is
+    dropped after the strip.
     """
     return _against_sums(A, 3, _DIFFERENCE, _self_sumset_codes(A._codes))
 

@@ -105,9 +105,14 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
 
 @pytest.mark.parametrize("argv,out", [
     (["optimize", "-m", "1", "--iters", "300", "--format", "records"],
-     "optimize\t1/3\t77/177\tpass\n[2/3,1)\n"),
+     "optimize\t1/3\t77/177\tpass\n(2/3,1]\n"),
     (["optimize", "-m", "1", "--iters", "300"],
-     "best set: [2/3,1)\nmeasure: 1/3\naccepted 1 of 135 evaluated moves\n"),
+     "best set: (2/3,1]\nmeasure: 1/3\n"
+     "nodes 1, pivots 2, pruned leaves 1, proved: no set of at most 1 components measures more\n"),
+    # two nodes of 19: the stack chain's A0, closed, and no proof
+    (["optimize", "-m", "3", "--iters", "2"],
+     "best set: (8/177,4/59]|(28/177,14/59]|(2/3,1]\nmeasure: 77/177\n"
+     "nodes 2, pivots 7, pruned leaves 0, not proved: the node budget ran out\n"),
     (["construct", "a3"], "[8/177,4/59)|(28/177,14/59]|(2/3,1]\n"),
     (["measure", A0], "77/177\n"),
     (["measure", "--decimal", "4", "(0,1/3)"], "1/3 ~0.3333\n"),
@@ -152,28 +157,27 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
      "measure-linear\t77/177\t77/177\tpass\n"
      "linear-vs-ceiling\t77/177\t77/177\tpass\n"
      "final-vs-ceiling\t77/177\t77/177\tpass\n"),
-], ids=["optimize-records", "optimize-text", "construct", "measure", "measure-decimal",
-        "gen", "forbidden", "extremal-records", "extremal-text", "extremal-not-extremal",
-        "extremal-not-extremal-records",
-        "verify-text", "verify-records", "discrete-records", "discrete-all",
-        "discrete-all-records", "trace-records"])
+], ids=["optimize-records", "optimize-text", "optimize-unproved", "construct", "measure",
+        "measure-decimal", "gen", "forbidden", "extremal-records", "extremal-text",
+        "extremal-not-extremal", "extremal-not-extremal-records", "verify-text",
+        "verify-records", "discrete-records", "discrete-all", "discrete-all-records",
+        "trace-records"])
 def test_passing_verbs(argv, out, capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == out
 
 
-@pytest.mark.parametrize("seed", range(1, 31))
-def test_optimize_one_component_moves_once(seed, capsys):
-    # the one move closes 2/3: a lo nudge, stripped, is [2/3,1).  A
-    # stack has two components, more than m = 1, so it is never a move.
-    # The CLI reads no seed; what it prints is the library's walk for
-    # any seed, since the seed does not affect the result
-    assert run(["optimize", "-m", "1", "--iters", "300"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    result = optimize(1, seed, 300)
-    assert lines[0] == "best set: [2/3,1)" == f"best set: {result.best}"
-    assert result.accepted == 1
-    assert lines[2] == f"accepted 1 of {result.evaluated} evaluated moves"
+@pytest.mark.parametrize("m", range(1, 7))
+def test_optimize_reports_the_search(m, capsys):
+    # the default budget of 2000 nodes proves every m <= 6; the line
+    # reports the library's search, and the records pass the ceiling
+    s = optimize(m, 0, 2000).search
+    assert run(["optimize", "-m", str(m)]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        f"nodes {s.nodes}, pivots {s.pivots}, pruned leaves {s.pruned}, "
+        f"proved: no set of at most {m} components measures more")
+    assert run(["optimize", "-m", str(m), "--format", "records"]) == 0
+    assert capsys.readouterr().out.split("\t")[3].startswith("pass")
 
 
 @pytest.mark.parametrize("argv", [
@@ -313,7 +317,7 @@ class TestFailedCheck:
         result.measure = Fraction(1, 2)
         monkeypatch.setattr("sumfree.cli.optimize", lambda m, seed, iterations: result)
         assert run(["optimize", "-m", "1", "--format", "records"]) == CHECK_FAILED
-        assert capsys.readouterr().out == "optimize\t1/2\t77/177\tfail\n[2/3,1)\n"
+        assert capsys.readouterr().out == "optimize\t1/2\t77/177\tfail\n(2/3,1]\n"
 
 
 EXIT_RULE_SETS = ([str(construct_extremal(i)) for i in range(8)]

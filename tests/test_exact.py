@@ -1,0 +1,292 @@
+"""The exact search: the int tableau against a ``Fraction`` simplex, the
+disjunctive program against the k-sum-free predicate, and the
+certificate checker against broken certificates."""
+
+import copy
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import outward_moves
+from sumfree.constructions import cg_density
+from sumfree.exact import (Tableau, _most_violated, _program, _side, branch_and_bound,
+                           check_certificate, solve_lp)
+from sumfree.intervals import IntervalSet
+from sumfree.optimize import optimize
+from sumfree.predicates import is_k_sum_free
+from sumfree.rationals import MAX_MEASURE
+
+
+def reference_lp(c, rows):
+    """max c.x subject to A x <= b, x >= 0 by a ``Fraction`` tableau with
+    the same rule as ``Tableau``: enter the first column of negative
+    reduced cost, leave the least ratio, the least basic column on ties.
+    Returns the value, the vertex and the multipliers."""
+    n, count = len(c), len(rows)
+    T = [[F(b), *map(F, a)] + [F(int(i == r)) for i in range(count)]
+         for r, (a, b) in enumerate(rows)]
+    z = [F(0)] + [F(-x) for x in c] + [F(0)] * count
+    basis = [1 + n + r for r in range(count)]
+    while True:
+        s = next((j for j in range(1, len(z)) if z[j] < 0), None)
+        if s is None:
+            break
+        _, _, r = min((T[i][0] / T[i][s], basis[i], i) for i in range(count) if T[i][s] > 0)
+        T[r] = [x / T[r][s] for x in T[r]]
+        for i in range(count):
+            if i != r:
+                f = T[i][s]
+                T[i] = [x - f * y for x, y in zip(T[i], T[r])]
+        f = z[s]
+        z = [x - f * y for x, y in zip(z, T[r])]
+        basis[r] = s
+    x = [F(0)] * n
+    for row, col in zip(T, basis):
+        if col <= n:
+            x[col - 1] = row[0]
+    return z[0], tuple(x), tuple(z[1 + n:])
+
+
+@st.composite
+def lps(draw):
+    """(c, rows): 2..4 variables, a row bounding their sum first, then up
+    to five rows of small int coefficients; every right-hand side >= 0."""
+    n = draw(st.integers(2, 4))
+    coef = st.integers(-3, 3)
+    c = draw(st.lists(coef, min_size=n, max_size=n))
+    rows = [([1] * n, draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 5))):
+        rows.append((draw(st.lists(coef, min_size=n, max_size=n)), draw(st.integers(0, 5))))
+    return c, rows
+
+
+@settings(max_examples=300)
+@given(lps())
+def test_int_tableau_matches_the_fraction_simplex(lp):
+    c, rows = lp
+    value, x, y = reference_lp(c, rows)
+    assert solve_lp(c, rows) == (value, x, y)
+    # a row at a time, as the search adds them: the dual simplex reaches
+    # the same optimal value
+    t = Tableau(c, rows[:1])
+    for a, b in rows[1:]:
+        t.add_row(a, b)
+    assert t.value == value and t.d > 0
+
+
+def test_the_origin_must_be_feasible():
+    with pytest.raises(ValueError):
+        Tableau([1], [([1], -1)])
+
+
+def test_an_unbounded_lp_raises():
+    with pytest.raises(ArithmeticError):
+        solve_lp([1, 0], [([0, 1], 1)])
+
+
+def test_blands_rule_ends_on_beales_degenerate_lp():
+    # Beale's example, rows scaled to ints: the largest-coefficient rule
+    # cycles on it from the origin; the first improving column does not
+    c = [3, -80, 2, -24]
+    rows = [([1, -32, -4, 36], 0), ([1, -24, -1, 6], 0), ([0, 0, 1, 0], 1)]
+    value, x, y = solve_lp(c, rows)
+    assert (value, x) == (5, (1, 0, 1, 0))
+    assert (value, x, y) == reference_lp(c, rows)
+
+
+#: k -> the optimum for m = 1, 2, 3 components
+OPTIMA = {
+    3: (F(1, 3), F(3, 7), MAX_MEASURE),
+    4: (F(1, 2), F(4, 7), F(63, 110)),
+    5: (F(3, 5), F(15, 23), F(1863, 2855)),
+}
+
+
+@pytest.mark.parametrize("k", sorted(OPTIMA))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_optimum_is_k_sum_free_and_certified(k, m):
+    s = branch_and_bound(m, k)
+    assert s.proved and s.value == OPTIMA[k][m - 1] == s.best.measure()
+    assert len(s.best) <= m and 0 <= s.best.inf() and s.best.sup() <= 1
+    assert is_k_sum_free(s.best, k) == (True, None)
+    assert check_certificate(s.tree, m, s.value, k)
+
+
+def closed_form(k, m):
+    """The paper's value for m <= 3 components: (k - 2)/k from the one
+    component (2/k, 1), k (k - 2)/(k^2 - 2) from two, and from three the
+    density of ``cg_density``, whose formula at k = 3 is 77/177."""
+    if m == 3:
+        return MAX_MEASURE if k == 3 else cg_density(k)
+    return F(k - 2, k) if m == 1 else F(k * (k - 2), k * k - 2)
+
+
+@pytest.mark.parametrize("k", range(3, 15))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_optimum_has_the_closed_form(k, m):
+    s = branch_and_bound(m, k)
+    assert s.proved and s.value == closed_form(k, m)
+    if m == 1:
+        assert s.best == IntervalSet.interval(F(2, k), F(1))
+    assert check_certificate(s.tree, m, s.value, k)
+    # the leaf that found the optimum proves nothing lower
+    assert not check_certificate(s.tree, m, s.value - F(1, 10**12), k)
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_a_fourth_component_adds_nothing(k):
+    three, four = branch_and_bound(3, k), branch_and_bound(4, k)
+    assert four.proved and four.best == three.best
+    assert check_certificate(four.tree, 4, three.value, k)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_no_endpoint_of_an_optimum_can_move_outward(k, m):
+    best = branch_and_bound(m, k).best
+    assert best.sup() == 1 and len(best) <= m
+    moves = outward_moves(best)
+    assert moves and not any(is_k_sum_free(moved, k)[0] for moved in moves)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_each_leaf_holds_the_dual_optimum_of_its_lp(k, m):
+    # y b over den is the leaf's LP value, as a Fraction simplex solving
+    # the leaf's rows from the origin finds it
+    c, base, _ = _program(m, k)
+    s = branch_and_bound(m, k)
+    stack, leaves = [(s.tree, base)], 0
+    while stack:
+        node, rows = stack.pop()
+        if node.split is None:
+            yb = sum(v * b for v, (_, b) in zip(node.y, rows))
+            assert F(yb, node.den) == reference_lp(c, rows)[0]
+            leaves += 1
+        else:
+            stack += [(child, rows + [_side(m, k, node.split, side)])
+                      for side, child in enumerate(node.children)]
+    assert leaves == s.pruned + s.improved
+
+
+@st.composite
+def open_components(draw):
+    """(m, den, x): 1..3 nonempty open components (l_i, h_i) in [0, 1],
+    sorted and disjoint, as x = l_1..l_m, h_1..h_m over den."""
+    m = draw(st.integers(1, 3))
+    den = draw(st.sampled_from([6, 12, 30, 60]))
+    ends = sorted(draw(st.lists(st.integers(0, den), min_size=2 * m, max_size=2 * m,
+                                unique=True)))
+    return m, den, ends[::2] + ends[1::2]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@settings(max_examples=200)
+@given(open_components())
+def test_the_program_holds_exactly_for_k_sum_free_sets(k, drawn):
+    # the base rows hold but for 2 h_i <= k l_i, the side of (i, i, i)
+    # that a nonempty component can take
+    m, den, x = drawn
+    _, base, splits = _program(m, k)
+    meets = [sum(a * v for a, v in zip(row, x)) <= b * den for row, b in base]
+    assert all(meets[:2 * m])
+    S = IntervalSet([IntervalSet.interval(F(lo, den), F(hi, den)).components[0]
+                     for lo, hi in zip(x[:m], x[m:])])
+    feasible = all(meets) and _most_violated(x, m, k, splits) is None
+    assert feasible == is_k_sum_free(S, k)[0]
+
+
+@pytest.mark.parametrize("m,k,budget", [(0, 3, None), (1.0, 3, None), (1, 2, None),
+                                         (1, 3.0, None), (True, 3, None), (1, 3, -1),
+                                         (1, 3, 2.0)])
+def test_rejects_bad_arguments(m, k, budget):
+    with pytest.raises(ValueError):
+        branch_and_bound(m, k, budget)
+
+
+# -- the certificate checker --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trees():
+    return {m: optimize(m, 0, 2000).search.tree for m in (3, 4)}
+
+
+def nodes(tree):
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
+    return out
+
+
+@pytest.mark.parametrize("m,leaves", [(3, 10), (4, 46)])
+def test_the_checker_accepts_the_search_tree(trees, m, leaves):
+    assert sum(n.split is None for n in nodes(trees[m])) == leaves
+    assert check_certificate(trees[m], m, MAX_MEASURE)
+    # the leaves whose LP reaches 77/177 prove no lower bound
+    assert not check_certificate(trees[m], m, MAX_MEASURE - F(1, 10**9))
+
+
+@pytest.fixture(scope="module")
+def three():
+    """k -> the m = 3 search tree and its value: optimize's tree, which
+    starts from the stack chain, for k = 3 and the search's own for k > 3."""
+    out = {3: (optimize(3, 0, 2000).search.tree, MAX_MEASURE)}
+    for k in (4, 5):
+        s = branch_and_bound(3, k)
+        out[k] = (s.tree, s.value)
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_the_checker_rejects_each_lowered_multiplier(three, k):
+    tree, value = copy.deepcopy(three[k][0]), three[k][1]
+    lowered = 0
+    for leaf in (n for n in nodes(tree) if n.split is None):
+        y = leaf.y
+        for i, v in enumerate(y):
+            if v > 0:
+                leaf.y = y[:i] + (v - 1,) + y[i + 1:]
+                assert not check_certificate(tree, 3, value, k), (leaf.y, i)
+                lowered += 1
+        leaf.y = y
+    assert lowered > 10 and check_certificate(tree, 3, value, k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_the_checker_rejects_a_negative_multiplier(three, k):
+    tree, value = copy.deepcopy(three[k][0]), three[k][1]
+    leaf = next(n for n in nodes(tree) if n.split is None and 0 in n.y)
+    i = leaf.y.index(0)
+    leaf.y = leaf.y[:i] + (-1,) + leaf.y[i + 1:]
+    assert not check_certificate(tree, 3, value, k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("side", [0, 1])
+def test_the_checker_rejects_a_missing_side(three, side, k):
+    full, value = three[k]
+    for index in range(len(nodes(full))):
+        tree = copy.deepcopy(full)
+        node = nodes(tree)[index]
+        if node.split is not None:
+            node.children = node.children[side:side + 1]
+            assert not check_certificate(tree, 3, value, k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_the_checker_rejects_a_split_that_is_no_disjunction(three, k):
+    tree, value = copy.deepcopy(three[k][0]), three[k][1]
+    tree.split = (0, 0, 0)  # a base row, not a disjunction
+    assert not check_certificate(tree, 3, value, k)
+
+
+def test_an_unfinished_tree_proves_nothing():
+    s = optimize(4, 0, 50).search
+    assert not s.proved and s.nodes == 50
+    assert not check_certificate(s.tree, 4, MAX_MEASURE)
+

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_sets, random_interval_set, rationals, window
+from conftest import clip, interval_sets, random_interval_set, rationals, window
 from sumfree.intervals import (EmptySetError, Interval, IntervalSet, ParseError,
                                _self_sumset_codes, _sumset_codes)
 from sumfree.rationals import rational
@@ -293,16 +293,16 @@ class TestClip:
     @example((S("(-1,1)"), rational(-1, 3), rational(-1, 5)))
     def test_clip_is_intersect_with_the_window(self, case):
         a, lo, hi = case
-        assert a.clip(lo, hi) == a.intersect(window(lo, hi))
+        assert clip(a, lo, hi) == a.intersect(window(lo, hi))
 
     def test_clip_of_the_empty_set(self):
-        assert IntervalSet.empty().clip(rational(0), rational(1)).is_empty
+        assert clip(IntervalSet.empty(), 0, 1).is_empty
 
     def test_clip_keeps_flags_at_the_window_ends(self):
         a = S("(0,1/2]|[2/3,1)")
-        assert str(a.clip(rational(1, 2), rational(2, 3))) == "[1/2,1/2]|[2/3,2/3]"
-        assert str(a.clip(rational(0), rational(1))) == str(a)
-        assert str(a.clip(rational(1, 4), rational(3, 4))) == "[1/4,1/2]|[2/3,3/4]"
+        assert str(clip(a, rational(1, 2), rational(2, 3))) == "[1/2,1/2]|[2/3,2/3]"
+        assert str(clip(a, 0, 1)) == str(a)
+        assert str(clip(a, rational(1, 4), rational(3, 4))) == "[1/4,1/2]|[2/3,3/4]"
 
 
 @st.composite
@@ -344,7 +344,7 @@ class TestCodeSpace:
         # an unbounded end cuts nothing, as the window from inf A would not
         wlo = a.inf() if lo is None else rational(lo, den)
         whi = a.sup() if hi is None else rational(hi, den)
-        assert a._mass(den, lo, hi) == a.clip(wlo, whi).measure() * den
+        assert a._mass(den, lo, hi) == clip(a, wlo, whi).measure() * den
 
     @settings(max_examples=400)
     @given(code_windows())
@@ -352,7 +352,7 @@ class TestCodeSpace:
         a, den, lo, hi = case
         if lo is None or hi is None:
             return
-        assert a._clip(lo, hi, den) == a.clip(rational(lo, den), rational(hi, den))
+        assert a._clip(lo, hi, den) == clip(a, rational(lo, den), rational(hi, den))
 
     @settings(max_examples=300)
     @given(st.lists(st.integers(-300, 300), unique=True, max_size=14))

@@ -2,15 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_sets
+from conftest import interval_sets, outward_moves
 from sumfree.intervals import Interval, IntervalSet
-from sumfree.constructions import construct_extremal
-from sumfree.optimize import GRID_STAGES, _TOP_BLOCK, _close, _propose_stack, _replaced, optimize
+from sumfree.constructions import construct_extremal, random_sum_free
+from sumfree.exact import branch_and_bound, check_certificate
+from sumfree.optimize import _TOP_BLOCK, _close, _propose_stack, optimize
 from sumfree.predicates import is_k_sum_free, strip
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
 
 ITERATIONS = 300
+A0 = str(construct_extremal(0))
+A7 = "(8/177,4/59]|(28/177,14/59]|(2/3,1]"
 
 
 @pytest.fixture(scope="module")
@@ -20,45 +23,53 @@ def run():
 
 def test_deterministic_in_its_arguments(run):
     again = optimize(3, 1, ITERATIONS)
-    assert (str(again.best), again.accepted, again.evaluated) == (
-        str(run.best), run.accepted, run.evaluated)
+    assert (str(again.best), again.accepted, again.evaluated, again.search.pivots) == (
+        str(run.best), run.accepted, run.evaluated, run.search.pivots)
 
 
-# exact outputs, so a change to the interval core that alters the walk fails
-A7 = "(8/177,4/59]|(28/177,14/59]|(2/3,1]"
-PINNED = {
-    1: (A7, rational(77, 177), 2, 300),
-    2: (A7, rational(77, 177), 2, 300),
+#: m -> (value, the search's open optimum, the closed result, accepted,
+#: LP nodes, pruned leaves); the incumbent is the stack chain, so the
+#: search only proves it optimal
+EXACT = {
+    1: (rational(1, 3), "(2/3,1)", "(2/3,1]", 0, 1, 1),
+    2: (rational(3, 7), "(4/21,2/7)|(2/3,1)", "(4/21,2/7]|(2/3,1]", 1, 5, 3),
+    3: (MAX_MEASURE, A0, A7, 2, 19, 10),
 }
 
 
-@pytest.mark.parametrize("seed", sorted(PINNED))
-def test_pinned_outputs(seed, run):
-    result = run if seed == 1 else optimize(3, seed, ITERATIONS)
-    assert (str(result.best), result.measure, result.accepted, result.evaluated) == PINNED[seed]
+@pytest.mark.parametrize("m", sorted(EXACT))
+def test_exact_optimum_for_few_components(m):
+    # 1/3 with one component, 3/7 with two and 77/177 with three, each
+    # proved by a certificate that checks
+    r = optimize(m, 1, ITERATIONS)
+    s = r.search
+    assert (r.measure, str(s.best), str(r.best), r.accepted, r.evaluated,
+            s.pruned) == EXACT[m]
+    assert r.proved and s.improved == 0 and s.value == r.measure
+    assert check_certificate(s.tree, m, r.measure)
+    # from the empty set, the search finds the same optimum by itself
+    alone = branch_and_bound(m)
+    assert alone.proved and alone.improved > 0
+    assert (alone.value, str(alone.best)) == EXACT[m][:2]
 
 
-#: the benchmark's optimize workload, optimize(3, seed, 1600), in full
-#: (two stacks, then a scan of A0 that accepts nothing)
-BENCH_PINNED = {
-    1: (A7, rational(77, 177), 2, 399),
-    2: (A7, rational(77, 177), 2, 399),
-    3: (A7, rational(77, 177), 2, 399),
-}
+def test_four_components_do_not_beat_the_ceiling():
+    r = optimize(4, 1, 2000)
+    assert (str(r.best), r.measure, r.proved, r.evaluated, r.search.pruned) == (
+        A7, MAX_MEASURE, True, 91, 46)
+    assert check_certificate(r.search.tree, 4, MAX_MEASURE)
 
 
-@pytest.mark.parametrize("seed", sorted(BENCH_PINNED))
-def test_pinned_bench_walks(seed):
-    result = optimize(3, seed, 1600)
-    assert (str(result.best), result.measure, result.accepted,
-            result.evaluated) == BENCH_PINNED[seed]
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_bench_walks_end_on_a_maximal_set(seed):
-    # a quality floor that outlives the exact pins above: each of the
-    # benchmark's walks ends on one of A1..A7
-    assert optimize(3, seed, 1600).best in [construct_extremal(i) for i in range(1, 8)]
+@pytest.mark.parametrize("m,iterations", [(1, 0), (2, 4), (2, 5), (3, 0), (3, 2), (3, 18),
+                                          (3, 19), (3, 40000), (5, 300)])
+def test_iterations_is_the_node_budget(m, iterations):
+    # proved exactly when the budget covers the whole tree; a search cut
+    # short still returns the stack chain's set, closed
+    r = optimize(m, 2, iterations)
+    nodes = {1: 1, 2: 5, 3: 19, 5: 299}[m]
+    assert r.evaluated == min(iterations, nodes)
+    assert r.proved == (iterations >= nodes)
+    assert str(r.best) == str(optimize(m, 2, 40000).best)
 
 
 def test_result_is_feasible_and_under_the_ceiling(run):
@@ -70,62 +81,32 @@ def test_result_is_feasible_and_under_the_ceiling(run):
     assert 0 <= run.accepted <= run.evaluated <= ITERATIONS
 
 
-#: the candidates built until a whole scan accepts nothing: for m = 1 the
-#: stack and one nudge, then a scan of [2/3,1); for m = 2 one stack, then
-#: a scan of the 3/7 set; for m >= 3 two stacks, then a scan of A0
-SCAN_LENGTH = {1: 135, 2: 266, 3: 399, 5: 399}
+@settings(max_examples=200)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_random_sets_do_not_beat_the_exact_value(seed, m):
+    # strip can split components, so the bound is the one for the set's
+    # own count: 1/3, 3/7, and 77/177 from three components on (exact up
+    # to six by the search, and the paper's ceiling beyond)
+    S = random_sum_free(seed, m)
+    bound = {0: 0, 1: EXACT[1][0], 2: EXACT[2][0]}.get(len(S), MAX_MEASURE)
+    assert S.measure() <= bound
 
 
-@pytest.mark.parametrize("m,iterations", [(1, 0), (1, 300), (2, 300), (2, 40000), (3, 0),
-                                          (3, 1), (3, 2), (3, 300), (3, 40000), (5, 300)])
-def test_every_iteration_evaluates_one_candidate(m, iterations):
-    # until the climb stops at a local optimum
-    assert optimize(m, 2, iterations).evaluated == min(iterations, SCAN_LENGTH[m])
-
-
-@pytest.mark.parametrize("iterations,text", [(0, "(2/3,1]"), (1, "(4/21,2/7]|(2/3,1]"),
-                                             (2, A7)])
-def test_each_stack_takes_one_candidate(iterations, text):
-    # the first candidate of each scan is the stack, so for m = 3 a budget
-    # of two candidates already ends on a maximal set of measure 77/177
-    assert str(optimize(3, 1, iterations).best) == text
-
-
-@pytest.mark.parametrize("m", range(1, 6))
-def test_checked_is_bounded_by_the_keys_per_state(m):
-    # each scan builds one stack and at most m * (GRID_STAGES + 4) * 6
-    # nudges, and only a move starts another scan
-    r = optimize(m, 1, 40000)
-    assert r.evaluated <= (r.accepted + 1) * (m * (GRID_STAGES + 4) * 6 + 1)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_the_seed_does_not_affect_the_result(m):
-    outs = {(str(r.best), r.measure, r.accepted, r.evaluated)
-            for r in (optimize(m, seed, 1600) for seed in range(1, 21))}
-    assert len(outs) == 1
-
-
-@pytest.mark.parametrize("seed", range(1, 9))
-def test_short_walks_reach_the_optimum_for_each_m(seed):
-    # 1/3 at one component, 3/7 at two and a maximal set of measure
-    # 77/177 at three, each within 300 iterations
-    assert optimize(1, seed, ITERATIONS).measure == rational(1, 3)
-    assert optimize(2, seed, ITERATIONS).measure == rational(3, 7)
-    assert optimize(3, seed, ITERATIONS).best in [construct_extremal(i) for i in range(1, 8)]
+@pytest.mark.parametrize("m", range(1, 7))
+def test_no_endpoint_of_an_output_can_move_outward(m):
+    # the output is an optimum for its component count, proved for m <= 6
+    # by the default node budget, so it reaches 1 and every endpoint
+    # inside [0, 1] is on its frontier
+    r = optimize(m, 1, 2000)
+    assert r.proved and r.best.sup() == 1 and len(r.best) <= m
+    moves = outward_moves(r.best)
+    assert moves and not any(is_k_sum_free(moved, 3)[0] for moved in moves)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_endpoint_denominators_fit_a_machine_word(m):
-    # one run per m: test_the_seed_does_not_affect_the_result covers the seed
     best = optimize(m, 1, ITERATIONS).best
     assert all(x.denominator <= 2 ** 63 for c in best for x in (c.lo, c.hi)), best
-
-
-def test_single_interval_lands_on_exact_optimum():
-    result = optimize(1, 1, ITERATIONS)
-    assert str(result.best) == "[2/3,1)"
-    assert result.measure == rational(1, 3)
 
 
 def test_rediscovers_the_optimum():
@@ -137,13 +118,15 @@ def test_rediscovers_the_optimum():
     assert result.best in [construct_extremal(i) for i in range(1, 8)]
 
 
-@pytest.mark.parametrize("text,index", [
-    ("(8/177,4/59)|(28/177,14/59)|(2/3,1)", 7),
+@pytest.mark.parametrize("text,closed", [
+    (A0, str(construct_extremal(7))),
     # A0 with 8/177 closed; it lies in A1, A2 and A3
-    ("[8/177,4/59)|(28/177,14/59)|(2/3,1)", 3),
+    ("[8/177,4/59)|(28/177,14/59)|(2/3,1)", str(construct_extremal(3))),
+    # closing 5/6 merges the two components; [2/3,1] is not 3-sum-free
+    ("(2/3,5/6)|(5/6,1)", "(2/3,1]"),
 ])
-def test_close_returns_a_maximal_set(text, index):
-    assert _close(IntervalSet.parse(text)) == construct_extremal(index)
+def test_close_returns_a_maximal_set(text, closed):
+    assert str(_close(IntervalSet.parse(text))) == closed
 
 
 @pytest.mark.parametrize("m,iterations", [(0, 10), (-1, 10), (3, -1),
@@ -173,82 +156,3 @@ def test_stack_stays_below_the_top_block(a):
     out = _propose_stack(S)
     assert len(out) == len(S) + 1
     assert out.components[-1] == Interval(rational(2, 3), rational(1), False, False)
-
-
-EPS = rational(1, 10**40)
-
-#: the short walks for m = 1..6 and the benchmark's walks
-OUTPUT_RUNS = ([(m, s, ITERATIONS) for m in range(1, 7) for s in range(1, 11)]
-               + [(3, s, 1600) for s in sorted(BENCH_PINNED)])
-
-
-@pytest.mark.parametrize("m,seed,iterations", OUTPUT_RUNS)
-def test_no_endpoint_of_an_output_can_move_outward(m, seed, iterations):
-    # the walk ends on an optimum for its component count, so its output
-    # reaches 1 and every endpoint inside [0, 1] is on its frontier
-    best = optimize(m, seed, iterations).best
-    assert best.sup() == 1 and len(best) <= m
-    comps = best.components
-    moves = []
-    for ci, c in enumerate(comps):
-        if c.lo - (comps[ci - 1].hi if ci else 0) >= EPS:
-            moves.append(moved_reference(best, ci, lo=c.lo - EPS, lo_closed=False))
-        if (comps[ci + 1].lo if ci + 1 < len(comps) else 1) - c.hi >= EPS:
-            moves.append(moved_reference(best, ci, hi=c.hi + EPS, hi_closed=False))
-    assert moves and not any(is_k_sum_free(moved, 3)[0] for moved in moves)
-
-
-# -- the code-space helpers against their Fraction forms -------------------
-
-
-def moved_reference(S, ci, lo=None, hi=None, lo_closed=None, hi_closed=None):
-    """S with component ci's endpoints and flags replaced where given,
-    through ``Interval`` components."""
-    comps = list(S.components)
-    c = comps[ci]
-    comps[ci] = Interval(c.lo if lo is None else lo, c.hi if hi is None else hi,
-                         c.lo_closed if lo_closed is None else lo_closed,
-                         c.hi_closed if hi_closed is None else hi_closed)
-    return IntervalSet(comps)
-
-
-# the two tests below check ``_replaced``, the move of one component in
-# code space that a nudge and a close use, against its
-# ``Interval`` form
-
-
-@settings(max_examples=200)
-@given(interval_sets(), st.integers(1, 6), st.data())
-def test_moved_matches_the_component_form(a, k, data):
-    if a.is_empty:
-        return
-    # over k times the denominator, as a nudge lifts the codes
-    den, codes = k * a._den, [2 * k * (c >> 1) + (c & 1) for c in a._codes]
-    ci = data.draw(st.integers(0, len(a) - 1))
-    lo, hi = (data.draw(st.integers(-4 * den, 4 * den)) for _ in range(2))
-    assert _replaced(den, codes, ci, lo, hi) == moved_reference(
-        a, ci, rational(lo >> 1, den), rational(hi >> 1, den), not lo & 1, bool(hi & 1))
-
-
-@pytest.mark.parametrize("ci,kwargs,text", [
-    # merges with a neighbour: touching closed/open, overlapping, swallowing
-    (1, {"lo": rational(1, 4), "lo_closed": True}, "(0,1)"),
-    (1, {"lo": rational(1, 4)}, "(0,1/4)|(1/4,1)"),
-    (0, {"hi": rational(3, 4)}, "(0,1)"),
-    (0, {"lo": rational(-1), "hi": rational(2)}, "(-1,2)"),
-    # degenerate: dropped, or kept as a point when both ends are closed
-    (0, {"hi": rational(0)}, "(1/2,1)"),
-    (0, {"hi": rational(0), "lo_closed": True, "hi_closed": True}, "[0,0]|(1/2,1)"),
-    (1, {"lo": rational(2)}, "(0,1/4)"),
-])
-def test_moved_merges_and_drops(ci, kwargs, text):
-    S = IntervalSet.parse("(0,1/4)|(1/2,1)")
-    # the moved component's codes over S's denominator D = 4, read off
-    # the arguments and S's component ci
-    old = S.components[ci]
-    lo, hi = kwargs.get("lo", old.lo), kwargs.get("hi", old.hi)
-    lo_open = not kwargs.get("lo_closed", old.lo_closed)
-    hi_closed = kwargs.get("hi_closed", old.hi_closed)
-    codes = (2 * int(4 * lo) + lo_open, 2 * int(4 * hi) + hi_closed)
-    assert (_replaced(4, S._codes, ci, *codes) == moved_reference(S, ci, **kwargs)
-            == IntervalSet.parse(text))
