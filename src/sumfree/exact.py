@@ -25,14 +25,34 @@ needs one primal phase, and a child, which copies its parent's optimal
 tableau and adds its one row, needs only the dual simplex and is never
 infeasible.
 
-``Tableau`` keeps the simplex tableau as ints over one common
-denominator d, the determinant of the basis (fraction-free pivoting):
-each entry of a pivoted row is (a p - f g) / d, an exact division.  So
-the basic values, the objective and the dual multipliers are ints over
-d, and the branch choice compares ints.  Both phases use Bland's rule
-(the primal enters the first improving column; the dual leaves the
-infeasible row of least basic column and enters the first column of
-least ratio), so neither cycles.
+``Tableau`` keeps the simplex tableau in condensed (dictionary) form,
+as ints over one common denominator d, the determinant of the basis
+(fraction-free pivoting, as in lrs).  A basic variable's column is d in
+its own row and 0 elsewhere, so it is not stored: each row holds its
+right-hand side and the columns of the n nonbasic variables, and
+``nonbasic[j]`` names the variable of column j as ``basis[r]`` names
+that of row r.  A pivot on the entry p of row r and column s swaps
+``basis[r]`` and ``nonbasic[s]``, and
+
+- an entry x off row r and column s (in the objective row too), with f
+  in column s of its row and y in row r of its column, becomes
+  (x p - f y) / d, an exact division;
+- row r stays as it is (negated first if p < 0, which keeps d > 0);
+- column s becomes the leaving variable's: -f in every other row and
+  the objective row, and d in row r, each sign flipped when row r was
+  negated;
+- d becomes p.
+
+These are the entries a full tableau would hold in the nonbasic columns,
+so the basic values, the objective and the dual multipliers are ints
+over d, and the branch choice compares ints.  Both phases use Bland's
+rule: the primal enters the least improving variable; the dual leaves
+the infeasible row of least basic variable and enters the column of
+least ratio, the least variable on ties.  The rule goes by variable,
+not column position, because a pivot puts the leaving variable in the
+entering one's column; so it neither cycles nor depends on the layout,
+and it makes the pivots of the full tableau, whose columns are the
+variables in order.
 
 A finished search is a certificate that needs no simplex to check:
 ``check_certificate`` verifies that every inner node of the tree splits
@@ -54,54 +74,56 @@ __all__ = ["Node", "Search", "Tableau", "branch_and_bound", "check_certificate",
 
 
 class Tableau:
-    """An optimal simplex tableau of max c.x subject to A x <= b, x >= 0.
+    """An optimal simplex tableau of max c.x subject to A x <= b, x >= 0,
+    in condensed form: only the nonbasic columns are kept.
 
-    Column 0 holds the right-hand sides, columns 1..n the variables and
-    column n + 1 + i the slack of row i.  Every entry is an int over the
-    common denominator ``d``; ``z`` is the objective row (reduced costs,
-    and the objective value in column 0) over the same d.  ``basis[r]``
-    is the column basic in row r.  ``pivots`` counts the pivots made,
-    those of the tableau it was copied from included.
+    The variables are numbered 1..n for x and n + 1 + i for the slack of
+    row i.  Row r holds the basic variable ``basis[r]``; column j holds
+    the nonbasic variable ``nonbasic[j]`` for j >= 1, and column 0 the
+    right-hand sides (``nonbasic[0]`` is 0).  Every entry is an int over
+    the common denominator ``d``; ``z`` is the objective row (reduced
+    costs, and the objective value in column 0) over the same d.  A basic
+    variable's column, d in its own row and 0 elsewhere and in z, is not
+    stored.  A pivot follows the four rules of the module docstring, and
+    both phases choose by variable, not by column.  ``pivots`` counts the
+    pivots made, those of the tableau it was copied from included.
     """
 
-    __slots__ = ("n", "d", "rows", "z", "basis", "pivots")
+    __slots__ = ("n", "d", "rows", "z", "basis", "nonbasic", "pivots")
 
     def __init__(self, c, rows):
         """The optimum from the origin, by the primal simplex; every
         right-hand side must be >= 0, so that the origin is feasible."""
-        n, count = len(c), len(rows)
+        n = len(c)
         self.n, self.d, self.pivots = n, 1, 0
         self.rows = []
-        for i, (a, b) in enumerate(rows):
+        for a, b in rows:
             if b < 0:
                 raise ValueError("the origin must be feasible: every right-hand side >= 0")
-            row = [b, *a] + [0] * count
-            row[1 + n + i] = 1
-            self.rows.append(row)
-        self.z = [0] + [-x for x in c] + [0] * count
-        self.basis = list(range(1 + n, 1 + n + count))
+            self.rows.append([b, *a])
+        self.z = [0] + [-x for x in c]
+        self.basis = list(range(1 + n, 1 + n + len(rows)))
+        self.nonbasic = list(range(1 + n))
         self._primal()
 
     def copy(self) -> "Tableau":
         t = object.__new__(Tableau)
         t.n, t.d, t.pivots = self.n, self.d, self.pivots
         t.rows = [row[:] for row in self.rows]
-        t.z, t.basis = self.z[:], self.basis[:]
+        t.z, t.basis, t.nonbasic = self.z[:], self.basis[:], self.nonbasic[:]
         return t
 
     def add_row(self, a, b) -> None:
         """Add the row a.x <= b, written in the current basis, and
         restore optimality by the dual simplex."""
         d, n = self.d, self.n
-        new = [d * b] + [d * x for x in a] + [0] * len(self.rows) + [d]
-        for row, col in zip(self.rows, self.basis):
-            row.append(0)
-            if col <= n and a[col - 1]:
-                f = a[col - 1]
+        new = [d * b] + [d * a[v - 1] if v <= n else 0 for v in self.nonbasic[1:]]
+        for row, v in zip(self.rows, self.basis):
+            if v <= n and a[v - 1]:
+                f = a[v - 1]
                 new = [x - f * y for x, y in zip(new, row)]
-        self.z.append(0)
         self.rows.append(new)
-        self.basis.append(len(new) - 1)
+        self.basis.append(1 + n + len(self.basis))
         self._dual()
 
     # -- reading the optimum ----------------------------------------------
@@ -113,43 +135,58 @@ class Tableau:
     def vertex(self) -> list:
         """The optimal x_1..x_n as ints over d."""
         x = [0] * self.n
-        for row, col in zip(self.rows, self.basis):
-            if col <= self.n:
-                x[col - 1] = row[0]
+        for row, v in zip(self.rows, self.basis):
+            if v <= self.n:
+                x[v - 1] = row[0]
         return x
 
     def multipliers(self) -> tuple:
         """The dual optimum y, one per row, as ints over d: the objective
-        row at the slack columns."""
-        return tuple(self.z[1 + self.n:])
+        row at the column of the row's slack, 0 for a basic slack."""
+        n, y = self.n, [0] * len(self.rows)
+        for j, v in enumerate(self.nonbasic):
+            if v > n:
+                y[v - n - 1] = self.z[j]
+        return tuple(y)
 
     # -- pivoting -----------------------------------------------------------
 
     def _pivot(self, r: int, s: int) -> None:
+        """Variable nonbasic[s] enters, basis[r] leaves, and column s
+        becomes the leaving variable's column."""
         rows, d = self.rows, self.d
         pr = rows[r]
         p = pr[s]
+        sign = 1
         if p < 0:  # keep d > 0: row r is divided by p, so negating both changes nothing
             pr = rows[r] = [-x for x in pr]
-            p = -p
+            p, sign = -p, -1
+        # the leaving variable's column was sign * d in row r and 0
+        # elsewhere, so an entry f of column s off row r becomes
+        # (0 p - f sign d) / d = -sign f
         for i, row in enumerate(rows):
             if i == r:
                 continue
             f = row[s]
             if f:
-                rows[i] = [(x * p - f * y) // d for x, y in zip(row, pr)]
+                row = rows[i] = [(x * p - f * y) // d for x, y in zip(row, pr)]
+                row[s] = -sign * f
             elif p != d:
                 rows[i] = [x * p // d for x in row]
         f = self.z[s]
-        self.z = [(x * p - f * y) // d for x, y in zip(self.z, pr)]
-        self.basis[r] = s
+        z = self.z = [(x * p - f * y) // d for x, y in zip(self.z, pr)]
+        z[s] = -sign * f
+        pr[s] = sign * d
+        self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
         self.d = p
         self.pivots += 1
 
     def _primal(self) -> None:
-        rows, basis = self.rows, self.basis
+        rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         while True:
-            s = next((j for j in range(1, len(self.z)) if self.z[j] < 0), None)
+            z = self.z
+            s = min((j for j in range(1, len(z)) if z[j] < 0),
+                    key=nonbasic.__getitem__, default=None)
             if s is None:
                 return
             r = None
@@ -167,7 +204,7 @@ class Tableau:
             self._pivot(r, s)
 
     def _dual(self) -> None:
-        rows, basis = self.rows, self.basis
+        rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         while True:
             r = min((i for i, row in enumerate(rows) if row[0] < 0),
                     key=basis.__getitem__, default=None)
@@ -175,9 +212,14 @@ class Tableau:
                 return
             pr, z, s = rows[r], self.z, None
             for j in range(1, len(pr)):
-                # least ratio z_j / |a_rj| over a_rj < 0, the first on ties
-                if pr[j] < 0 and (s is None or z[j] * -pr[s] < z[s] * -pr[j]):
-                    s = j
+                # least ratio z_j / |a_rj| over a_rj < 0, the least variable on ties
+                if pr[j] < 0:
+                    if s is None:
+                        s = j
+                        continue
+                    lhs, rhs = z[j] * -pr[s], z[s] * -pr[j]
+                    if lhs < rhs or lhs == rhs and nonbasic[j] < nonbasic[s]:
+                        s = j
             if s is None:
                 raise ArithmeticError("the LP is infeasible")
             self._pivot(r, s)
@@ -233,15 +275,26 @@ def _side(m: int, k: int, split, side: int):
 
 def _most_violated(x, m: int, k: int, splits):
     """The disjunction both of whose sides x violates by the most (the
-    least of the two violations), the first on ties; None if x meets
-    every one.  x is over any common denominator."""
-    best, worst = None, 0
+    least of the two violations), the first of ``splits`` on ties; None
+    if x meets every one.  x is over any common denominator.
+
+    The loops walk the order of ``splits`` as ``_program`` lists it,
+    (i, j >= i, q) without (i, i, i), so that the sums of a pair and the
+    k-multiples are formed once, and the second side is computed only
+    when the first beats the worst so far.
+    """
     lo, hi = x[:m], x[m:]
-    for split in splits:
-        i, j, q = split
-        v = min(hi[i] + hi[j] - k * lo[q], k * hi[q] - lo[i] - lo[j])
-        if v > worst:
-            best, worst = split, v
+    klo, khi = [k * v for v in lo], [k * v for v in hi]
+    best, worst = None, 0
+    for i in range(m):
+        for j in range(i, m):
+            hs, ls = hi[i] + hi[j], lo[i] + lo[j]
+            for q in range(m):
+                v = hs - klo[q]
+                if v > worst:
+                    v = min(v, khi[q] - ls)
+                    if v > worst and not i == j == q:
+                        best, worst = (i, j, q), v
     return best
 
 

@@ -6,7 +6,7 @@ import copy
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import outward_moves
@@ -19,11 +19,12 @@ from sumfree.predicates import is_k_sum_free
 from sumfree.rationals import MAX_MEASURE
 
 
-def reference_lp(c, rows):
+def reference_lp(c, rows, bases=None):
     """max c.x subject to A x <= b, x >= 0 by a ``Fraction`` tableau with
     the same rule as ``Tableau``: enter the first column of negative
     reduced cost, leave the least ratio, the least basic column on ties.
-    Returns the value, the vertex and the multipliers."""
+    Returns the value, the vertex and the multipliers; ``bases``, when
+    given, gets the basis after each pivot."""
     n, count = len(c), len(rows)
     T = [[F(b), *map(F, a)] + [F(int(i == r)) for i in range(count)]
          for r, (a, b) in enumerate(rows)]
@@ -42,6 +43,8 @@ def reference_lp(c, rows):
         f = z[s]
         z = [x - f * y for x, y in zip(z, T[r])]
         basis[r] = s
+        if bases is not None:
+            bases.append(basis[:])
     x = [F(0)] * n
     for row, col in zip(T, basis):
         if col <= n:
@@ -74,6 +77,29 @@ def test_int_tableau_matches_the_fraction_simplex(lp):
     for a, b in rows[1:]:
         t.add_row(a, b)
     assert t.value == value and t.d > 0
+    # and its multipliers certify that value over all the rows: y >= 0,
+    # y A >= c and y b = the value, all over d
+    y = t.multipliers()
+    assert len(y) == len(rows) and min(y) >= 0
+    for j, cj in enumerate(c):
+        assert sum(v * a[j] for v, (a, _) in zip(y, rows)) >= t.d * cj
+    assert F(sum(v * b for v, (_, b) in zip(y, rows)), t.d) == t.value
+
+
+@settings(max_examples=300)
+@given(lps())
+# entering the first column with a negative reduced cost, not the least
+# variable, takes another path on this one
+@example(([1, 2, 0, 2], [([1, 1, 1, 1], 1), ([1, 0, 0, 1], 0)]))
+def test_the_int_tableau_pivots_as_the_full_tableau(lp):
+    # the full tableau's first column is the least variable, so Bland's
+    # rule by variable index makes its pivots, whatever column holds it
+    c, rows = lp
+    bases = []
+    reference_lp(c, rows, bases)
+    t = Tableau(c, rows)
+    assert t.pivots == len(bases) and (not bases or t.basis == bases[-1])
+    assert sorted(t.basis + t.nonbasic) == list(range(1 + len(c) + len(rows)))
 
 
 def test_the_origin_must_be_feasible():
@@ -196,6 +222,38 @@ def test_the_program_holds_exactly_for_k_sum_free_sets(k, drawn):
                      for lo, hi in zip(x[:m], x[m:])])
     feasible = all(meets) and _most_violated(x, m, k, splits) is None
     assert feasible == is_k_sum_free(S, k)[0]
+
+
+def most_violated_reference(x, m, k, splits):
+    """The branch choice as one formula per disjunction of ``splits``."""
+    best, worst = None, 0
+    lo, hi = x[:m], x[m:]
+    for split in splits:
+        i, j, q = split
+        v = min(hi[i] + hi[j] - k * lo[q], k * hi[q] - lo[i] - lo[j])
+        if v > worst:
+            best, worst = split, v
+    return best
+
+
+@settings(max_examples=500)
+@given(st.integers(1, 6), st.integers(3, 6), st.data())
+def test_the_branch_choice_matches_the_formula(m, k, data):
+    # small coordinates, so that ties between disjunctions are common
+    x = data.draw(st.lists(st.integers(0, data.draw(st.sampled_from([3, 12, 10**6]))),
+                           min_size=2 * m, max_size=2 * m))
+    splits = _program(m, k)[2]
+    assert _most_violated(x, m, k, splits) == most_violated_reference(x, m, k, splits)
+
+
+@pytest.mark.parametrize("m,nodes,pivots,pruned", [(1, 1, 2, 1), (2, 5, 9, 3), (3, 19, 32, 10),
+                                                    (4, 91, 157, 46), (5, 299, 519, 150)])
+def test_the_search_tree_of_optimize_is_pinned(m, nodes, pivots, pruned):
+    # the counts of the stack-chain start; a change to the pivot rule or
+    # the branch choice changes the tree and so these counts
+    s = optimize(m, 0, 2000).search
+    assert s.proved and (s.nodes, s.pivots, s.pruned) == (nodes, pivots, pruned)
+    assert check_certificate(s.tree, m, s.value)
 
 
 @pytest.mark.parametrize("m,k,budget", [(0, 3, None), (1.0, 3, None), (1, 2, None),
