@@ -28,7 +28,7 @@ What an include of e adds to the images and where it reads them (the K
 and V bits, the Q slot and bit, the V shift, the Q read slot and shift,
 the k*e/2 bit) depend on e alone, so they are tabled once per search.
 
-The bound is a Russian-doll table (Ostergard's maximum-clique search):
+The first bound is a Russian-doll table (Ostergard's maximum-clique search):
 R[p] is the size of the largest k-sum-free subset of {p..n}.  The
 elements a node at position pos may still add form a k-sum-free subset
 of the unforbidden candidates in {pos..n}, so the node is pruned when
@@ -39,12 +39,34 @@ only asks whether some set of size R[p+1] + 1 in {p..n} contains p,
 starting with p chosen and stopping at the first such set.  The last
 level counts and lists from 1 with R[2] as a proven incumbent.
 
+The second bound counts violations with two undecided members.  Call
+candidates a < b partners when a, b and the chosen set C hold a triple
+x + y = k*z that uses both.  The partners of a read off the images are
+
+    b = k*c - a   a + b = k*c for a chosen c   (K >> a)
+    b = (k-1)*a   a + b = k*a                  (a's K bit, >> a)
+    b = k*a/2     b + b = k*a                  (a's k*a/2 bit)
+    b = a + c     a + c = b, k = 1 only        ((Q[0] << a) >> 1)
+
+the two that depend on a alone tabled as one mask per a.  An extension
+E of C within the candidates must leave C | E k-sum-free, so E holds
+at most one member of each pair, and with P pairwise disjoint pairs
+among the f candidates |E| <= f - P.  The node is pruned when its
+chosen count plus f - P cannot tie the incumbent, which cuts only
+subtrees that hold no set of the incumbent's size.  P is a greedy matching:
+from the lowest candidate up, each unmatched one takes its lowest
+unmatched partner above it.  Any set of pairs bounds the same way, so
+a partner left out costs soundness nothing: b = k*a - c (b + c = k*a,
+the V image) and b = 2*a for k = 1 saved few or no nodes for the time
+they took, and for k >= 2 the Q image lies below a (c < a), so it is
+read for k = 1 only.
+
 A call of the depth-first search enters the subtree below an include
 (or the root of the counting level; a suffix level includes p before
 its first call).  It takes the free candidates once, as a mask of the
 unforbidden elements from pos on, and loops: each iteration is one
 node, whose element is the mask's lowest bit.  The node is a leaf when
-the mask is empty, and is pruned by the bound above, the candidate
+the mask is empty, and is pruned by the two bounds above, the candidate
 count being kept as a counter.  Otherwise the iteration clears the
 bit, includes the element inline and recurses into that subtree; the
 next iteration is the branch that excludes it.  So a call is made per
@@ -109,6 +131,10 @@ def search(n: int, k: int, enumerate_all: bool = False):
     q_read = [e % k for e in es]
     q_shift = [e // k for e in es]
     half_bit = [1 << (k * e // 2 - 1) if e and k * e % 2 == 0 else 0 for e in es]
+    # partners of e that the chosen set plays no part in: (k - 1)*e, k*e/2
+    pair_bit = [k_bit[e] >> e | half_bit[e] for e in es]
+    # the sums e + c are partners for k = 1 only (module docstring)
+    sums = k == 1
 
     def dfs(pos: int, mask: int, forb: int, size: int, K: int, V: int) -> bool:
         """Explore the subtree; True stops a suffix level at its first hit."""
@@ -134,6 +160,20 @@ def search(n: int, k: int, enumerate_all: bool = False):
             r = R[pos]
             if size + (free if free < r else r) < best:
                 return False
+            # the matching bound: prune at the need-th disjoint pair, and
+            # stop matching once the candidates left cannot make up the rest
+            need = free + size - best + 1
+            rest = avail
+            while need + need <= rest.bit_count():
+                lo = rest & -rest
+                e = lo.bit_length()
+                rest ^= lo
+                mate = (K >> e | pair_bit[e] | (Q[0] << e >> 1 if sums else 0)) & rest
+                if mate:
+                    rest ^= mate & -mate
+                    need -= 1
+                    if not need:
+                        return False
             avail ^= low
             free -= 1
             # including anything violates x + x = 2x when k = 2

@@ -1,10 +1,11 @@
 """Exact search for maximum k-sum-free subsets of {1..n}.
 
 The heavy lifting happens in the pure-Python bitmask kernel
-(``_kernel_py``): a branch-and-bound whose bound is a Russian-doll
-table of suffix maxima, which the search proves for itself level by
-level before the counting pass, and an unpruned naive search that
-serves as its oracle.
+(``_kernel_py``): a branch-and-bound with two bounds, a Russian-doll
+table of suffix maxima (which the search proves for itself level by
+level before the counting pass) and a greedy matching of candidates
+that cannot both join the chosen set.  An unpruned naive search in the
+same module serves as its oracle.
 
 Searches are exhaustive with a guaranteed-correct answer, so they are
 gated by a size budget and refuse loudly beyond it rather than degrade
@@ -39,9 +40,10 @@ __all__ = [
 
 #: name of the integer kernel in use, recorded by benchmark runs
 KERNEL_BACKEND = "python"
-#: largest n the pruned search accepts by default: its slowest search
-#: over k = 1..6 (k = 1) takes 0.09-0.10 s at the reference speed of
-#: bench/speed.py, n = 48 takes 0.10-0.11 s and n = 50 takes 0.13 s
+#: largest n the pruned search accepts by default.  The value is part of
+#: the CLI's contract (its budget refusal), not a time limit: the slowest
+#: search over k = 1..6 takes 5-7 ms at the reference speed of
+#: bench/speed.py at each of n = 48, 49 and 50 (k = 1 about 3 ms)
 DEFAULT_BUDGET = 49
 #: largest n the unpruned oracle accepts by default
 NAIVE_BUDGET = 26

@@ -273,15 +273,14 @@ def _side(m: int, k: int, split, side: int):
     return _row(m, ((m + q, k), (i, -1), (j, -1)))
 
 
-def _most_violated(x, m: int, k: int, splits):
+def _most_violated(x, m: int, k: int):
     """The disjunction both of whose sides x violates by the most (the
-    least of the two violations), the first of ``splits`` on ties; None
-    if x meets every one.  x is over any common denominator.
+    least of the two violations), the first in ``_program``'s order on
+    ties; None if x meets every one.  x is over any common denominator.
 
-    The loops walk the order of ``splits`` as ``_program`` lists it,
-    (i, j >= i, q) without (i, i, i), so that the sums of a pair and the
-    k-multiples are formed once, and the second side is computed only
-    when the first beats the worst so far.
+    The loops walk that order, (i, j >= i, q) without (i, i, i), so that
+    the sums of a pair and the k-multiples are formed once, and the
+    second side is computed only when the first beats the worst so far.
     """
     lo, hi = x[:m], x[m:]
     klo, khi = [k * v for v in lo], [k * v for v in hi]
@@ -348,7 +347,7 @@ def branch_and_bound(m: int, k: int = 3, budget: int | None = None,
     ``budget`` bounds the LPs solved; when it runs out, ``proved`` is
     False and the result is the best set found.
     """
-    c, rows, splits = _program(m, k)
+    c, rows, _ = _program(m, k)
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"budget must be None or >= 0 (an int), got {budget!r}")
     best = IntervalSet.empty() if incumbent is None else incumbent
@@ -371,7 +370,7 @@ def branch_and_bound(m: int, k: int = 3, budget: int | None = None,
             pruned += 1
         else:
             x = tab.vertex()
-            split = _most_violated(x, m, k, splits)
+            split = _most_violated(x, m, k)
             if split is None:
                 improved += 1
                 best, value = _vertex_set(x, d, m), Fraction(top, d)

@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumfree.cli import USAGE_ERROR, run
 from sumfree.constructions import cg_density, extremal_base
@@ -159,13 +161,12 @@ class TestSearchAgainstOracle:
             got = (result.max_size, result.extremal_count, listing_digest(result))
             assert got == LISTED_PINS[(n, k)], (n, k)
 
-    # the bench cases keep the ids they had when n = 62 was the only n
     @pytest.mark.parametrize("n,k,nodes", [
-        pytest.param(62, 3, 57375, id="3-57375"),
-        pytest.param(62, 4, 19430, id="4-19430"),
-        pytest.param(62, 5, 104720, id="5-104720"),
-        pytest.param(70, 3, 111193, id="n70-3-111193"),
-        pytest.param(70, 4, 53028, id="n70-4-53028"),
+        pytest.param(62, 3, 2959, id="n62-3-2959"),
+        pytest.param(62, 4, 1852, id="n62-4-1852"),
+        pytest.param(62, 5, 1816, id="n62-5-1816"),
+        pytest.param(70, 3, 4463, id="n70-3-4463"),
+        pytest.param(70, 4, 2474, id="n70-4-2474"),
     ])
     def test_pinned_node_counts(self, n, k, nodes):
         # the bench discrete batch (n = 62) and two held-out trees; a change
@@ -192,10 +193,35 @@ class TestSearchAgainstOracle:
             assert is_k_sum_free_int(elems, 3) == (True, None), n
 
 
-def reference_search(n: int, k: int, enumerate_all: bool = False):
+def greedy_pairs(n: int, k: int, mask: int, avail: int) -> int:
+    """Disjoint pairs of `avail` that cannot join the `mask`-set together,
+    matched from the lowest candidate up, each taking its lowest unmatched
+    partner above it.  The partners of e are those the kernel reads off
+    its images, here from the chosen elements c one by one: k*c - e,
+    (k - 1)*e, k*e/2 and, for k = 1, e + c."""
+    chosen = [c for c in range(1, n + 1) if (mask >> (c - 1)) & 1]
+    pairs = 0
+    rest = avail
+    while rest:
+        e = (rest & -rest).bit_length()
+        rest ^= 1 << (e - 1)
+        partners = {k * c - e for c in chosen} | {(k - 1) * e}
+        if k * e % 2 == 0:
+            partners.add(k * e // 2)
+        if k == 1:
+            partners |= {e + c for c in chosen}
+        mates = [b for b in sorted(partners) if b > e and (rest >> (b - 1)) & 1]
+        if mates:
+            rest ^= 1 << (mates[0] - 1)
+            pairs += 1
+    return pairs
+
+
+def reference_search(n: int, k: int, enumerate_all: bool = False, matching: bool = True):
     """The kernel's search as one recursive call per node, kept verbatim
     as the reference for the loop form: one call for every excluded
-    element and an `include` call before every included one."""
+    element and an `include` call before every included one.  Without
+    `matching` it is the search with the Russian-doll bound alone."""
     EXTREMAL_CAP = _kernel_py.EXTREMAL_CAP
     full = (1 << n) - 1
     # R[p] for p = 1..n+1; an entry not yet derived holds the trivial bound
@@ -244,8 +270,12 @@ def reference_search(n: int, k: int, enumerate_all: bool = False):
                 if enumerate_all and len(stored) < EXTREMAL_CAP:
                     stored.append(mask)
             return deciding and size == best
-        free = (~forb & full & (full << (pos - 1))).bit_count()
+        avail = ~forb & full & (full << (pos - 1))
+        free = avail.bit_count()
         if size + min(free, R[pos]) < best:
+            return False
+        # an extension holds at most one element of each pair
+        if matching and size + free - greedy_pairs(n, k, mask, avail) < best:
             return False
         # including anything violates x + x = 2x when k = 2
         if k != 2 and include(pos, mask, forb, size, K, V):
@@ -272,6 +302,48 @@ class TestLoopKernelAgainstReference:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_same_on_the_bench_batch(self, k):
         assert _kernel_py.search(62, k, True) == reference_search(62, k, True)
+
+
+class TestMatchingBound:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_cuts_no_set_the_russian_doll_search_finds(self, k):
+        # the same maximum, count and listing in discovery order, in
+        # never more nodes than the search without the bound
+        for n in range(1, 35):
+            best, count, stored, nodes = _kernel_py.search(n, k, True)
+            plain = reference_search(n, k, True, matching=False)
+            assert (best, count, stored) == plain[:3] and nodes <= plain[3], (n, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 6), st.data())
+    def test_bounds_the_largest_extension(self, n, k, data):
+        # free - pairs is at least the size of every extension of a
+        # k-sum-free chosen set within the candidates, by brute force
+        chosen = []
+        for c in data.draw(st.lists(st.integers(1, n), unique=True)):
+            if is_k_sum_free_int(chosen + [c], k)[0]:
+                chosen.append(c)
+        cands = data.draw(st.lists(st.sampled_from(range(1, n + 1)), unique=True))
+        cands = sorted(set(cands) - set(chosen))
+        mask = sum(1 << (c - 1) for c in chosen)
+        avail = sum(1 << (c - 1) for c in cands)
+        assert len(cands) - greedy_pairs(n, k, mask, avail) >= largest_extension(chosen, cands, k)
+
+
+def largest_extension(chosen, cands, k):
+    """The most elements of `cands` that `chosen` takes and stays k-sum-free."""
+    best = 0
+
+    def grow(i, elems, size):
+        nonlocal best
+        best = max(best, size)
+        for j in range(i, len(cands)):
+            more = elems + [cands[j]]
+            if is_k_sum_free_int(more, k)[0]:
+                grow(j + 1, more, size + 1)
+
+    grow(0, list(chosen), 0)
+    return best
 
 
 #: code of the kernel's depth-first search, whose frames the test reads

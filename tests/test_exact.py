@@ -112,6 +112,14 @@ def test_an_unbounded_lp_raises():
         solve_lp([1, 0], [([0, 1], 1)])
 
 
+def test_an_infeasible_added_row_raises():
+    # -x_1 <= -1 on top of x_1 <= 0: the dual simplex finds no column
+    # with which to repair the new row
+    t = Tableau([1], [([1], 0)])
+    with pytest.raises(ArithmeticError, match="the LP is infeasible"):
+        t.add_row([-1], -1)
+
+
 def test_blands_rule_ends_on_beales_degenerate_lp():
     # Beale's example, rows scaled to ints: the largest-coefficient rule
     # cycles on it from the origin; the first improving column does not
@@ -215,12 +223,12 @@ def test_the_program_holds_exactly_for_k_sum_free_sets(k, drawn):
     # the base rows hold but for 2 h_i <= k l_i, the side of (i, i, i)
     # that a nonempty component can take
     m, den, x = drawn
-    _, base, splits = _program(m, k)
+    _, base, _ = _program(m, k)
     meets = [sum(a * v for a, v in zip(row, x)) <= b * den for row, b in base]
     assert all(meets[:2 * m])
     S = IntervalSet([IntervalSet.interval(F(lo, den), F(hi, den)).components[0]
                      for lo, hi in zip(x[:m], x[m:])])
-    feasible = all(meets) and _most_violated(x, m, k, splits) is None
+    feasible = all(meets) and _most_violated(x, m, k) is None
     assert feasible == is_k_sum_free(S, k)[0]
 
 
@@ -243,7 +251,7 @@ def test_the_branch_choice_matches_the_formula(m, k, data):
     x = data.draw(st.lists(st.integers(0, data.draw(st.sampled_from([3, 12, 10**6]))),
                            min_size=2 * m, max_size=2 * m))
     splits = _program(m, k)[2]
-    assert _most_violated(x, m, k, splits) == most_violated_reference(x, m, k, splits)
+    assert _most_violated(x, m, k) == most_violated_reference(x, m, k, splits)
 
 
 @pytest.mark.parametrize("m,nodes,pivots,pruned", [(1, 1, 2, 1), (2, 5, 9, 3), (3, 19, 32, 10),
