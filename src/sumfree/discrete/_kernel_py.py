@@ -61,16 +61,34 @@ the V image) and b = 2*a for k = 1 saved few or no nodes for the time
 they took, and for k >= 2 the Q image lies below a (c < a), so it is
 read for k = 1 only.
 
+A node is tight when its chosen count plus the candidate count equals
+the incumbent (the matching would need a single pair).  Every set in
+its subtree is C with a subset of the f candidates, so the only one
+that can tie is S = C | candidates, and a tight node decides S at once,
+with one mask test (`is_k_sum_free_mask`), instead of walking to it.
+If S has a triple, no set in the subtree ties and the node is pruned;
+otherwise S is counted and stored as a leaf would be.  The walk the
+rule replaces is the include-first chain: it reaches S as its first
+leaf when S is k-sum-free and no leaf of the incumbent's size
+otherwise (an element of S that the chain finds forbidden drops the
+candidate count, and the Russian-doll bound prunes there), and every
+other branch below the node ends in a leaf smaller than the incumbent
+or is pruned, neither of which changes the maximum, the count or the
+listing.  So S is found at the same point of the search as before, and
+the listed sets keep their discovery order; only nodes are saved.
+
 A call of the depth-first search enters the subtree below an include
 (or the root of the counting level; a suffix level includes p before
 its first call).  It takes the free candidates once, as a mask of the
 unforbidden elements from pos on, and loops: each iteration is one
 node, whose element is the mask's lowest bit.  The node is a leaf when
-the mask is empty, and is pruned by the two bounds above, the candidate
-count being kept as a counter.  Otherwise the iteration clears the
-bit, includes the element inline and recurses into that subtree; the
-next iteration is the branch that excludes it.  So a call is made per
-include only, and an excluded element costs one iteration.
+the mask is empty; otherwise it is pruned by the Russian-doll bound,
+decided at once when tight or pruned by the matching bound, in that
+order, the candidate count being kept as a counter.  If none applies,
+the iteration clears the bit, includes the element inline and recurses
+into that subtree; the next iteration is the branch that excludes it.
+So a call is made per include only, and an excluded element costs one
+iteration.
 
 The naive searcher shares none of that machinery: it walks the full
 include/exclude tree, testing each inclusion directly, and serves as
@@ -98,6 +116,24 @@ def check_violation(mask: int, e: int, k: int, n: int):
         if 1 <= y <= n and (mp >> (y - 1)) & 1:
             return (min(m, y), max(m, y), e)
     return None
+
+
+def is_k_sum_free_mask(S: int, n: int, k: int) -> bool:
+    """Whether the subset S of {1..n}, a bitmask, holds no x + y = k*z.
+
+    Rv is S reversed, bit n - x for each x (the V layout), so
+    {k*z - x : x in S} is Rv shifted by k*z - 1 - n.  A target z of a
+    triple has k*z = x + y <= 2n, so z runs over S up to 2n // k.
+    """
+    Rv = int(format(S, f"0{n}b")[::-1], 2)
+    t = S & ((1 << 2 * n // k) - 1)
+    while t:
+        low = t & -t
+        t ^= low
+        s = k * low.bit_length() - 1 - n
+        if (Rv << s if s >= 0 else Rv >> -s) & S:
+            return False
+    return True
 
 
 def search(n: int, k: int, enumerate_all: bool = False):
@@ -160,9 +196,18 @@ def search(n: int, k: int, enumerate_all: bool = False):
             r = R[pos]
             if size + (free if free < r else r) < best:
                 return False
+            need = free + size - best + 1
+            if need == 1:
+                # a tight node (module docstring): only taking every candidate ties
+                S = mask | avail
+                if not is_k_sum_free_mask(S, n, k):
+                    return False
+                count += 1
+                if enumerate_all and len(stored) < EXTREMAL_CAP:
+                    stored.append(S)
+                return deciding
             # the matching bound: prune at the need-th disjoint pair, and
             # stop matching once the candidates left cannot make up the rest
-            need = free + size - best + 1
             rest = avail
             while need + need <= rest.bit_count():
                 lo = rest & -rest

@@ -4,8 +4,10 @@ The heavy lifting happens in the pure-Python bitmask kernel
 (``_kernel_py``): a branch-and-bound with two bounds, a Russian-doll
 table of suffix maxima (which the search proves for itself level by
 level before the counting pass) and a greedy matching of candidates
-that cannot both join the chosen set.  An unpruned naive search in the
-same module serves as its oracle.
+that cannot both join the chosen set.  A tight node, whose chosen and
+candidate counts add up to the incumbent, can tie only by taking every
+candidate, so it tests that one set with a bitmask test and stops.  An
+unpruned naive search in the same module serves as its oracle.
 
 Searches are exhaustive with a guaranteed-correct answer, so they are
 gated by a size budget and refuse loudly beyond it rather than degrade
@@ -42,8 +44,8 @@ __all__ = [
 KERNEL_BACKEND = "python"
 #: largest n the pruned search accepts by default.  The value is part of
 #: the CLI's contract (its budget refusal), not a time limit: the slowest
-#: search over k = 1..6 takes 5-7 ms at the reference speed of
-#: bench/speed.py at each of n = 48, 49 and 50 (k = 1 about 3 ms)
+#: search over k = 1..6, k = 3, takes 5-6 ms at the reference speed of
+#: bench/speed.py at each of n = 48, 49 and 50 (k = 1 about 1 ms)
 DEFAULT_BUDGET = 49
 #: largest n the unpruned oracle accepts by default
 NAIVE_BUDGET = 26

@@ -17,6 +17,27 @@ holds only for h_i = l_i = 0, which the first side allows too.  This is
 the computer check that the paper credits to Matolcsi and Ruzsa, made
 exact.
 
+A set with m' < m nonempty components is covered too, but an empty
+slot l_i = h_i = p must sit where the program allows it: the "if and
+only if" above fails for a slot placed badly.  (4/21, 2/7) | (2/3, 1)
+is 3-sum-free, yet with a slot at 0 it violates (slot, top, bottom),
+as 1 > 3*4/21 and 3*2/7 > 2/3; (1/2, 3/5) with a slot at 1 violates
+(j, slot, j), as 3/5 + 1 > 3/2 and 9/5 > 3/2.  The lemma: a k-sum-free
+set A in [0, 1] with m' < m nonempty components is a feasible point of
+the m-slot program when each empty slot sits at an endpoint of a
+nonempty component, in sorted position (before the component at its
+left end, after it at its right end).  The base rows hold: the slots
+keep the order, and 2p <= kp.  A disjunction with no empty slot holds
+as above.  One with an empty slot at p fails only if an open interval
+meets a point or an open interval built from p: p + I_j meets k I_q,
+kp lies in I_i + I_j, p + p' lies in k I_q, or kp'' - p lies in I_j
+(p, p', p'' empty slots; if all three are empty, the two sides cannot
+both fail).  But p is a closure point of A, so points x of A lie
+arbitrarily near p, and the same open condition holds with x in place
+of p (with x', x'' near p', p'' too), a triple of A.  So every set with
+at most m components meets the rows of some leaf of the search, and a
+finished search bounds all of them.
+
 ``branch_and_bound`` solves the LP at a node, branches on the most
 violated disjunction at its optimum (depth first, the first side
 first), and prunes a node whose LP value is at most the incumbent.  Every

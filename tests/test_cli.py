@@ -90,7 +90,7 @@ def test_set_free_verb_takes_common_options(capsys):
 
 def test_discrete_max(capsys):
     assert run(["discrete", "max", "-n", "20", "-k", "3"]) == 0
-    assert capsys.readouterr().out == "n=20 k=3: max size 10, 4 extremal set(s), 244 nodes\n"
+    assert capsys.readouterr().out == "n=20 k=3: max size 10, 4 extremal set(s), 148 nodes\n"
 
 
 @pytest.mark.parametrize("args,budget", [([], DEFAULT_BUDGET), (["--budget", "10"], 10)],
@@ -135,7 +135,7 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
     (["discrete", "max", "-n", "20", "-k", "3", "--format", "records"],
      "max-size\t10\t-\tpass\nextremal-count\t4\t-\tpass\n"),
     (["discrete", "max", "-n", "12", "-k", "4", "--all"],
-     "n=12 k=4: max size 7, 3 extremal set(s), 85 nodes\n"
+     "n=12 k=4: max size 7, 3 extremal set(s), 30 nodes\n"
      "{1,6,7,8,9,10,11}\n{1,7,8,9,10,11,12}\n{2,7,8,9,10,11,12}\n"),
     (["discrete", "max", "-n", "12", "-k", "4", "--all", "--format", "records"],
      "max-size\t7\t-\tpass\nextremal-count\t3\t-\tpass\n"

@@ -162,16 +162,22 @@ class TestSearchAgainstOracle:
             assert got == LISTED_PINS[(n, k)], (n, k)
 
     @pytest.mark.parametrize("n,k,nodes", [
-        pytest.param(62, 3, 2959, id="n62-3-2959"),
-        pytest.param(62, 4, 1852, id="n62-4-1852"),
-        pytest.param(62, 5, 1816, id="n62-5-1816"),
-        pytest.param(70, 3, 4463, id="n70-3-4463"),
-        pytest.param(70, 4, 2474, id="n70-4-2474"),
+        pytest.param(62, 3, 2571, id="n62-3-2571"),
+        pytest.param(62, 4, 929, id="n62-4-929"),
+        pytest.param(62, 5, 759, id="n62-5-759"),
+        pytest.param(70, 3, 3939, id="n70-3-3939"),
+        pytest.param(70, 4, 1498, id="n70-4-1498"),
+        pytest.param(70, 6, 395, id="n70-6-395"),
     ])
     def test_pinned_node_counts(self, n, k, nodes):
-        # the bench discrete batch (n = 62) and two held-out trees; a change
-        # to the kernel's per-node cost must leave the tree it walks alone
+        # the bench discrete batch (n = 62) and three held-out trees; a
+        # change to the kernel's per-node cost must leave the tree it walks alone
         assert max_k_sum_free(n, k, budget=n).nodes_explored == nodes
+
+    @pytest.mark.parametrize("n,k,size,count", [(49, 6, 35, 2), (70, 6, 50, 1)])
+    def test_held_out_k6_answers(self, n, k, size, count):
+        result = max_k_sum_free(n, k, budget=n)
+        assert (result.max_size, result.extremal_count) == (size, count)
 
     def test_held_out_pin_n70_k4(self):
         result = max_k_sum_free(70, 4, enumerate_sets=True, budget=70)
@@ -221,7 +227,8 @@ def reference_search(n: int, k: int, enumerate_all: bool = False, matching: bool
     """The kernel's search as one recursive call per node, kept verbatim
     as the reference for the loop form: one call for every excluded
     element and an `include` call before every included one.  Without
-    `matching` it is the search with the Russian-doll bound alone."""
+    `matching` it is the search with the Russian-doll bound alone, with
+    neither the matching nor the tight-node rule."""
     EXTREMAL_CAP = _kernel_py.EXTREMAL_CAP
     full = (1 << n) - 1
     # R[p] for p = 1..n+1; an entry not yet derived holds the trivial bound
@@ -274,6 +281,15 @@ def reference_search(n: int, k: int, enumerate_all: bool = False, matching: bool
         free = avail.bit_count()
         if size + min(free, R[pos]) < best:
             return False
+        # a tight node: only the set of every candidate can tie
+        if matching and size + free == best:
+            S = mask | avail
+            if not is_k_sum_free_int(IntSet.from_mask(S, n), k)[0]:
+                return False
+            count += 1
+            if enumerate_all and len(stored) < EXTREMAL_CAP:
+                stored.append(S)
+            return deciding
         # an extension holds at most one element of each pair
         if matching and size + free - greedy_pairs(n, k, mask, avail) < best:
             return False
@@ -302,6 +318,26 @@ class TestLoopKernelAgainstReference:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_same_on_the_bench_batch(self, k):
         assert _kernel_py.search(62, k, True) == reference_search(62, k, True)
+
+
+class TestMaskPredicate:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6), st.data())
+    def test_agrees_with_the_set_predicate(self, n, k, data):
+        # the AND of up to four random masks, so that sparse sets, and so
+        # both verdicts, occur at every k
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        for _ in range(data.draw(st.integers(0, 3))):
+            mask &= data.draw(st.integers(0, (1 << n) - 1))
+        expected = is_k_sum_free_int(IntSet.from_mask(mask, n), k)[0]
+        assert _kernel_py.is_k_sum_free_mask(mask, n, k) == expected
+
+    @pytest.mark.parametrize("n,k,z", [(12, 3, 8), (10, 4, 5), (12, 6, 4)])
+    def test_both_summands_at_n(self, n, k, z):
+        # n + n = k*z: the target z = 2n // k must be tried
+        mask = 1 << (z - 1) | 1 << (n - 1)
+        assert not _kernel_py.is_k_sum_free_mask(mask, n, k)
+        assert _kernel_py.is_k_sum_free_mask(1 << (z - 1), n, k)
 
 
 class TestMatchingBound:

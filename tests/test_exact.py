@@ -3,10 +3,11 @@ disjunctive program against the k-sum-free predicate, and the
 certificate checker against broken certificates."""
 
 import copy
+import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import outward_moves
@@ -226,10 +227,58 @@ def test_the_program_holds_exactly_for_k_sum_free_sets(k, drawn):
     _, base, _ = _program(m, k)
     meets = [sum(a * v for a, v in zip(row, x)) <= b * den for row, b in base]
     assert all(meets[:2 * m])
-    S = IntervalSet([IntervalSet.interval(F(lo, den), F(hi, den)).components[0]
-                     for lo, hi in zip(x[:m], x[m:])])
     feasible = all(meets) and _most_violated(x, m, k) is None
-    assert feasible == is_k_sum_free(S, k)[0]
+    assert feasible == is_k_sum_free(interval_set(zip(x[:m], x[m:]), den), k)[0]
+
+
+def interval_set(pairs, den):
+    """The union of the open intervals (lo/den, hi/den) of ``pairs``."""
+    return IntervalSet([IntervalSet.interval(F(lo, den), F(hi, den)).components[0]
+                        for lo, hi in pairs])
+
+
+def in_program(pairs, k, den):
+    """Whether the slots (lo, hi) of ``pairs`` over den, sorted, meet the
+    base rows and every disjunction of the len(pairs)-slot program."""
+    m = len(pairs)
+    slots = sorted(pairs)
+    x = [lo for lo, _ in slots] + [hi for _, hi in slots]
+    _, base, _ = _program(m, k)
+    return (all(sum(a * v for a, v in zip(row, x)) <= b * den for row, b in base)
+            and _most_violated(x, m, k) is None)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@settings(max_examples=150)
+@given(open_components())
+def test_empty_slots_at_endpoints_keep_a_set_feasible(k, drawn):
+    # the lemma of the module docstring: "at most m components" rests on
+    # it.  Keep the drawn components, from the top down, that leave the
+    # kept set k-sum-free, then add up to 5 slots in all, each empty slot
+    # (p, p) at an endpoint p, which sorts it next to its component
+    m, den, x = drawn
+    kept = []
+    for pair in reversed(list(zip(x[:m], x[m:]))):
+        if is_k_sum_free(interval_set([pair, *kept], den), k)[0]:
+            kept.insert(0, pair)
+    assume(kept)
+    ends = [v for pair in kept for v in pair]
+    for slots in range(1, 6 - len(kept)):
+        for points in itertools.combinations_with_replacement(ends, slots):
+            assert in_program(kept + [(p, p) for p in points], k, den), points
+
+
+@pytest.mark.parametrize("pairs,den,point", [
+    # (4/21, 2/7) | (2/3, 1) with a slot at 0 violates (slot, top, bottom)
+    ([(4, 6), (14, 21)], 21, 0),
+    # (1/2, 3/5) with a slot at 1 violates (j, slot, j)
+    ([(5, 6)], 10, 10),
+])
+def test_an_empty_slot_off_the_endpoints_can_break_the_program(pairs, den, point):
+    assert is_k_sum_free(interval_set(pairs, den), 3)[0] and in_program(pairs, 3, den)
+    assert not in_program(pairs + [(point, point)], 3, den)
+    for p in (v for pair in pairs for v in pair):
+        assert in_program(pairs + [(p, p)], 3, den)
 
 
 def most_violated_reference(x, m, k, splits):
