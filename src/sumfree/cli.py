@@ -131,9 +131,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="exact search for maximal measure")
     p.add_argument("-m", type=int, required=True, help="max component count")
     # 2000 LP nodes prove every m <= 6 (m = 6 takes 919); a larger m stops
-    # at the budget, after about 1 s for m = 7 and 6 s for m = 20 on a 2-core host
+    # at the budget, after about 0.45 s for m = 7 and 1.8 s for m = 20 at the
+    # reference speed of bench/speed.py
     p.add_argument("--iters", type=int, default=2000, metavar="NODES",
-                   help="node budget of the LP branch and bound (default 2000)")
+                   help="budget of LP nodes of the branch and bound (default 2000); "
+                        "a node costs more as m grows, so the budget does not "
+                        "bound the time")
     add_format(p)
     add_decimal(p)
     p.set_defaults(handler=_cmd_optimize)

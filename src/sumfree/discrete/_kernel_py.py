@@ -40,26 +40,34 @@ starting with p chosen and stopping at the first such set.  The last
 level counts and lists from 1 with R[2] as a proven incumbent.
 
 The second bound counts violations with two undecided members.  Call
-candidates a < b partners when a, b and the chosen set C hold a triple
-x + y = k*z that uses both.  The partners of a read off the images are
+candidates b < e partners when b, e and the chosen set C hold a triple
+x + y = k*z that uses both.  The partners of e below it read off the
+images are
 
-    b = k*c - a   a + b = k*c for a chosen c   (K >> a)
-    b = (k-1)*a   a + b = k*a                  (a's K bit, >> a)
-    b = k*a/2     b + b = k*a                  (a's k*a/2 bit)
-    b = a + c     a + c = b, k = 1 only        ((Q[0] << a) >> 1)
+    b = k*c - e   b + e = k*c for a chosen c   (K >> e)
+    b = e/(k-1)   b + e = k*b, k >= 3          (e's pair bit)
+    b = 2*e/k     e + e = k*b, k >= 3          (e's pair bit)
+    b = e - c     b + c = e, k = 1 only        (V >> n - e + 1)
 
-the two that depend on a alone tabled as one mask per a.  An extension
-E of C within the candidates must leave C | E k-sum-free, so E holds
-at most one member of each pair, and with P pairwise disjoint pairs
-among the f candidates |E| <= f - P.  The node is pruned when its
-chosen count plus f - P cannot tie the incumbent, which cuts only
-subtrees that hold no set of the incumbent's size.  P is a greedy matching:
-from the lowest candidate up, each unmatched one takes its lowest
-unmatched partner above it.  Any set of pairs bounds the same way, so
-a partner left out costs soundness nothing: b = k*a - c (b + c = k*a,
-the V image) and b = 2*a for k = 1 saved few or no nodes for the time
-they took, and for k >= 2 the Q image lies below a (c < a), so it is
-read for k = 1 only.
+the two that depend on e alone, where they are ints, tabled as one
+mask per e.  An extension E of C within the candidates must leave
+C | E k-sum-free, so E holds at most one member of each pair, and with
+P pairwise disjoint pairs among the f candidates |E| <= f - P.  The
+node is pruned when its chosen count plus f - P cannot tie the
+incumbent, which cuts only subtrees that hold no set of the incumbent's
+size.  P is a greedy matching: from the highest candidate down, each
+unmatched one takes its highest unmatched partner below it.  Any set
+of disjoint pairs bounds the same way, so the scan order decides how
+many pairs are found, not whether the bound holds; from the top down
+the greedy finds more of them than from the bottom up (the bench batch
+at n = 62 walks 2,899 nodes instead of 4,259).  A partner left out
+costs soundness nothing either, and three are left out for their
+time.  The Q image b = (e + c)/k (e + c = k*b) lies below e, but it took
+the bench batch only from 2,899 to 2,683 nodes, and from about 146 to
+about 115 batches/s.  The V image b = k*e - c for k >= 2 (b + c = k*e,
+below e only when c > (k-1)*e) saved no node for n <= 49 or at n = 62
+and 70.  b = e/2 for k = 1 (b + b = e) saved 12 of 200 nodes at
+(70, 1), and no time.
 
 A node is tight when its chosen count plus the candidate count equals
 the incumbent (the matching would need a single pair).  Every set in
@@ -167,10 +175,16 @@ def search(n: int, k: int, enumerate_all: bool = False):
     q_read = [e % k for e in es]
     q_shift = [e // k for e in es]
     half_bit = [1 << (k * e // 2 - 1) if e and k * e % 2 == 0 else 0 for e in es]
-    # partners of e that the chosen set plays no part in: (k - 1)*e, k*e/2
-    pair_bit = [k_bit[e] >> e | half_bit[e] for e in es]
-    # the sums e + c are partners for k = 1 only (module docstring)
-    sums = k == 1
+    # partners below e that the chosen set plays no part in: e/(k - 1) and
+    # 2e/k, ints below e for k >= 3 only
+    pair_bit = [0] * (n + 1)
+    if k >= 3:
+        for e in range(1, n + 1):
+            for num, den in ((e, k - 1), (2 * e, k)):
+                if num % den == 0:
+                    pair_bit[e] |= 1 << num // den - 1
+    # the differences e - c are partners for k = 1 only (module docstring)
+    diffs = k == 1
 
     def dfs(pos: int, mask: int, forb: int, size: int, K: int, V: int) -> bool:
         """Explore the subtree; True stops a suffix level at its first hit."""
@@ -210,12 +224,11 @@ def search(n: int, k: int, enumerate_all: bool = False):
             # stop matching once the candidates left cannot make up the rest
             rest = avail
             while need + need <= rest.bit_count():
-                lo = rest & -rest
-                e = lo.bit_length()
-                rest ^= lo
-                mate = (K >> e | pair_bit[e] | (Q[0] << e >> 1 if sums else 0)) & rest
+                e = rest.bit_length()
+                rest ^= 1 << e - 1
+                mate = (K >> e | pair_bit[e] | (V >> n - e + 1 if diffs else 0)) & rest
                 if mate:
-                    rest ^= mate & -mate
+                    rest ^= 1 << mate.bit_length() - 1
                     need -= 1
                     if not need:
                         return False

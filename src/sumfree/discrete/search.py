@@ -44,7 +44,7 @@ __all__ = [
 KERNEL_BACKEND = "python"
 #: largest n the pruned search accepts by default.  The value is part of
 #: the CLI's contract (its budget refusal), not a time limit: the slowest
-#: search over k = 1..6, k = 3, takes 5-6 ms at the reference speed of
+#: search over k = 1..6, k = 3, takes 3-4.5 ms at the reference speed of
 #: bench/speed.py at each of n = 48, 49 and 50 (k = 1 about 1 ms)
 DEFAULT_BUDGET = 49
 #: largest n the unpruned oracle accepts by default

@@ -162,16 +162,20 @@ class TestSearchAgainstOracle:
             assert got == LISTED_PINS[(n, k)], (n, k)
 
     @pytest.mark.parametrize("n,k,nodes", [
-        pytest.param(62, 3, 2571, id="n62-3-2571"),
-        pytest.param(62, 4, 929, id="n62-4-929"),
-        pytest.param(62, 5, 759, id="n62-5-759"),
-        pytest.param(70, 3, 3939, id="n70-3-3939"),
-        pytest.param(70, 4, 1498, id="n70-4-1498"),
-        pytest.param(70, 6, 395, id="n70-6-395"),
+        pytest.param(62, 3, 1931, id="n62-3-1931"),
+        pytest.param(62, 4, 351, id="n62-4-351"),
+        pytest.param(62, 5, 617, id="n62-5-617"),
+        pytest.param(70, 3, 2669, id="n70-3-2669"),
+        pytest.param(70, 4, 474, id="n70-4-474"),
+        pytest.param(70, 6, 173, id="n70-6-173"),
+        pytest.param(49, 1, 123, id="n49-1-123"),
+        pytest.param(70, 1, 200, id="n70-1-200"),
     ])
     def test_pinned_node_counts(self, n, k, nodes):
-        # the bench discrete batch (n = 62) and three held-out trees; a
-        # change to the kernel's per-node cost must leave the tree it walks alone
+        # the bench discrete batch (n = 62) and five held-out trees, two of
+        # them k = 1, whose matching reads the differences e - c off the V
+        # image; a change to the kernel's per-node cost must leave the tree
+        # it walks alone
         assert max_k_sum_free(n, k, budget=n).nodes_explored == nodes
 
     @pytest.mark.parametrize("n,k,size,count", [(49, 6, 35, 2), (70, 6, 50, 1)])
@@ -199,27 +203,28 @@ class TestSearchAgainstOracle:
             assert is_k_sum_free_int(elems, 3) == (True, None), n
 
 
-def greedy_pairs(n: int, k: int, mask: int, avail: int) -> int:
-    """Disjoint pairs of `avail` that cannot join the `mask`-set together,
-    matched from the lowest candidate up, each taking its lowest unmatched
-    partner above it.  The partners of e are those the kernel reads off
-    its images, here from the chosen elements c one by one: k*c - e,
-    (k - 1)*e, k*e/2 and, for k = 1, e + c."""
+def greedy_pairs(n: int, k: int, mask: int, avail: int) -> list[tuple[int, int]]:
+    """Disjoint pairs (e, b) of `avail`, b < e, that cannot join the
+    `mask`-set together, matched from the highest candidate down, each
+    taking its highest unmatched partner below it.  The partners of e are
+    those the kernel reads off its images, here from the chosen elements
+    c one by one: k*c - e, e/(k - 1) and 2e/k for k > 2 and, for k = 1,
+    e - c."""
     chosen = [c for c in range(1, n + 1) if (mask >> (c - 1)) & 1]
-    pairs = 0
+    pairs = []
     rest = avail
     while rest:
-        e = (rest & -rest).bit_length()
+        e = rest.bit_length()
         rest ^= 1 << (e - 1)
-        partners = {k * c - e for c in chosen} | {(k - 1) * e}
-        if k * e % 2 == 0:
-            partners.add(k * e // 2)
+        partners = {k * c - e for c in chosen}
+        if k > 2:
+            partners |= {num // den for num, den in ((e, k - 1), (2 * e, k)) if num % den == 0}
         if k == 1:
-            partners |= {e + c for c in chosen}
-        mates = [b for b in sorted(partners) if b > e and (rest >> (b - 1)) & 1]
+            partners |= {e - c for c in chosen}
+        mates = [b for b in partners if 0 < b < e and (rest >> (b - 1)) & 1]
         if mates:
-            rest ^= 1 << (mates[0] - 1)
-            pairs += 1
+            rest ^= 1 << (max(mates) - 1)
+            pairs.append((e, max(mates)))
     return pairs
 
 
@@ -291,7 +296,7 @@ def reference_search(n: int, k: int, enumerate_all: bool = False, matching: bool
                 stored.append(S)
             return deciding
         # an extension holds at most one element of each pair
-        if matching and size + free - greedy_pairs(n, k, mask, avail) < best:
+        if matching and size + free - len(greedy_pairs(n, k, mask, avail)) < best:
             return False
         # including anything violates x + x = 2x when k = 2
         if k != 2 and include(pos, mask, forb, size, K, V):
@@ -355,15 +360,34 @@ class TestMatchingBound:
     def test_bounds_the_largest_extension(self, n, k, data):
         # free - pairs is at least the size of every extension of a
         # k-sum-free chosen set within the candidates, by brute force
-        chosen = []
-        for c in data.draw(st.lists(st.integers(1, n), unique=True)):
-            if is_k_sum_free_int(chosen + [c], k)[0]:
-                chosen.append(c)
-        cands = data.draw(st.lists(st.sampled_from(range(1, n + 1)), unique=True))
-        cands = sorted(set(cands) - set(chosen))
-        mask = sum(1 << (c - 1) for c in chosen)
-        avail = sum(1 << (c - 1) for c in cands)
-        assert len(cands) - greedy_pairs(n, k, mask, avail) >= largest_extension(chosen, cands, k)
+        chosen, cands, mask, avail = draw_chosen_and_candidates(n, k, data)
+        assert len(cands) - len(greedy_pairs(n, k, mask, avail)) >= largest_extension(chosen, cands, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 6), st.data())
+    def test_pairs_are_a_matching_of_conflicts(self, n, k, data):
+        # the pairs are candidates, pairwise disjoint, and each closes a
+        # triple of the chosen set that uses both of its members
+        chosen, cands, mask, avail = draw_chosen_and_candidates(n, k, data)
+        pairs = greedy_pairs(n, k, mask, avail)
+        members = [x for pair in pairs for x in pair]
+        assert len(set(members)) == len(members) and set(members) <= set(cands)
+        for a, b in pairs:
+            assert any(x + y == k * z for x, y, z in itertools.product(chosen + [a, b], repeat=3)
+                       if {a, b} <= {x, y, z}), (chosen, a, b)
+
+
+def draw_chosen_and_candidates(n, k, data):
+    """A k-sum-free chosen set and candidates outside it, as lists and masks."""
+    chosen = []
+    for c in data.draw(st.lists(st.integers(1, n), unique=True)):
+        if is_k_sum_free_int(chosen + [c], k)[0]:
+            chosen.append(c)
+    cands = data.draw(st.lists(st.sampled_from(range(1, n + 1)), unique=True))
+    cands = sorted(set(cands) - set(chosen))
+    mask = sum(1 << (c - 1) for c in chosen)
+    avail = sum(1 << (c - 1) for c in cands)
+    return chosen, cands, mask, avail
 
 
 def largest_extension(chosen, cands, k):
