@@ -56,13 +56,18 @@ P pairwise disjoint pairs among the f candidates |E| <= f - P.  The
 node is pruned when its chosen count plus f - P cannot tie the
 incumbent, which cuts only subtrees that hold no set of the incumbent's
 size.  P is a greedy matching: from the highest candidate down, each
-unmatched one takes its highest unmatched partner below it.  Any set
-of disjoint pairs bounds the same way, so the scan order decides how
-many pairs are found, not whether the bound holds; from the top down
-the greedy finds more of them than from the bottom up (the bench batch
-at n = 62 walks 2,899 nodes instead of 4,259).  A partner left out
-costs soundness nothing either, and three are left out for their
-time.  The Q image b = (e + c)/k (e + c = k*b) lies below e, but it took
+unmatched one takes its highest unmatched partner below it.  The scan
+stops at the pair that prunes, or once the candidates it has not
+reached are too few to make up the pairs still needed, so a node is
+pruned exactly when the whole greedy finds enough pairs.  It is not
+rerun at each node: a call of the depth-first search makes one scan
+and resumes it from node to node (below).  Any set of disjoint pairs
+bounds the same way, so the scan order decides how many pairs are
+found, not whether the bound holds; from the top down the greedy
+finds more of them than from the bottom up (the bench batch at n = 62
+walks 2,899 nodes instead of 4,259).  A partner left out costs
+soundness nothing either, and three are left out for their time.  The
+Q image b = (e + c)/k (e + c = k*b) lies below e, but it took
 the bench batch only from 2,899 to 2,683 nodes, and from about 146 to
 about 115 batches/s.  The V image b = k*e - c for k >= 2 (b + c = k*e,
 below e only when c > (k-1)*e) saved no node for n <= 49 or at n = 62
@@ -97,6 +102,29 @@ the iteration clears the bit, includes the element inline and recurses
 into that subtree; the next iteration is the branch that excludes it.
 So a call is made per include only, and an excluded element costs one
 iteration.
+
+The matching, too, is made once per call.  Within a call the chosen
+set, and with it K, V and the partners, is fixed, and each node's
+candidates are the previous node's less its element L, their lowest.
+The greedy over the candidates without L finds exactly the pairs it
+finds with L, less the pair that holds L if there is one.  Proof, step
+by step along the scan, with the unscanned candidates the same on both
+sides but for L: a candidate e whose highest unmatched partner below it
+is not L takes the same partner either way.  If e took L, then L was
+its only one, as every other candidate lies above L, so without L e
+stays unmatched and the candidates left are again the same but for L.
+L itself, when reached unmatched, has no candidate below it and takes
+none.  So the call keeps the scan's state, the candidates not yet
+reached (`rest`), the lower members of the pairs found (`mates`) and
+their count, and on leaving a node unmatches L (its pair no longer
+counts) or drops it from `rest`.  A node subtracts the pairs found
+from those it needs, is pruned if none are left to find, and otherwise
+resumes the scan with the same stops.  The state is a prefix of the
+greedy over the node's candidates, so a node is pruned exactly when a
+scan from the top would prune it; the incumbent may rise inside the
+recursion, but the pairs needed are counted afresh at every node.  The
+tree, the counts and the listing do not move; only the scans are
+shared.
 
 The naive searcher shares none of that machinery: it walks the full
 include/exclude tree, testing each inclusion directly, and serves as
@@ -191,6 +219,12 @@ def search(n: int, k: int, enumerate_all: bool = False):
         nonlocal best, count, nodes
         avail = ~forb & full & (full << (pos - 1))
         free = avail.bit_count()
+        # the greedy matching, resumed across the loop (module docstring):
+        # the candidates not yet scanned, the lower members of the pairs
+        # found, and their count
+        rest = avail
+        mates = 0
+        pairs = 0
         while True:
             nodes += 1
             if not avail:
@@ -222,18 +256,29 @@ def search(n: int, k: int, enumerate_all: bool = False):
                 return deciding
             # the matching bound: prune at the need-th disjoint pair, and
             # stop matching once the candidates left cannot make up the rest
-            rest = avail
+            need -= pairs
+            if need <= 0:
+                return False
             while need + need <= rest.bit_count():
                 e = rest.bit_length()
                 rest ^= 1 << e - 1
                 mate = (K >> e | pair_bit[e] | (V >> n - e + 1 if diffs else 0)) & rest
                 if mate:
-                    rest ^= 1 << mate.bit_length() - 1
+                    mate = 1 << mate.bit_length() - 1
+                    rest ^= mate
+                    mates |= mate
+                    pairs += 1
                     need -= 1
                     if not need:
                         return False
             avail ^= low
             free -= 1
+            # the next node's matching is this one's without low's pair
+            if mates & low:
+                mates ^= low
+                pairs -= 1
+            else:
+                rest &= ~low
             # including anything violates x + x = 2x when k = 2
             if k != 2:
                 Kc = K | k_bit[pos]

@@ -6,7 +6,9 @@ table of suffix maxima (which the search proves for itself level by
 level before the counting pass) and a greedy matching of candidates
 that cannot both join the chosen set.  A tight node, whose chosen and
 candidate counts add up to the incumbent, can tie only by taking every
-candidate, so it tests that one set with a bitmask test and stops.  An
+candidate, so it tests that one set with a bitmask test and stops.
+Sibling nodes differ by one candidate, so each call of the search
+computes the matching once and resumes it from node to node.  An
 unpruned naive search in the same module serves as its oracle.
 
 Searches are exhaustive with a guaranteed-correct answer, so they are
@@ -44,7 +46,7 @@ __all__ = [
 KERNEL_BACKEND = "python"
 #: largest n the pruned search accepts by default.  The value is part of
 #: the CLI's contract (its budget refusal), not a time limit: the slowest
-#: search over k = 1..6, k = 3, takes 3-4.5 ms at the reference speed of
+#: search over k = 1..6, k = 3, takes 2-3.5 ms at the reference speed of
 #: bench/speed.py at each of n = 48, 49 and 50 (k = 1 about 1 ms)
 DEFAULT_BUDGET = 49
 #: largest n the unpruned oracle accepts by default

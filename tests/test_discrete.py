@@ -320,9 +320,10 @@ class TestLoopKernelAgainstReference:
         for n in range(1, 35):
             assert _kernel_py.search(n, k, True) == reference_search(n, k, True), (n, k)
 
-    @pytest.mark.parametrize("k", [3, 4, 5])
-    def test_same_on_the_bench_batch(self, k):
-        assert _kernel_py.search(62, k, True) == reference_search(62, k, True)
+    @pytest.mark.parametrize("n,k", [(62, 3), (62, 4), (62, 5)] + [(70, k) for k in range(1, 7)])
+    def test_same_on_the_bench_batch(self, n, k):
+        # the bench batch, and n = 70 as trees held out of it
+        assert _kernel_py.search(n, k, True) == reference_search(n, k, True)
 
 
 class TestMaskPredicate:
@@ -375,6 +376,17 @@ class TestMatchingBound:
         for a, b in pairs:
             assert any(x + y == k * z for x, y, z in itertools.product(chosen + [a, b], repeat=3)
                        if {a, b} <= {x, y, z}), (chosen, a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 6), st.data())
+    def test_dropping_the_lowest_candidate_drops_only_its_pair(self, n, k, data):
+        # the kernel resumes one matching across a call's nodes: without
+        # the lowest candidate L the greedy finds the same pairs, less the
+        # one that holds L, so the count drops by one exactly when L is matched
+        chosen, cands, mask, avail = draw_chosen_and_candidates(n, k, data)
+        pairs = greedy_pairs(n, k, mask, avail)
+        low = min(cands, default=None)
+        assert greedy_pairs(n, k, mask, avail & (avail - 1)) == [p for p in pairs if low not in p]
 
 
 def draw_chosen_and_candidates(n, k, data):
