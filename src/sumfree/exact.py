@@ -46,6 +46,17 @@ needs one primal phase, and a child, which copies its parent's optimal
 tableau and adds its one row, needs only the dual simplex and is never
 infeasible.
 
+A child's dual simplex gets the incumbent's value as a cutoff.  At each
+step, once the row r and the column s are chosen, it first computes
+only the objective the pivot would make, and if that is at most the
+cutoff it stops there: the node is pruned, and its other rows are never
+pivoted.  This prunes exactly the nodes a full solve prunes.  The dual
+simplex keeps the objective row dual feasible, and its objective never
+rises, so the LP optimum is at most that step's objective, at most the
+incumbent.  Conversely, a node whose optimum beats the incumbent never
+meets the cutoff on the way and is solved to the end.  So the tree, the
+incumbent and every count but ``pivots`` are what the full solves give.
+
 ``Tableau`` keeps the simplex tableau in condensed (dictionary) form,
 as ints over one common denominator d, the determinant of the basis
 (fraction-free pivoting, as in lrs).  A basic variable's column is d in
@@ -80,7 +91,11 @@ A finished search is a certificate that needs no simplex to check:
 one disjunction into its two sides, and that every leaf's multipliers y
 satisfy y >= 0, y A >= c and y b <= the bound, so by weak duality no
 point of the leaf's polyhedron, and hence no set with at most m
-components, measures more than the bound.
+components, measures more than the bound.  A leaf solved to its optimum
+holds its dual optimum.  A leaf cut short holds the objective row of
+the step that met the cutoff: the reduced costs of that dual feasible
+basis give y >= 0 and y A >= c, and y b is the step's objective, at most
+the incumbent, which is at most the bound.
 """
 
 from __future__ import annotations
@@ -89,6 +104,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .intervals import IntervalSet
+from .predicates import is_k_sum_free
 
 __all__ = ["Node", "Search", "Tableau", "branch_and_bound", "check_certificate",
            "solve_lp"]
@@ -107,7 +123,8 @@ class Tableau:
     variable's column, d in its own row and 0 elsewhere and in z, is not
     stored.  A pivot follows the four rules of the module docstring, and
     both phases choose by variable, not by column.  ``pivots`` counts the
-    pivots made, those of the tableau it was copied from included.
+    pivots made, those of the tableau it was copied from included; a
+    dual step stopped by ``add_row``'s cutoff is not one.
     """
 
     __slots__ = ("n", "d", "rows", "z", "basis", "nonbasic", "pivots")
@@ -134,9 +151,15 @@ class Tableau:
         t.z, t.basis, t.nonbasic = self.z[:], self.basis[:], self.nonbasic[:]
         return t
 
-    def add_row(self, a, b) -> None:
+    def add_row(self, a, b, cutoff=None):
         """Add the row a.x <= b, written in the current basis, and
-        restore optimality by the dual simplex."""
+        restore optimality by the dual simplex; return None.
+
+        With a ``cutoff``, stop instead at the first dual step whose
+        objective would be at most the cutoff, before pivoting, and
+        return that step's multipliers ``(y, den)``: y >= 0, y A >= c den
+        and y b <= cutoff den, so the LP's value is at most the cutoff.
+        The tableau is then left unsolved."""
         d, n = self.d, self.n
         new = [d * b] + [d * a[v - 1] if v <= n else 0 for v in self.nonbasic[1:]]
         for row, v in zip(self.rows, self.basis):
@@ -145,7 +168,7 @@ class Tableau:
                 new = [x - f * y for x, y in zip(new, row)]
         self.rows.append(new)
         self.basis.append(1 + n + len(self.basis))
-        self._dual()
+        return self._dual(cutoff)
 
     # -- reading the optimum ----------------------------------------------
 
@@ -162,13 +185,8 @@ class Tableau:
         return x
 
     def multipliers(self) -> tuple:
-        """The dual optimum y, one per row, as ints over d: the objective
-        row at the column of the row's slack, 0 for a basic slack."""
-        n, y = self.n, [0] * len(self.rows)
-        for j, v in enumerate(self.nonbasic):
-            if v > n:
-                y[v - n - 1] = self.z[j]
-        return tuple(y)
+        """The dual optimum y, one per row, as ints over d."""
+        return _slack_entries(self.n, self.z, self.nonbasic, len(self.rows))
 
     # -- pivoting -----------------------------------------------------------
 
@@ -224,13 +242,13 @@ class Tableau:
                 raise ArithmeticError("the LP is unbounded")
             self._pivot(r, s)
 
-    def _dual(self) -> None:
+    def _dual(self, cutoff):
         rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         while True:
             r = min((i for i, row in enumerate(rows) if row[0] < 0),
                     key=basis.__getitem__, default=None)
             if r is None:
-                return
+                return None
             pr, z, s = rows[r], self.z, None
             for j in range(1, len(pr)):
                 # least ratio z_j / |a_rj| over a_rj < 0, the least variable on ties
@@ -243,7 +261,28 @@ class Tableau:
                         s = j
             if s is None:
                 raise ArithmeticError("the LP is infeasible")
+            if cutoff is not None:
+                # the objective row this pivot would make is (z p + f pr) / d
+                # over p = -pr[s], as in ``_pivot`` with row r negated: test
+                # its value against the cutoff, and build it only to stop
+                p, f, d = -pr[s], z[s], self.d
+                if (z[0] * p + f * pr[0]) * cutoff.denominator <= cutoff.numerator * p * d:
+                    z = [(x * p + f * y) // d for x, y in zip(z, pr)]
+                    z[s] = f
+                    nonbasic = nonbasic[:]
+                    nonbasic[s] = basis[r]
+                    return _slack_entries(self.n, z, nonbasic, len(rows)), p
             self._pivot(r, s)
+
+
+def _slack_entries(n: int, z, nonbasic, count: int) -> tuple:
+    """The objective row z at the column of each row's slack, 0 for a
+    basic slack: the row's multiplier."""
+    y = [0] * count
+    for j, v in enumerate(nonbasic):
+        if v > n:
+            y[v - n - 1] = z[j]
+    return tuple(y)
 
 
 def solve_lp(c, rows) -> tuple:
@@ -323,9 +362,12 @@ def _most_violated(x, m: int, k: int):
 
 class Node:
     """A node of the search tree: an inner node splits one disjunction
-    into its two sides, ``children[s]`` adding side s; a leaf holds the
-    multipliers ``y`` of its LP, one per row (the base rows, then the
-    sides on its path from the root), as ints over ``den``.  A node the
+    into its two sides, ``children[s]`` adding side s; a leaf holds
+    multipliers ``y`` for its LP, one per row (the base rows, then the
+    sides on its path from the root), as ints over ``den``.  They are
+    dual feasible, y >= 0 and y A >= c, so y b bounds the LP: an
+    improved leaf holds its dual optimum, and a pruned one a bound at
+    most the incumbent at the time, not always its optimum.  A node the
     search did not reach has neither."""
 
     __slots__ = ("split", "children", "y", "den")
@@ -340,9 +382,10 @@ class Search:
 
     ``best`` is the incumbent at the end; ``proved`` says that the tree
     was finished, so no set of at most m components measures more.
-    ``nodes`` counts the LPs solved, ``pivots`` their simplex pivots,
-    ``pruned`` the leaves pruned by the bound and ``improved`` the leaves
-    whose optimum was a better set.
+    ``nodes`` counts the LPs solved, ``pivots`` their simplex pivots
+    (the full ones: a pruned leaf's last dual step, which stops at the
+    cutoff, is not counted), ``pruned`` the leaves pruned by the bound and
+    ``improved`` the leaves whose optimum was a better set.
     """
 
     best: IntervalSet
@@ -358,20 +401,31 @@ class Search:
         return self.best.measure()
 
 
+_UNIT = IntervalSet.interval(0, 1, True, True)
+
+
 def branch_and_bound(m: int, k: int = 3, budget: int | None = None,
                      incumbent: IntervalSet | None = None) -> Search:
     """The largest measure of a k-sum-free subset of [0, 1] with at most
     m components, and a set that attains it.
 
-    ``incumbent``, when given, must be such a set; the search starts
-    from its measure and returns it unless it finds a better one.
+    ``incumbent``, when given, must be such a set (``ValueError``
+    otherwise); the search starts from its measure and returns it unless
+    it finds a better one.
     ``budget`` bounds the LPs solved; when it runs out, ``proved`` is
     False and the result is the best set found.
     """
     c, rows, _ = _program(m, k)
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"budget must be None or >= 0 (an int), got {budget!r}")
-    best = IntervalSet.empty() if incumbent is None else incumbent
+    if incumbent is None:
+        best = IntervalSet.empty()
+    elif (len(incumbent) > m or not incumbent.is_subset_of(_UNIT)
+          or not is_k_sum_free(incumbent, k)[0]):
+        raise ValueError(f"the incumbent must be a {k}-sum-free subset of [0, 1] "
+                         f"with at most {m} components, got {incumbent}")
+    else:
+        best = incumbent
     value = best.measure()
     tree = Node()
     stack = [(tree, None, None)]
@@ -379,24 +433,23 @@ def branch_and_bound(m: int, k: int = 3, budget: int | None = None,
     while stack and nodes != budget:
         node, tab, row = stack.pop()
         if tab is None:
-            tab, before = Tableau(c, rows), 0
+            tab, before, cut = Tableau(c, rows), 0, None
         else:
             before = tab.pivots
-            tab.add_row(*row)
+            cut = tab.add_row(*row, value)
         nodes += 1
         pivots += tab.pivots - before
-        d, top = tab.d, tab.z[0]
         split = None
-        if top * value.denominator <= value.numerator * d:
+        if cut is not None or tab.z[0] * value.denominator <= value.numerator * tab.d:
             pruned += 1
         else:
             x = tab.vertex()
             split = _most_violated(x, m, k)
             if split is None:
                 improved += 1
-                best, value = _vertex_set(x, d, m), Fraction(top, d)
+                best, value = _vertex_set(x, tab.d, m), tab.value
         if split is None:
-            node.y, node.den = tab.multipliers(), d
+            node.y, node.den = cut or (tab.multipliers(), tab.d)
             continue
         first, second = Node(), Node()
         node.split, node.children = split, (first, second)

@@ -3,6 +3,7 @@ disjunctive program against the k-sum-free predicate, and the
 certificate checker against broken certificates."""
 
 import copy
+import hashlib
 import itertools
 from fractions import Fraction as F
 
@@ -85,6 +86,27 @@ def test_int_tableau_matches_the_fraction_simplex(lp):
     for j, cj in enumerate(c):
         assert sum(v * a[j] for v, (a, _) in zip(y, rows)) >= t.d * cj
     assert F(sum(v * b for v, (_, b) in zip(y, rows)), t.d) == t.value
+
+
+@settings(max_examples=300)
+@given(lps(), st.fractions(-1, 12, max_denominator=4))
+def test_a_cutoff_stops_the_dual_simplex_only_on_a_bound_at_most_the_cutoff(lp, cutoff):
+    # add_row with a cutoff either solves as without one, or returns
+    # multipliers that bound the LP of the rows so far by the cutoff
+    c, rows = lp
+    t = Tableau(c, rows[:1])
+    for count in range(2, len(rows) + 1):
+        value = reference_lp(c, rows[:count])[0]
+        cut = t.add_row(*rows[count - 1], cutoff)
+        if cut is None:
+            assert t.value == value
+            continue
+        y, den = cut
+        assert den > 0 and len(y) == count and min(y) >= 0
+        for j, cj in enumerate(c):
+            assert sum(v * a[j] for v, (a, _) in zip(y, rows)) >= den * cj
+        assert value <= F(sum(v * b for v, (_, b) in zip(y, rows)), den) <= cutoff
+        return
 
 
 @settings(max_examples=300)
@@ -188,22 +210,35 @@ def test_no_endpoint_of_an_optimum_can_move_outward(k, m):
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_each_leaf_holds_the_dual_optimum_of_its_lp(k, m):
-    # y b over den is the leaf's LP value, as a Fraction simplex solving
-    # the leaf's rows from the origin finds it
+def test_each_leaf_holds_a_dual_bound_of_its_lp(k, m):
+    # every leaf's y is dual feasible over the rows of its path, so y b
+    # over den bounds the leaf's LP value, as a Fraction simplex solving
+    # those rows from the origin finds it.  In the search's order (depth
+    # first, the first side first), a leaf whose LP beats the incumbent
+    # so far is an improved one and holds its dual optimum; any other
+    # leaf is pruned and its bound is at most that incumbent
     c, base, _ = _program(m, k)
     s = branch_and_bound(m, k)
-    stack, leaves = [(s.tree, base)], 0
+    stack, value, improved, pruned = [(s.tree, base)], F(0), 0, 0
     while stack:
         node, rows = stack.pop()
-        if node.split is None:
-            yb = sum(v * b for v, (_, b) in zip(node.y, rows))
-            assert F(yb, node.den) == reference_lp(c, rows)[0]
-            leaves += 1
+        if node.split is not None:
+            stack += reversed([(child, rows + [_side(m, k, node.split, side)])
+                               for side, child in enumerate(node.children)])
+            continue
+        y, den = node.y, node.den
+        assert den > 0 and len(y) == len(rows) and min(y) >= 0
+        for j, cj in enumerate(c):
+            assert sum(v * a[j] for v, (a, _) in zip(y, rows)) >= den * cj
+        bound, optimum = F(sum(v * b for v, (_, b) in zip(y, rows)), den), reference_lp(c, rows)[0]
+        assert optimum <= bound
+        if optimum > value:
+            assert bound == optimum
+            value, improved = optimum, improved + 1
         else:
-            stack += [(child, rows + [_side(m, k, node.split, side)])
-                      for side, child in enumerate(node.children)]
-    assert leaves == s.pruned + s.improved
+            assert bound <= value
+            pruned += 1
+    assert (pruned, improved, value) == (s.pruned, s.improved, s.value)
 
 
 @st.composite
@@ -303,14 +338,27 @@ def test_the_branch_choice_matches_the_formula(m, k, data):
     assert _most_violated(x, m, k) == most_violated_reference(x, m, k, splits)
 
 
-@pytest.mark.parametrize("m,nodes,pivots,pruned", [(1, 1, 2, 1), (2, 5, 9, 3), (3, 19, 32, 10),
-                                                    (4, 91, 157, 46), (5, 299, 519, 150)])
+@pytest.mark.parametrize("m,nodes,pivots,pruned", [(1, 1, 2, 1), (2, 5, 5, 3), (3, 19, 18, 10),
+                                                    (4, 91, 69, 46), (5, 299, 228, 150)])
 def test_the_search_tree_of_optimize_is_pinned(m, nodes, pivots, pruned):
     # the counts of the stack-chain start; a change to the pivot rule or
-    # the branch choice changes the tree and so these counts
+    # the branch choice changes the tree and so these counts.  A pruned
+    # leaf stops at its first dual step that reaches the incumbent, so
+    # ``pivots`` counts only the pivots made
     s = optimize(m, 0, 2000).search
     assert s.proved and (s.nodes, s.pivots, s.pruned) == (nodes, pivots, pruned)
     assert check_certificate(s.tree, m, s.value)
+
+
+def test_the_search_trees_are_pinned_split_for_split():
+    # the splits in preorder, a leaf as None, of the stack-chain starts
+    # for m <= 5 and of the searches from the empty set for k = 4, 5 and
+    # m <= 3; the counts above would not see two splits trade places
+    trees = [optimize(m, 0, 2000).search.tree for m in range(1, 6)]
+    trees += [branch_and_bound(m, k).tree for k in (4, 5) for m in (1, 2, 3)]
+    splits = repr([[node.split for node in nodes(tree)] for tree in trees])
+    assert (hashlib.sha256(splits.encode()).hexdigest()
+            == "bdf7c654e1599233e4df4d207afff9a1a6866d75daa2544c2bd8bb169d636433")
 
 
 @pytest.mark.parametrize("m,k,budget", [(0, 3, None), (1.0, 3, None), (1, 2, None),
@@ -319,6 +367,20 @@ def test_the_search_tree_of_optimize_is_pinned(m, nodes, pivots, pruned):
 def test_rejects_bad_arguments(m, k, budget):
     with pytest.raises(ValueError):
         branch_and_bound(m, k, budget)
+
+
+@pytest.mark.parametrize("text,sum_free", [
+    ("[0,1]", False),
+    ("(0,1/2)", False),  # 3/10 + 3/10 = 3 * 1/5
+    ("(1/2,1)|(3/2,2)", False),  # and not in [0, 1]
+    ("(4/3,2)", True),  # (2/3, 1) dilated by 2, not in [0, 1]
+    ("(2/3,3/4)|(4/5,5/6)|(6/7,7/8)|(9/10,1)", True),  # four components
+])
+def test_rejects_an_incumbent_that_is_no_feasible_set(text, sum_free):
+    incumbent = IntervalSet.parse(text)
+    assert is_k_sum_free(incumbent, 3)[0] == sum_free
+    with pytest.raises(ValueError, match="incumbent"):
+        branch_and_bound(3, 3, None, incumbent)
 
 
 # -- the certificate checker --------------------------------------------------------
