@@ -7,8 +7,9 @@ between threads.  A set caches four values, all pure functions of its
 ``(D, codes)``: the component tuple, built on first read; the last
 k-sum-free verdict, stored by ``predicates.is_k_sum_free`` together
 with its k; the codes of A+A over D, stored by ``predicates.conflicts``,
-read by ``minkowski`` when both operands are the set and carried by
-``dilate``, as alpha(A+A) = alpha A + alpha A; and the set's
+read by ``minkowski`` and ``lemmas.check_sumset_min_bound`` when both
+operands are the set and carried by ``dilate``, as
+alpha(A+A) = alpha A + alpha A; and the set's
 ``lemmas.LemmaContext``, stored by ``LemmaContext.from_set``, one per
 set whatever the rescale flag.  Each is one attribute store of a value
 that is complete before the store and never changed after it (the sum
@@ -187,6 +188,11 @@ def _self_sumset_codes(a) -> list:
     los = [p + q - (p & q & 1) for i, p in enumerate(lo) for q in lo[i:]]
     his = [r + s - ((r | s) & 1) for i, r in enumerate(hi) for s in hi[i:]]
     return _merge(los, his)
+
+
+def _codes_mass(codes) -> int:
+    """The measure of the set of a code list, as an int over its denominator."""
+    return sum(hi >> 1 for hi in codes[1::2]) - sum(lo >> 1 for lo in codes[::2])
 
 
 def _sweep_codes(a, b, table: int) -> list:
@@ -368,8 +374,7 @@ class IntervalSet:
 
     def measure(self) -> Rational:
         """Total length of the components (singletons contribute 0)."""
-        c = self._codes
-        return rational(sum(hi >> 1 for hi in c[1::2]) - sum(lo >> 1 for lo in c[::2]), self._den)
+        return rational(_codes_mass(self._codes), self._den)
 
     def inf(self) -> Rational:
         if not self._codes:

@@ -19,28 +19,30 @@ and hand it to every checker.  Each quantity is built once per set
 across all entry points: the caller's own check, ``lemma_report``, the
 tracer and the containment check.  ``is_k_sum_free`` keeps the
 3-sum-free verdict on the set, and with it the codes of A+A, which
-``minkowski`` reads for the sumset bound on (S, S), also when S is the
-rescaled set.  ``from_set`` keeps one context on the set, so the report
-and the trace of one set share it: its S always has sup 1, and the
-rescale flag only decides whether a rescaled context may be returned.
-A ``rescale=False`` call on a set whose sup is not 1 is refused and
-keeps the context, which a later ``rescale=True`` call returns.
+``check_sumset_min_bound`` measures for the bound on (S, S), also when
+S is the rescaled set.  ``from_set`` keeps one context on the set, so
+the report and the trace of one set share it: its S always has sup 1,
+and the rescale flag only decides whether a rescaled context may be
+returned.  A ``rescale=False`` call on a set whose sup is not 1 is
+refused and keeps the context, which a later ``rescale=True`` call
+returns.
 
 A context's quantities are ints over N = 648 * D, D the denominator of
-S, and a checker compares ints.  A ``Fraction`` is built only for a
-side of a ``CheckRecord`` or for a public field when it is read.  The
-windows A1 and R are cut with ``IntervalSet._clip``, measured with
-``IntervalSet._mass`` and their ends read with ``IntervalSet._end``,
-all over N.  648 = 2^3 * 3^4 makes every division in the checkers and
-in the tracer exact.  Over N an endpoint of S is a multiple of 648 and
-1/3 is 216 * D, so a and mu(S) are multiples of 648; eps1, eps2 and
-mu(A1), whose ends are endpoints or 2/3, are multiples of 216 = 8 * 27,
-so eps1/6, 3*eps1/8 and (eps1 - 2a/3)/24 are ints; the head's ends,
-endpoints or 2/9 + a/3, are multiples of 72, so r/3, 4r/9, 5r/12,
-(r - a)/2, (2r - a)/6 and the end 2r/9 + a/3 of the second head R0 are
-ints, the latter a multiple of 8, and (2b - a)/4 is one; and 81, 54 and
-36 divide 648 for the constants 8/81, 10/81, 5/54 and 5a/36, as 108
-does for 7a/108.  The head (1/r) * R gets a context of its own, over
+S, and a checker compares ints: its ``CheckRecord`` keeps both sides as
+ints over N and decides its verdict on them.  A ``Fraction`` is built
+only when a record's side or margin, or a public field of the context,
+is read.  The windows A1 and R are cut with ``IntervalSet._clip``,
+measured with ``IntervalSet._mass`` and their ends read with
+``IntervalSet._end``, all over N.  648 = 2^3 * 3^4 makes every division
+in the checkers and in the tracer exact.  Over N an endpoint of S is a
+multiple of 648 and 1/3 is 216 * D, so a and mu(S) are multiples of 648;
+eps1, eps2 and mu(A1), whose ends are endpoints or 2/3, are multiples of
+216 = 8 * 27, so eps1/6, 3*eps1/8 and (eps1 - 2a/3)/24 are ints; the
+head's ends, endpoints or 2/9 + a/3, are multiples of 72, so r/3, 4r/9,
+5r/12, (r - a)/2, (2r - a)/6 and the end 2r/9 + a/3 of the second head
+R0 are ints, the latter a multiple of 8, and (2b - a)/4 is one; and 81,
+54 and 36 divide 648 for the constants 8/81, 10/81, 5/54 and 5a/36, as
+108 does for 7a/108.  The head (1/r) * R gets a context of its own, over
 its own N.  The two conditions the proof branches on are stated once
 each, on the context: ``tail_applies`` (eps1 + 2*eps2 <= 1/3) and
 ``dense`` (mu(S) >= 5/12).
@@ -56,10 +58,9 @@ int over its N):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from math import lcm
+from dataclasses import dataclass, field
 
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _codes_mass, _self_sumset_codes, _sumset_codes
 from .predicates import NotSumFreeError, PreconditionError, is_k_sum_free
 from .rationals import Rational, rational
 
@@ -78,27 +79,112 @@ __all__ = [
     "lemma_report",
 ]
 
-@dataclass(frozen=True)
+
 class CheckRecord:
     """One exact inequality, stated as its two sides: lhs <= rhs.
 
-    The record holds the sides and nothing else; ``passed`` is derived
-    from them, so it is True exactly when lhs <= rhs.
+    Both sides are held as ints over one positive denominator, so
+    ``passed``, True exactly when lhs <= rhs, compares two ints and
+    builds no Fraction.  ``lhs`` and ``rhs`` are Fractions built on
+    their first read and kept; ``margin``, the exact rhs - lhs, is built
+    from the ints on every read.  ``CheckRecord(name, lhs, rhs, note)``
+    takes the sides as rationals, and ``_over`` as two ints over one
+    denominator.  A record is immutable: assigning any attribute raises
+    ``AttributeError``.  Two records are equal, and hash alike, when
+    their names, sides and notes are equal.
     """
 
-    name: str
-    lhs: Rational
-    rhs: Rational
-    note: str = ""
+    # _lhs and _rhs are left unset by _over until a side is read
+    __slots__ = ("name", "note", "_lhs_n", "_rhs_n", "_den", "_lhs", "_rhs")
+
+    def __init__(self, name: str, lhs: Rational, rhs: Rational, note: str = "") -> None:
+        p, q = lhs.denominator, rhs.denominator
+        _fill(self, name, lhs.numerator * q, rhs.numerator * p, p * q, note)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+
+    @classmethod
+    def _over(cls, name: str, lhs: int, rhs: int, den: int, note: str = "") -> "CheckRecord":
+        """The record lhs/den <= rhs/den of two ints over a positive den."""
+        rec = object.__new__(cls)
+        _fill(rec, name, lhs, rhs, den, note)
+        return rec
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CheckRecord is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CheckRecord is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild a record through _over, as they may not
+        # set its fields
+        return CheckRecord._over, (self.name, self._lhs_n, self._rhs_n, self._den, self.note)
+
+    @property
+    def lhs(self) -> Rational:
+        v = getattr(self, "_lhs", None)
+        if v is None:
+            v = rational(self._lhs_n, self._den)
+            _set_lhs(self, v)
+        return v
+
+    @property
+    def rhs(self) -> Rational:
+        v = getattr(self, "_rhs", None)
+        if v is None:
+            v = rational(self._rhs_n, self._den)
+            _set_rhs(self, v)
+        return v
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs
+        return self._lhs_n <= self._rhs_n
+
+    @property
+    def margin(self) -> Rational:
+        """rhs - lhs, exact; negative exactly when the record fails."""
+        return rational(self._rhs_n - self._lhs_n, self._den)
+
+    def renamed(self, name: str, note: str | None = None) -> "CheckRecord":
+        """The same inequality under another name, and another note if given."""
+        return CheckRecord._over(name, self._lhs_n, self._rhs_n, self._den,
+                                 self.note if note is None else note)
+
+    def _key(self) -> tuple:
+        return self.name, self.lhs, self.rhs, self.note
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(name={self.name!r}, lhs={self.lhs!r}, "
+                f"rhs={self.rhs!r}, note={self.note!r})")
 
     def __str__(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         extra = f"  ({self.note})" if self.note else ""
         return f"[{mark}] {self.name}: {self.lhs} <= {self.rhs}{extra}"
+
+
+# a record refuses __setattr__, so its fields are stored through the
+# setters of its slots, which skip the lookup of object.__setattr__
+_set_name, _set_note, _set_lhs_n, _set_rhs_n, _set_den, _set_lhs, _set_rhs = (
+    vars(CheckRecord)[slot].__set__ for slot in CheckRecord.__slots__)
+
+
+def _fill(rec, name: str, lhs: int, rhs: int, den: int, note: str) -> None:
+    """Store the fields of a new ``CheckRecord``: lhs/den <= rhs/den."""
+    _set_name(rec, name)
+    _set_note(rec, note)
+    _set_lhs_n(rec, lhs)
+    _set_rhs_n(rec, rhs)
+    _set_den(rec, den)
 
 
 def _fraction(name: str) -> property:
@@ -195,7 +281,7 @@ class LemmaContext:
 
     def _record(self, name: str, lhs: int, rhs: int, note: str = "") -> CheckRecord:
         """The record lhs <= rhs of two ints over N."""
-        return CheckRecord(name, rational(lhs, self.N), rational(rhs, self.N), note)
+        return CheckRecord._over(name, lhs, rhs, self.N, note)
 
     @classmethod
     def _of(cls, A: IntervalSet) -> "LemmaContext":
@@ -291,18 +377,28 @@ def check_sumset_min_bound(A: IntervalSet, B: IntervalSet) -> CheckRecord:
     """mu(A+B) >= min(2 mu(A) + mu(B), mu(A) + diam(B)) with mu(A) <= mu(B).
 
     Operands are swapped internally if needed.  Every term is an int over
-    the least common denominator of A and B, and the record's two sides
-    are its only Fractions.
+    the least common denominator of A and B, and no set and no Fraction
+    is built: mu(A+B) is measured on the codes of A+A that A keeps (see
+    ``predicates.conflicts``) when B is A, else on the sums of the two
+    code lists.
     """
     if A.is_empty or B.is_empty:
         raise PreconditionError("sumset bound requires nonempty operands")
-    den = lcm(A._den, B._den)
-    nA, nB = A._mass(den), B._mass(den)
-    if nA > nB:
-        A, B, nA, nB = B, A, nB, nA
+    if A is B:
+        den = A._den
+        sums = getattr(A, "_sums", None)
+        if sums is None:
+            sums = _self_sumset_codes(A._codes)
+        nA = nB = A._mass(den)
+    else:
+        den, a, b = A._aligned(B)
+        sums = _sumset_codes(a, b)
+        nA, nB = A._mass(den), B._mass(den)
+        if nA > nB:
+            A, B, nA, nB = B, A, nB, nA
     diam = B._end(den, -1) - B._end(den, 0)
-    return CheckRecord("sumset-min-bound", rational(min(2 * nA + nB, nA + diam), den),
-                       rational(A.minkowski(B)._mass(den), den))
+    return CheckRecord._over("sumset-min-bound", min(2 * nA + nB, nA + diam),
+                             _codes_mass(sums), den)
 
 
 @dataclass
@@ -349,8 +445,7 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
     records = [r for r in (check_extent_bound(ctx), check_top_window_bound(ctx),
                            check_tail_bound(ctx), check_tail_equality(ctx),
                            check_dense_tail_bound(ctx)) if r is not None]
-    records.append(replace(check_sumset_min_bound(ctx.S, ctx.S), name="sumset-min-bound(S,S)"))
+    records.append(check_sumset_min_bound(ctx.S, ctx.S).renamed("sumset-min-bound(S,S)"))
     if not ctx.R.is_empty:
-        records.append(replace(check_sumset_min_bound(ctx.R, ctx.A1),
-                               name="sumset-min-bound(R,A1)"))
+        records.append(check_sumset_min_bound(ctx.R, ctx.A1).renamed("sumset-min-bound(R,A1)"))
     return LemmaReport(ctx, records)

@@ -83,8 +83,9 @@ def conflicts(A: IntervalSet, k: int) -> IntervalSet:
     """The z in A with k*z in A+A; empty iff A is k-sum-free (k >= 1).
 
     Equal to ``A.minkowski(A).dilate(1/k).intersect(A)``.  The codes of
-    A+A are kept on A, for any k, so a later ``A.minkowski(A)``, or the
-    sumset of a dilation of A with itself, merges no sums again.
+    A+A are kept on A, for any k, so a later ``A.minkowski(A)``, the
+    sumset bound on (A, A), or either on a dilation of A, merges no sums
+    again.
     """
     sums = getattr(A, "_sums", None)
     if sums is None:
@@ -128,6 +129,12 @@ def is_k_sum_free(A: IntervalSet, k: int):
     return verdict
 
 
+def _midpoint(S: IntervalSet) -> Rational:
+    """The midpoint of the first component of a nonempty set, read from
+    its first two codes."""
+    return rational((S._codes[0] >> 1) + (S._codes[1] >> 1), 2 * S._den)
+
+
 def _extract_witness(A: IntervalSet, conflict: IntervalSet, k: int) -> Witness:
     """Pick z in the first conflict component, then split k*z as x + y.
 
@@ -135,12 +142,12 @@ def _extract_witness(A: IntervalSet, conflict: IntervalSet, k: int) -> Witness:
     The points x of A with k*z - x also in A form A & (k*z - A), which
     is nonempty because k*z lies in A+A; x is the midpoint of its first
     component.  That set is symmetric about k*z/2, so x <= y = k*z - x.
+    Both midpoints are read from the sets' first two codes, so no other
+    component is built as Fractions.
     """
-    first = conflict.components[0]
-    z = (first.lo + first.hi) / 2
+    z = _midpoint(conflict)
     target = k * z
-    pair = A.intersect(A.reflect().translate(target)).components[0]
-    x = (pair.lo + pair.hi) / 2
+    x = _midpoint(A.intersect(A.reflect().translate(target)))
     w = Witness(x, target - x, z, k)
     if not w.holds_in(A):
         raise AssertionError(f"internal witness extraction failed: {w}")

@@ -19,11 +19,11 @@ equality.  Every case computes in the ints over N = 648 * D of the
 set's ``LemmaContext`` (see ``lemmas`` for why every division is exact
 there): R0 is cut with ``IntervalSet._clip``, the window masses come
 from ``IntervalSet._mass`` with no window set built, r and b are read
-with ``IntervalSet._end``, and a ``Fraction`` is built only for a
-verdict's side, for the public fields r, b, eta1, eta2 and
-``final_bound``, and for the named constants 2/21, 3/7, 22/51 and 2/5,
-which are not ints over N.  The early exit and the Case1/Case2 split
-read the context's ``dense`` and ``tail_applies``.
+with ``IntervalSet._end``.  A verdict over N keeps its sides as ints,
+and a ``Fraction`` is built only for a side that is read, for the public
+fields r, b, eta1, eta2 and ``final_bound``, and for the named constants
+2/21, 3/7, 22/51 and 2/5, which are not ints over N.  The early exit and
+the Case1/Case2 split read the context's ``dense`` and ``tail_applies``.
 
 Cases:
     early-exit          mu(A) < 5/12, nothing to do
@@ -48,7 +48,7 @@ augmentations.  It needs sup A <= 1 without rescaling, so it checks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -91,7 +91,8 @@ class ProofTrace:
     b once R0 is nonempty.  ``final_bound`` is the minimum of the bounds
     of the case reached.  ``checked``, ``rescaled`` and ``measure`` are
     read from the context: the checked set S, whether it is a rescaled
-    copy of the caller's set, and mu(S).
+    copy of the caller's set, and mu(S).  ``tightest`` is the verdict
+    with the least margin rhs - lhs.
     """
 
     case: TraceCase
@@ -128,6 +129,12 @@ class ProofTrace:
     @property
     def failures(self) -> list:
         return [v for v in self.verdicts if not v.passed]
+
+    @property
+    def tightest(self) -> Optional[CheckRecord]:
+        """The verdict of least margin rhs - lhs, the first one in verdict
+        order on a tie; None while there is no verdict."""
+        return min(self.verdicts, key=lambda v: v.margin, default=None)
 
 
 def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
@@ -210,7 +217,7 @@ def _case1(t: ProofTrace, ctx_r: LemmaContext, r: int, window_cap: int) -> None:
     muR0 = R0._mass(N)
     split = r // 3 + muR0
     tb = check_tail_bound(ctx_r)
-    t.verdicts += [replace(tb, name="head-" + tb.name, note="on (1/r)*R"),
+    t.verdicts += [tb.renamed("head-" + tb.name, "on (1/r)*R"),
                    ctx._record("head-split-again", muR, split)]
 
     if R0.is_empty:

@@ -228,6 +228,9 @@ def test_trace_prints_the_context_of_an_early_exit(capsys):
 
 
 A0_HALF = "(4/177,2/59)|(14/177,7/59)|(1/3,1/2)"
+# reached by the optimizer; R0 = R & [a, 2r/9 + a/3] is empty
+R0_EMPTY = ("[640/3357,952/3357]|(2860/10071,2876/10071)"
+            "|(8633/30213,2878/10071)|(2/3,1)")
 
 
 class TestSetSources:
@@ -276,6 +279,77 @@ def test_trace_prints_no_r0_line_when_r0_is_empty(capsys):
         "  r=2878/10071  eta1=2/4317  eta2=17/8634",
     ]
     assert lines[3] == "[PASS] window-2/3-mass: 0 <= 0"
+
+
+A0_LEMMAS = """\
+extent-bound	77/177	173/354	pass
+top-window-bound	77/177	1/2	pass
+tail-bound[small-eps1]	1/3	1/3	pass
+tail-equality-rigidity	0	0	pass
+dense-tail-bound	1/3	1/3	pass
+sumset-min-bound(S,S)	77/59	265/177	pass
+sumset-min-bound(R,A1)	77/177	31/59	pass
+"""
+
+A0_TRACE = """\
+window-2/3-mass	0	0	pass
+window-4/9-mass	0	0	pass
+window-1/3-mass	0	0	pass
+tail-bound[small-eps1]	1/3	1/3	pass
+dense-tail-bound	1/3	1/3	pass
+head-split	77/177	77/177	pass
+head-window-cap	6/59	34/177	pass
+head-tail-bound[small-eps1]	1/3	1/3	pass
+head-split-again	6/59	6/59	pass
+head2-extent-bound	4/177	4/177	pass
+head2-room	4/177	4/177	pass
+head2-sup-cap	4/59	4/59	pass
+head-combined	6/59	6/59	pass
+measure-linear	77/177	77/177	pass
+linear-vs-ceiling	77/177	77/177	pass
+final-vs-ceiling	77/177	77/177	pass
+"""
+
+R0_EMPTY_LEMMAS = """\
+extent-bound	12928/30213	3037/6714	pass
+top-window-bound	12928/30213	1/2	pass
+tail-bound[small-eps1]	1/3	1/3	pass
+tail-equality-rigidity	0	0	pass
+dense-tail-bound	1/3	1/3	pass
+sumset-min-bound(S,S)	37381/30213	38831/30213	pass
+sumset-min-bound(R,A1)	12928/30213	4315/10071	pass
+"""
+
+R0_EMPTY_TRACE = """\
+window-2/3-mass	0	0	pass
+window-4/9-mass	0	0	pass
+window-1/3-mass	0	0	pass
+tail-bound[small-eps1]	1/3	1/3	pass
+dense-tail-bound	1/3	1/3	pass
+head-split	12928/30213	12928/30213	pass
+head-window-cap	2857/30213	958/10071	pass
+head-tail-bound[small-eps1]	2857/8634	4316/12951	pass
+head-split-again	2857/30213	2878/30213	pass
+head-cap-combined	2857/30213	958/10071	pass
+head-cap-linear	2857/30213	958/10071	pass
+head-cap-constant	958/10071	2/21	pass
+final-vs-ceiling	12928/30213	77/177	pass
+"""
+
+
+@pytest.mark.parametrize("verb,text,out", [
+    ("lemmas", A0, A0_LEMMAS),
+    ("trace", A0, A0_TRACE),
+    ("lemmas", A0_HALF, A0_LEMMAS),
+    ("trace", A0_HALF, A0_TRACE),
+    ("lemmas", R0_EMPTY, R0_EMPTY_LEMMAS),
+    ("trace", R0_EMPTY, R0_EMPTY_TRACE),
+], ids=["lemmas-A0", "trace-A0", "lemmas-A0-half", "trace-A0-half", "lemmas-R0-empty",
+        "trace-R0-empty"])
+def test_pinned_records(verb, text, out, capsys):
+    # every line of the records format, each side in lowest terms
+    assert run([verb, "--format", "records", text]) == 0
+    assert capsys.readouterr().out == out
 
 
 class TestFailedCheck:

@@ -1,5 +1,9 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumfree
 import sumfree.lemmas
@@ -169,6 +173,60 @@ class TestCheckRecord:
         with pytest.raises(TypeError):
             CheckRecord("r", rational(1), rational(0), passed=True)
 
+    @pytest.mark.parametrize("field", ["name", "lhs", "rhs", "note", "passed", "margin"])
+    @pytest.mark.parametrize("make", [lambda: CheckRecord("r", rational(1, 3), rational(1, 2)),
+                                      lambda: CheckRecord._over("r", 2, 3, 6)],
+                             ids=["rationals", "ints"])
+    def test_every_field_is_read_only(self, make, field):
+        rec = make()
+        rec.lhs, rec.rhs  # a side read keeps its Fraction, and the record stays immutable
+        with pytest.raises(AttributeError):
+            setattr(rec, field, rational(0))
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+        assert str(rec) == "[PASS] r: 1/3 <= 1/2"
+
+    @pytest.mark.parametrize("note", ["", "a note"])
+    def test_ints_over_a_denominator_make_the_same_record(self, note):
+        ints = CheckRecord._over("r", -4, 6, 12, note)
+        fractions = CheckRecord("r", rational(-1, 3), rational(1, 2), note)
+        assert ints == fractions and fractions == ints
+        assert hash(ints) == hash(fractions)
+        assert str(ints) == str(fractions)
+        assert repr(ints) == repr(fractions) == (
+            f"CheckRecord(name='r', lhs=Fraction(-1, 3), rhs=Fraction(1, 2), note={note!r})")
+        assert (ints.lhs, ints.rhs, ints.margin) == (rational(-1, 3), rational(1, 2),
+                                                     rational(5, 6))
+        assert ints != CheckRecord("s", rational(-1, 3), rational(1, 2), note)
+        assert ints != CheckRecord._over("r", -4, 7, 12, note)
+        assert ints != ("r", rational(-1, 3), rational(1, 2), note)
+
+    def test_pickles_and_copies(self):
+        for rec in (CheckRecord._over("r", -4, 6, 12, "n"),
+                    CheckRecord("r", rational(-1, 3), rational(1, 2), "n")):
+            for again in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+                assert again == rec and str(again) == str(rec)
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**4),
+           st.integers(1, 10**4))
+    def test_passed_and_margin_agree_with_fractions(self, lhs, rhs, p, q):
+        # ints over one denominator, and rationals over two
+        cases = [(CheckRecord._over("r", lhs, rhs, p), rational(lhs, p), rational(rhs, p)),
+                 (CheckRecord("r", rational(lhs, p), rational(rhs, q)),
+                  rational(lhs, p), rational(rhs, q))]
+        for rec, left, right in cases:
+            assert rec.passed is (left <= right)
+            assert rec.margin == right - left
+            assert (rec.lhs, rec.rhs) == (left, right)
+
+    def test_renamed_keeps_the_sides_and_the_verdict(self):
+        for rec in (CheckRecord._over("r", 5, 3, 9, "n"),
+                    CheckRecord("r", rational(1, 3), rational(1, 2), "n")):
+            for renamed, note in ((rec.renamed("s"), "n"), (rec.renamed("s", "m"), "m")):
+                assert (renamed.name, renamed.note) == ("s", note)
+                assert (renamed.lhs, renamed.rhs, renamed.passed, renamed.margin) == (
+                    rec.lhs, rec.rhs, rec.passed, rec.margin)
+
 
 class TestTailEquality:
     def test_extremal_base_triggered(self):
@@ -248,6 +306,23 @@ class TestSumsetChecks:
                 continue
             assert check_superadditivity(a, b).passed
             assert check_sumset_min_bound(a, b).passed
+
+    def test_min_bound_equals_the_bound_from_set_operations(self, rng):
+        # the sumset is measured on codes; here it is the union of the
+        # pairwise sums of the components
+        for _ in range(100):
+            a, b = random_interval_set(rng), random_interval_set(rng)
+            if a.is_empty or b.is_empty:
+                continue
+            fresh = IntervalSet.parse(str(a))  # keeps no sums
+            is_k_sum_free(a, 3)  # keeps the codes of a+a on a
+            for x, y in ((a, b), (a, a), (fresh, fresh)):
+                if x.measure() > y.measure():
+                    x, y = y, x
+                bound = min(2 * x.measure() + y.measure(), x.measure() + y.diameter())
+                sumset = IntervalSet([p.sum(q) for p in x for q in y])
+                assert check_sumset_min_bound(x, y) == CheckRecord(
+                    "sumset-min-bound", bound, sumset.measure())
 
     @pytest.mark.parametrize("check", [check_superadditivity, check_sumset_min_bound])
     def test_an_empty_operand_is_a_precondition_error(self, check):

@@ -40,6 +40,23 @@ class TestPredicate:
         assert not ok
         assert w.holds_in(S("(0,1)"))
 
+    @pytest.mark.parametrize("text,k,xyz", [
+        ("(0,1/4)|(2/3,1)", 3, ("1/8", "1/8", "1/12")),
+        # the conflict is the single point 14/59
+        ("[8/177,4/59)|(28/177,14/59]|[2/3,1)", 3, ("8/177", "2/3", "14/59")),
+        # the conflict is the single point 1/2
+        ("[1/2,1/2]|[1,1]|(3/2,2)", 3, ("1/2", "1", "1/2")),
+        ("(0,1)", 3, ("1/2", "1/2", "1/3")),
+        ("(0,1/8)|(1/3,1/2)", 3, ("1/16", "1/16", "1/24")),
+        ("[-1,-1/2]|(1/7,2/3)", 3, ("-7/8", "-7/8", "-7/12")),
+        ("(1/5,1/3)|[3/4,1]", 4, ("4/15", "7/8", "137/480")),
+        ("(1/4,1/2]|[3/5,1)", 1, ("2/5", "2/5", "4/5")),
+    ])
+    def test_pinned_witnesses(self, text, k, xyz):
+        ok, w = is_k_sum_free(S(text), k)
+        assert not ok and w.k == k
+        assert (w.x, w.y, w.z) == tuple(map(rational, xyz))
+
     def test_witness_soundness_random(self, rng):
         for lo in (0, -2):
             for _ in range(300):

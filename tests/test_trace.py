@@ -102,6 +102,30 @@ class TestPinnedVerdicts:
         assert len(rep.records) == 7 and rep.all_passed
 
 
+class TestMargins:
+    """A record's margin is rhs - lhs; a trace's tightest verdict has the least."""
+
+    SETS = [*(construct_extremal(i) for i in range(8)), extremal_base().dilate(rational(1, 2)),
+            IntervalSet.parse(CASE1_R0_EMPTY_SET)]
+
+    @pytest.mark.parametrize("A", SETS, ids=[*(f"A{i}" for i in range(8)), "A0-half", "R0-empty"])
+    def test_margin_is_rhs_minus_lhs(self, A):
+        trace = trace_measure_bound(A, rescale=True)
+        for rec in lemma_report(A).records + trace.verdicts:
+            assert rec.margin == rec.rhs - rec.lhs, rec
+        least = min(v.rhs - v.lhs for v in trace.verdicts)
+        first = next(v for v in trace.verdicts if v.rhs - v.lhs == least)
+        assert trace.tightest is first
+
+    def test_a0_tightest(self):
+        tightest = trace_measure_bound(extremal_base()).tightest
+        assert (tightest.name, tightest.margin) == ("window-2/3-mass", 0)
+
+    def test_no_verdict_no_tightest(self):
+        assert ProofTrace(TraceCase.EARLY_EXIT, LemmaContext.from_set(extremal_base())
+                          ).tightest is None
+
+
 class TestOneVerdictType:
     """The report and the trace show the checker records as returned."""
 
