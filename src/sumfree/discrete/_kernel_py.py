@@ -125,33 +125,12 @@ scan from the top would prune it; the incumbent may rise inside the
 recursion, but the pairs needed are counted afresh at every node.  The
 tree, the counts and the listing do not move; only the scans are
 shared.
-
-The naive searcher shares none of that machinery: it walks the full
-include/exclude tree, testing each inclusion directly, and serves as
-the oracle for the pruned search.
 """
 
 from __future__ import annotations
 
 #: extremal sets stored per search (the exact count is always kept)
 EXTREMAL_CAP = 10000
-
-
-def check_violation(mask: int, e: int, k: int, n: int):
-    """Witness (x, y, z) created by adding e to the mask-set, or None."""
-    mp = mask | (1 << (e - 1))
-    t = mp
-    while t:
-        lsb = t & -t
-        m = lsb.bit_length()
-        t ^= lsb
-        x = k * m - e
-        if 1 <= x <= n and (mp >> (x - 1)) & 1:
-            return (min(e, x), max(e, x), m)
-        y = k * e - m
-        if 1 <= y <= n and (mp >> (y - 1)) & 1:
-            return (min(m, y), max(m, y), e)
-    return None
 
 
 def is_k_sum_free_mask(S: int, n: int, k: int) -> bool:
@@ -315,30 +294,3 @@ def search(n: int, k: int, enumerate_all: bool = False):
     stored.clear()
     dfs(1, 0, 0, 0, 0, 0)
     return best, count, stored, nodes
-
-
-def search_naive(n: int, k: int):
-    """Unpruned exhaustive enumeration; oracle for `search`.
-
-    Walks the whole include/exclude tree, checking every inclusion
-    against the chosen set directly.  Returns (max_size, count, nodes).
-    """
-    best = 0
-    count = 0
-    nodes = 0
-
-    def dfs(pos: int, mask: int, size: int):
-        nonlocal best, count, nodes
-        nodes += 1
-        if pos > n:
-            if size > best:
-                best, count = size, 1
-            elif size == best:
-                count += 1
-            return
-        if check_violation(mask, pos, k, n) is None:
-            dfs(pos + 1, mask | (1 << (pos - 1)), size + 1)
-        dfs(pos + 1, mask, size)
-
-    dfs(1, 0, 0)
-    return best, count, nodes

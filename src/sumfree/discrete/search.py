@@ -8,8 +8,7 @@ that cannot both join the chosen set.  A tight node, whose chosen and
 candidate counts add up to the incumbent, can tie only by taking every
 candidate, so it tests that one set with a bitmask test and stops.
 Sibling nodes differ by one candidate, so each call of the search
-computes the matching once and resumes it from node to node.  An
-unpruned naive search in the same module serves as its oracle.
+computes the matching once and resumes it from node to node.
 
 Searches are exhaustive with a guaranteed-correct answer, so they are
 gated by a size budget and refuse loudly beyond it rather than degrade
@@ -33,11 +32,9 @@ __all__ = [
     "BudgetError",
     "KERNEL_BACKEND",
     "DEFAULT_BUDGET",
-    "NAIVE_BUDGET",
     "EXTREMAL_CAP",
     "is_k_sum_free_int",
     "max_k_sum_free",
-    "max_k_sum_free_naive",
     "discretize",
     "density_report",
 ]
@@ -49,8 +46,6 @@ KERNEL_BACKEND = "python"
 #: search over k = 1..6, k = 3, takes 2-3.5 ms at the reference speed of
 #: bench/speed.py at each of n = 48, 49 and 50 (k = 1 about 1 ms)
 DEFAULT_BUDGET = 49
-#: largest n the unpruned oracle accepts by default
-NAIVE_BUDGET = 26
 
 
 class BudgetError(ValueError):
@@ -180,20 +175,6 @@ def max_k_sum_free(n: int, k: int, enumerate_sets: bool = False,
     best, count, masks, nodes = _kernel_py.search(n, k, enumerate_sets)
     sets = tuple(IntSet.from_mask(m, n) for m in masks) if enumerate_sets else None
     return SearchResult(n, k, best, count, sets, nodes)
-
-
-def max_k_sum_free_naive(n: int, k: int, budget: int = NAIVE_BUDGET):
-    """Unpruned exhaustive oracle; returns (max_size, count, nodes).
-
-    n and k are ints >= 1, as in ``max_k_sum_free``.
-    """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be >= 1 (an int), got {n!r}")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be >= 1 (an int), got {k!r}")
-    if n > budget:
-        raise BudgetError(n, budget)
-    return _kernel_py.search_naive(n, k)
 
 
 def discretize(A: IntervalSet, n: int) -> IntSet:

@@ -273,6 +273,11 @@ class IntervalSet:
     def __setattr__(self, name, value):
         raise AttributeError("IntervalSet is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the set from its codes; the default
+        # restore of slot state would go through __setattr__ above
+        return (IntervalSet._of, (self._den, self._codes))
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -2,27 +2,23 @@
 
 ``optimize(m, ...)`` returns a 3-sum-free subset of [0, 1] with at most
 m components, of the largest measure such a set can have, and says
-whether that is proved.  It runs in three steps.
+whether that is proved.  It runs in two steps.
 
-First, stacking gives the incumbent.  The extremal set is self-similar,
-and a stack (S -> c*S | (2/3, 1)) walks its recursion: one stack of the
-top block (2/3, 1) gives the two-component set (4/21, 2/7) | (2/3, 1) of
-measure 3/7, and a second one gives A0, of measure 77/177.  The stacks
-go on while they fit in m components and add measure, so the incumbent
-is (2/3, 1) for m = 1, the 3/7 set for m = 2 and A0 for m >= 3.
-
-Second, the exact search of ``sumfree.exact`` (an LP branch and bound
-over sets of at most m open components) starts from that incumbent and
-either proves it optimal or finds a better set.  It proves each of the
-three optimal among sets of at most as many components: 1/3 in one LP
-node, 3/7 in 5 nodes and 77/177 in 19, and 77/177 for m = 4 in 91
-(``test_exact_optimum_for_few_components`` and
+First, the exact search of ``sumfree.exact`` (an LP branch and bound
+over sets of at most m open components) runs from the incumbent A0 of
+measure 77/177 when it fits in m components (m >= 3), and from the
+empty set otherwise.  It either proves the incumbent optimal or finds a
+better set.  It proves 1/3 optimal for one component in one LP node,
+3/7 for two in 5 nodes, and 77/177 for three in 19 nodes and for four
+in 91 (``test_exact_optimum_for_few_components`` and
 ``test_four_components_do_not_beat_the_ceiling`` in
-``tests/test_optimize.py``).  ``iterations`` is its node budget; when it
-runs out, the result is the best set found so far and ``proved`` is
-False.
+``tests/test_optimize.py``).  The incumbent A0 keeps the trees for
+m >= 3 small: from the empty set, m = 5 and 6 take 301 and 923 nodes
+instead of 299 and 919.  ``iterations`` is the search's node budget;
+when it runs out, the result is the best set found so far and
+``proved`` is False.
 
-Third, a closing pass closes every endpoint that can be closed, since
+Second, a closing pass closes every endpoint that can be closed, since
 the search works on open components, so a set of measure 77/177 comes
 back as one of the maximal sets A1..A7.
 
@@ -34,31 +30,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .constructions import construct_extremal
 from .exact import Search, branch_and_bound
 from .intervals import IntervalSet, _merge
 from .predicates import conflicts, is_k_sum_free
 # unused; kept because bench/tests/test_bench.py expects this binding
 from .predicates import forbidden_region  # noqa: F401
-from .rationals import Rational, rational
+from .rationals import Rational
 
 __all__ = ["OptimizeResult", "optimize"]
-
-#: the first incumbent and the top block of a stack
-_TOP_BLOCK = IntervalSet.interval(rational(2, 3), rational(1))
 
 
 @dataclass
 class OptimizeResult:
-    """``accepted`` counts the incumbent's improvements, by stacks and by
-    the search; ``search`` holds the search's counts and its tree."""
+    """The closed set ``best`` and its measure; ``search`` holds the
+    search's counts and its tree.  ``seed`` is only echoed: the
+    benchmark reads it back."""
 
     best: IntervalSet
     measure: Rational
     m: int
     seed: int
     iterations: int
-    accepted: int
     search: Search
+
+    @property
+    def accepted(self) -> int:
+        """The search's improvements of the incumbent
+        (``search.improved``)."""
+        return self.search.improved
 
     @property
     def evaluated(self) -> int:
@@ -85,37 +85,12 @@ def optimize(m: int, seed: int, iterations: int) -> OptimizeResult:
         raise ValueError(f"m must be >= 1 (an int), got {m!r}")
     if type(iterations) is not int or iterations < 0:
         raise ValueError(f"iterations must be >= 0 (an int), got {iterations!r}")
-    state, accepted = _TOP_BLOCK, 0
-    while True:
-        stacked = _propose_stack(state)
-        if len(stacked) > m or stacked.measure() <= state.measure():
-            break
-        state, accepted = stacked, accepted + 1
-    search = branch_and_bound(m, 3, iterations, state)
+    search = branch_and_bound(m, 3, iterations, construct_extremal(0) if m >= 3 else None)
     best = _close(search.best)
     ok, witness = is_k_sum_free(best, 3)
     if not ok:
         raise AssertionError(f"optimizer produced an infeasible set: {witness}")
-    return OptimizeResult(best, best.measure(), m, seed, iterations,
-                          accepted + search.improved, search)
-
-
-def _propose_stack(S):
-    """Shrink the whole configuration into the head window under a fresh
-    top block: S -> c*S | (2/3, 1).
-
-    Sum-freeness is dilation invariant and a 3-sum-free set inside
-    [a, 2/9 + a/3] coexists with (2/3, 1), so good configurations embed
-    recursively as the head of better ones.  The scale c is pinned to
-    the largest value keeping c*S inside its own head window, which
-    lands stacked optima exactly on the frontier.  S is a 3-sum-free
-    subset of [0, 1] of positive measure, so 0 < sup S - inf S / 3 <= 1
-    and c >= 2/9.  c*S stays below the top block: c * sup S =
-    (2/9) sup S / (sup S - inf S / 3) < 2/3 because inf S < 2 sup S.
-    """
-    # c = (2/9) / (sup S - inf S / 3), from the codes of the extrema
-    c = rational(2 * S._den, 3 * (3 * (S._codes[-1] >> 1) - (S._codes[0] >> 1)))
-    return S.dilate(c).union(_TOP_BLOCK)
+    return OptimizeResult(best, best.measure(), m, seed, iterations, search)
 
 
 # -- closing -----------------------------------------------------------

@@ -108,8 +108,8 @@ A0 = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
      "optimize\t1/3\t77/177\tpass\n(2/3,1]\n"),
     (["optimize", "-m", "1", "--iters", "300"],
      "best set: (2/3,1]\nmeasure: 1/3\n"
-     "nodes 1, pivots 2, pruned leaves 1, proved: no set of at most 1 components measures more\n"),
-    # two nodes of 19: the stack chain's A0, closed, and no proof
+     "nodes 1, pivots 2, pruned leaves 0, proved: no set of at most 1 components measures more\n"),
+    # two nodes of 19: the incumbent A0, closed, and no proof
     (["optimize", "-m", "3", "--iters", "2"],
      "best set: (8/177,4/59]|(28/177,14/59]|(2/3,1]\nmeasure: 77/177\n"
      "nodes 2, pivots 7, pruned leaves 0, not proved: the node budget ran out\n"),

@@ -13,7 +13,6 @@ from sumfree.discrete import _kernel_py
 from sumfree.discrete import search as search_module
 from sumfree.discrete import (
     DEFAULT_BUDGET,
-    NAIVE_BUDGET,
     BudgetError,
     DensityReport,
     IntSet,
@@ -21,7 +20,6 @@ from sumfree.discrete import (
     discretize,
     is_k_sum_free_int,
     max_k_sum_free,
-    max_k_sum_free_naive,
 )
 from sumfree.rationals import rational
 
@@ -226,6 +224,68 @@ def greedy_pairs(n: int, k: int, mask: int, avail: int) -> list[tuple[int, int]]
             rest ^= 1 << (max(mates) - 1)
             pairs.append((e, max(mates)))
     return pairs
+
+
+#: largest n the unpruned oracle accepts by default
+NAIVE_BUDGET = 26
+
+
+def check_violation(mask: int, e: int, k: int, n: int):
+    """Witness (x, y, z) created by adding e to the mask-set, or None."""
+    mp = mask | (1 << (e - 1))
+    t = mp
+    while t:
+        lsb = t & -t
+        m = lsb.bit_length()
+        t ^= lsb
+        x = k * m - e
+        if 1 <= x <= n and (mp >> (x - 1)) & 1:
+            return (min(e, x), max(e, x), m)
+        y = k * e - m
+        if 1 <= y <= n and (mp >> (y - 1)) & 1:
+            return (min(m, y), max(m, y), e)
+    return None
+
+
+def search_naive(n: int, k: int):
+    """Unpruned exhaustive enumeration; oracle for `search`.
+
+    Walks the whole include/exclude tree, checking every inclusion
+    against the chosen set directly.  Returns (max_size, count, nodes).
+    """
+    best = 0
+    count = 0
+    nodes = 0
+
+    def dfs(pos: int, mask: int, size: int):
+        nonlocal best, count, nodes
+        nodes += 1
+        if pos > n:
+            if size > best:
+                best, count = size, 1
+            elif size == best:
+                count += 1
+            return
+        if check_violation(mask, pos, k, n) is None:
+            dfs(pos + 1, mask | (1 << (pos - 1)), size + 1)
+        dfs(pos + 1, mask, size)
+
+    dfs(1, 0, 0)
+    return best, count, nodes
+
+
+def max_k_sum_free_naive(n: int, k: int, budget: int = NAIVE_BUDGET):
+    """Unpruned exhaustive oracle; returns (max_size, count, nodes).
+
+    n and k are ints >= 1, as in ``max_k_sum_free``.
+    """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be >= 1 (an int), got {n!r}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be >= 1 (an int), got {k!r}")
+    if n > budget:
+        raise BudgetError(n, budget)
+    return search_naive(n, k)
 
 
 def reference_search(n: int, k: int, enumerate_all: bool = False, matching: bool = True):
@@ -532,21 +592,15 @@ class TestBudget:
             max_k_sum_free(DEFAULT_BUDGET + 1, 3)
         assert max_k_sum_free(DEFAULT_BUDGET + 1, 3, budget=DEFAULT_BUDGET + 1).max_size > 0
 
-    def test_naive_search(self):
-        with pytest.raises(BudgetError):
-            max_k_sum_free_naive(NAIVE_BUDGET + 1, 3)
-
-    @pytest.mark.parametrize("entry", [max_k_sum_free, max_k_sum_free_naive])
-    def test_rejects_k_zero(self, entry):
+    def test_rejects_k_zero(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            entry(5, 0)
+            max_k_sum_free(5, 0)
 
-    @pytest.mark.parametrize("entry", [max_k_sum_free, max_k_sum_free_naive])
     @pytest.mark.parametrize("n,k", [(10, True), (10.0, 3), (10, 3.0), (True, 3)])
-    def test_rejects_arguments_that_are_not_ints(self, entry, n, k):
+    def test_rejects_arguments_that_are_not_ints(self, n, k):
         # a bool or a float equal to an int is refused before the kernel runs
         with pytest.raises(ValueError, match="an int"):
-            entry(n, k)
+            max_k_sum_free(n, k)
 
 
 class TestDiscretize:

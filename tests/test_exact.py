@@ -338,20 +338,21 @@ def test_the_branch_choice_matches_the_formula(m, k, data):
     assert _most_violated(x, m, k) == most_violated_reference(x, m, k, splits)
 
 
-@pytest.mark.parametrize("m,nodes,pivots,pruned", [(1, 1, 2, 1), (2, 5, 5, 3), (3, 19, 18, 10),
+@pytest.mark.parametrize("m,nodes,pivots,pruned", [(1, 1, 2, 0), (2, 5, 7, 1), (3, 19, 18, 10),
                                                     (4, 91, 69, 46), (5, 299, 228, 150)])
 def test_the_search_tree_of_optimize_is_pinned(m, nodes, pivots, pruned):
-    # the counts of the stack-chain start; a change to the pivot rule or
-    # the branch choice changes the tree and so these counts.  A pruned
-    # leaf stops at its first dual step that reaches the incumbent, so
-    # ``pivots`` counts only the pivots made
+    # the counts of optimize's search, from the empty set for m <= 2 and
+    # from A0 for m >= 3; a change to the pivot rule or the branch choice
+    # changes the tree and so these counts.  A pruned leaf stops at its
+    # first dual step that reaches the incumbent, so ``pivots`` counts
+    # only the pivots made
     s = optimize(m, 0, 2000).search
     assert s.proved and (s.nodes, s.pivots, s.pruned) == (nodes, pivots, pruned)
     assert check_certificate(s.tree, m, s.value)
 
 
 def test_the_search_trees_are_pinned_split_for_split():
-    # the splits in preorder, a leaf as None, of the stack-chain starts
+    # the splits in preorder, a leaf as None, of optimize's searches
     # for m <= 5 and of the searches from the empty set for k = 4, 5 and
     # m <= 3; the counts above would not see two splits trade places
     trees = [optimize(m, 0, 2000).search.tree for m in range(1, 6)]
@@ -411,7 +412,7 @@ def test_the_checker_accepts_the_search_tree(trees, m, leaves):
 @pytest.fixture(scope="module")
 def three():
     """k -> the m = 3 search tree and its value: optimize's tree, which
-    starts from the stack chain, for k = 3 and the search's own for k > 3."""
+    starts from A0, for k = 3 and the search's own for k > 3."""
     out = {3: (optimize(3, 0, 2000).search.tree, MAX_MEASURE)}
     for k in (4, 5):
         s = branch_and_bound(3, k)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import gcd
 
 import pytest
@@ -5,8 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clip, interval_sets, random_interval_set, rationals, window
+from sumfree.constructions import construct_extremal
 from sumfree.intervals import (EmptySetError, Interval, IntervalSet, ParseError,
                                _self_sumset_codes, _sumset_codes)
+from sumfree.lemmas import lemma_report
+from sumfree.predicates import is_k_sum_free
 from sumfree.rationals import rational
 
 A0_TEXT = "(8/177,4/59)|(28/177,14/59)|(2/3,1)"
@@ -380,6 +385,39 @@ class TestExtrema:
         for op in ("inf", "sup", "diameter"):
             with pytest.raises(EmptySetError):
                 getattr(IntervalSet.empty(), op)()
+
+
+ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+               "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+class TestPickleAndCopy:
+    # a set rebuilds from its codes, so it can be sent to another process
+    @pytest.mark.parametrize("trip", ROUND_TRIPS)
+    @pytest.mark.parametrize("text", ["{}"] + [str(construct_extremal(i)) for i in range(8)])
+    def test_round_trip(self, trip, text):
+        a = S(text)
+        b = ROUND_TRIPS[trip](a)
+        assert b == a and hash(b) == hash(a) and str(b) == text
+        assert (b._den, b._codes) == (a._den, a._codes)
+        assert b.measure() == a.measure()
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS)
+    def test_a_set_with_cached_verdict_and_sums(self, trip):
+        a = S(A0_TEXT)
+        assert is_k_sum_free(a, 3) == (True, None)
+        lemma_report(a)
+        b = ROUND_TRIPS[trip](a)
+        assert b == a and is_k_sum_free(b, 3) == (True, None)
+        assert b.minkowski(b) == a.minkowski(a)
+        with pytest.raises(AttributeError, match="immutable"):
+            b._den = 1
+
+    def test_a_pickled_lemma_report(self):
+        report = lemma_report(S(A0_TEXT))
+        again = pickle.loads(pickle.dumps(report))
+        assert again == report and again.checked == report.checked
+        assert [str(r) for r in again.records] == [str(r) for r in report.records]
 
 
 SPACES = st.sampled_from(["", " ", "  ", "\t"])

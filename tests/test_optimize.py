@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_sets, outward_moves
-from sumfree.intervals import Interval, IntervalSet
+from conftest import outward_moves
+from sumfree.intervals import IntervalSet
 from sumfree.constructions import construct_extremal, random_sum_free
 from sumfree.exact import branch_and_bound, check_certificate
-from sumfree.optimize import _TOP_BLOCK, _close, _propose_stack, optimize
-from sumfree.predicates import is_k_sum_free, strip
+from sumfree.optimize import _close, optimize
+from sumfree.predicates import is_k_sum_free
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
 
@@ -28,12 +28,13 @@ def test_deterministic_in_its_arguments(run):
 
 
 #: m -> (value, the search's open optimum, the closed result, accepted,
-#: LP nodes, pruned leaves); the incumbent is the stack chain, so the
-#: search only proves it optimal
+#: LP nodes, pruned leaves); for m = 1 and 2 the search starts from the
+#: empty set and improves on it, for m = 3 it starts from A0 and only
+#: proves it optimal
 EXACT = {
-    1: (rational(1, 3), "(2/3,1)", "(2/3,1]", 0, 1, 1),
-    2: (rational(3, 7), "(4/21,2/7)|(2/3,1)", "(4/21,2/7]|(2/3,1]", 1, 5, 3),
-    3: (MAX_MEASURE, A0, A7, 2, 19, 10),
+    1: (rational(1, 3), "(2/3,1)", "(2/3,1]", 1, 1, 0),
+    2: (rational(3, 7), "(4/21,2/7)|(2/3,1)", "(4/21,2/7]|(2/3,1]", 2, 5, 1),
+    3: (MAX_MEASURE, A0, A7, 0, 19, 10),
 }
 
 
@@ -45,12 +46,38 @@ def test_exact_optimum_for_few_components(m):
     s = r.search
     assert (r.measure, str(s.best), str(r.best), r.accepted, r.evaluated,
             s.pruned) == EXACT[m]
-    assert r.proved and s.improved == 0 and s.value == r.measure
+    assert r.proved and s.improved == r.accepted and s.value == r.measure
     assert check_certificate(s.tree, m, r.measure)
-    # from the empty set, the search finds the same optimum by itself
+
+
+@pytest.mark.parametrize("m,nodes", [(1, 1), (2, 5), (3, 19), (4, 91)])
+def test_the_search_from_the_empty_set_finds_the_optimum_by_itself(m, nodes):
+    # from the empty set the search rediscovers each optimum, A0 (77/177)
+    # for three and for four components in as many nodes as optimize,
+    # which starts from A0 there
     alone = branch_and_bound(m)
-    assert alone.proved and alone.improved > 0
-    assert (alone.value, str(alone.best)) == EXACT[m][:2]
+    assert alone.proved and alone.improved > 0 and alone.nodes == nodes
+    assert (alone.value, str(alone.best)) == EXACT[min(m, 3)][:2]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_optimize_is_the_search_from_a0(m):
+    # the same tree split for split, with the same leaf certificates, and
+    # A0 is never improved on
+    r = optimize(m, 0, 2000)
+    s = branch_and_bound(m, 3, 2000, construct_extremal(0))
+    assert r.search.improved == s.improved == 0
+    assert tree_of(r.search.tree) == tree_of(s.tree)
+
+
+def tree_of(tree):
+    """The splits in preorder, with each leaf's (y, den)."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node.split or (node.y, node.den))
+        stack.extend(node.children)
+    return out
 
 
 def test_four_components_do_not_beat_the_ceiling():
@@ -60,16 +87,23 @@ def test_four_components_do_not_beat_the_ceiling():
     assert check_certificate(r.search.tree, 4, MAX_MEASURE)
 
 
+#: (m, iterations) -> the closed best set of a search cut short before
+#: it found the optimum; from the empty set for m <= 2
+CUT_SHORT = {(1, 0): "{}", (2, 4): "(2/3,1]"}
+
+
 @pytest.mark.parametrize("m,iterations", [(1, 0), (2, 4), (2, 5), (3, 0), (3, 2), (3, 18),
                                           (3, 19), (3, 40000), (5, 300)])
 def test_iterations_is_the_node_budget(m, iterations):
     # proved exactly when the budget covers the whole tree; a search cut
-    # short still returns the stack chain's set, closed
+    # short returns its best set so far, closed, which is A0's closure
+    # A7 for m >= 3, where the search starts from A0
     r = optimize(m, 2, iterations)
     nodes = {1: 1, 2: 5, 3: 19, 5: 299}[m]
     assert r.evaluated == min(iterations, nodes)
     assert r.proved == (iterations >= nodes)
-    assert str(r.best) == str(optimize(m, 2, 40000).best)
+    best = CUT_SHORT.get((m, iterations)) or str(optimize(m, 2, 40000).best)
+    assert str(r.best) == best
 
 
 def test_result_is_feasible_and_under_the_ceiling(run):
@@ -136,23 +170,3 @@ def test_rejects_bad_arguments(m, iterations):
     with pytest.raises(ValueError):
         optimize(m, 1, iterations)
 
-
-def test_stacks_of_the_top_block_give_the_optima():
-    # the extremal set is self-similar: one stack of the top block is the
-    # two-component optimum, and a second one is A0
-    two = _propose_stack(_TOP_BLOCK)
-    assert two == IntervalSet.parse("(4/21,2/7)|(2/3,1)")
-    assert two.measure() == rational(3, 7)
-    assert _propose_stack(two) == construct_extremal(0)
-
-
-@settings(max_examples=150)
-@given(interval_sets(min_value=0, max_value=1))
-def test_stack_stays_below_the_top_block(a):
-    # a state is a nonempty 3-sum-free subset of [0, 1], so c * sup S < 2/3
-    S = strip(a)
-    if S.is_empty:
-        return
-    out = _propose_stack(S)
-    assert len(out) == len(S) + 1
-    assert out.components[-1] == Interval(rational(2, 3), rational(1), False, False)
