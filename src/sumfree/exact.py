@@ -42,9 +42,18 @@ finished search bounds all of them.
 violated disjunction at its optimum (depth first, the first side
 first), and prunes a node whose LP value is at most the incumbent.  Every
 row but h_m <= 1 is homogeneous, so the origin is feasible: the root
-needs one primal phase, and a child, which copies its parent's optimal
-tableau and adds its one row, needs only the dual simplex and is never
-infeasible.
+needs one primal phase, and a child, which adds its one row to its
+parent's optimal tableau, needs only the dual simplex and is never
+infeasible.  The root's optimal tableau and the nonzero terms of every
+disjunction's two sides are built once per (m, k), on first use, and
+shared by every search, which never changes them.  A new row is written
+in the current basis from its nonzero terms, and since every other row
+of an optimal tableau holds, it is the only row the first dual step can
+leave.  So a child's first step is decided on the parent's tableau,
+without changing it: the first child copies that tableau only when the
+step does not cut it (below), and the second child, whose turn comes
+after the first child's subtree, takes it over, or a copy of it when it
+is the shared root.
 
 A child's dual simplex gets the incumbent's value as a cutoff.  At each
 step, once the row r and the column s are chosen, it first computes
@@ -124,10 +133,12 @@ class Tableau:
     stored.  A pivot follows the four rules of the module docstring, and
     both phases choose by variable, not by column.  ``pivots`` counts the
     pivots made, those of the tableau it was copied from included; a
-    dual step stopped by ``add_row``'s cutoff is not one.
+    dual step stopped by ``add_row``'s cutoff is not one.  Such a stop
+    leaves a row infeasible and ``solved`` False, and the tableau then
+    takes no more rows.
     """
 
-    __slots__ = ("n", "d", "rows", "z", "basis", "nonbasic", "pivots")
+    __slots__ = ("n", "d", "rows", "z", "basis", "nonbasic", "pivots", "solved")
 
     def __init__(self, c, rows):
         """The optimum from the origin, by the primal simplex; every
@@ -143,10 +154,11 @@ class Tableau:
         self.basis = list(range(1 + n, 1 + n + len(rows)))
         self.nonbasic = list(range(1 + n))
         self._primal()
+        self.solved = True
 
     def copy(self) -> "Tableau":
         t = object.__new__(Tableau)
-        t.n, t.d, t.pivots = self.n, self.d, self.pivots
+        t.n, t.d, t.pivots, t.solved = self.n, self.d, self.pivots, self.solved
         t.rows = [row[:] for row in self.rows]
         t.z, t.basis, t.nonbasic = self.z[:], self.basis[:], self.nonbasic[:]
         return t
@@ -159,15 +171,48 @@ class Tableau:
         objective would be at most the cutoff, before pivoting, and
         return that step's multipliers ``(y, den)``: y >= 0, y A >= c den
         and y b <= cutoff den, so the LP's value is at most the cutoff.
-        The tableau is then left unsolved."""
-        d, n = self.d, self.n
-        new = [d * b] + [d * a[v - 1] if v <= n else 0 for v in self.nonbasic[1:]]
-        for row, v in zip(self.rows, self.basis):
-            if v <= n and a[v - 1]:
-                f = a[v - 1]
-                new = [x - f * y for x, y in zip(new, row)]
-        self.rows.append(new)
-        self.basis.append(1 + n + len(self.basis))
+        The tableau is then left unsolved, and a further ``add_row``
+        raises ``ValueError``."""
+        row, s, cut = self._probe(_terms(a), b, cutoff)
+        if cut is None:
+            return self._extend(row, s, cutoff)
+        self.rows.append(row)
+        self.basis.append(1 + self.n + len(self.basis))
+        self.solved = False
+        return cut
+
+    def _probe(self, terms, b, cutoff):
+        """Decide the first dual step of adding the row sum f x_v <= b,
+        given as its nonzero terms (v, f), without changing the tableau:
+        ``(row, s, cut)``.  ``row`` is the row written in the current
+        basis; s is the column its first dual step enters, None when the
+        row already holds; ``cut`` is that step's multipliers when its
+        objective is at most the cutoff (as in ``add_row``), else None.
+
+        The tableau is optimal, so every other row holds, and the new row
+        is the only one that the dual simplex can leave first."""
+        if not self.solved:
+            raise ValueError("a cutoff left this tableau unsolved: it takes no more rows")
+        d, rows, basis, nonbasic = self.d, self.rows, self.basis, self.nonbasic
+        row = [d * b] + [0] * self.n
+        for v, f in terms:
+            if v in basis:
+                row = [x - f * y for x, y in zip(row, rows[basis.index(v)])]
+            else:
+                row[nonbasic.index(v)] += d * f
+        if row[0] >= 0:
+            return row, None, None
+        s = self._column(row)
+        return row, s, self._cut(row, s, 1 + self.n + len(basis), len(rows) + 1, cutoff)
+
+    def _extend(self, row, s, cutoff):
+        """Append ``row`` as ``_probe`` returned it, with no cut, make
+        its first dual step on column s, and go on by ``_dual``."""
+        self.rows.append(row)
+        self.basis.append(1 + self.n + len(self.basis))
+        if s is None:
+            return None
+        self._pivot(len(self.rows) - 1, s)
         return self._dual(cutoff)
 
     # -- reading the optimum ----------------------------------------------
@@ -243,36 +288,60 @@ class Tableau:
             self._pivot(r, s)
 
     def _dual(self, cutoff):
-        rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
+        rows, basis = self.rows, self.basis
         while True:
             r = min((i for i, row in enumerate(rows) if row[0] < 0),
                     key=basis.__getitem__, default=None)
             if r is None:
                 return None
-            pr, z, s = rows[r], self.z, None
-            for j in range(1, len(pr)):
-                # least ratio z_j / |a_rj| over a_rj < 0, the least variable on ties
-                if pr[j] < 0:
-                    if s is None:
-                        s = j
-                        continue
-                    lhs, rhs = z[j] * -pr[s], z[s] * -pr[j]
-                    if lhs < rhs or lhs == rhs and nonbasic[j] < nonbasic[s]:
-                        s = j
-            if s is None:
-                raise ArithmeticError("the LP is infeasible")
-            if cutoff is not None:
-                # the objective row this pivot would make is (z p + f pr) / d
-                # over p = -pr[s], as in ``_pivot`` with row r negated: test
-                # its value against the cutoff, and build it only to stop
-                p, f, d = -pr[s], z[s], self.d
-                if (z[0] * p + f * pr[0]) * cutoff.denominator <= cutoff.numerator * p * d:
-                    z = [(x * p + f * y) // d for x, y in zip(z, pr)]
-                    z[s] = f
-                    nonbasic = nonbasic[:]
-                    nonbasic[s] = basis[r]
-                    return _slack_entries(self.n, z, nonbasic, len(rows)), p
+            s = self._column(rows[r])
+            cut = self._cut(rows[r], s, basis[r], len(rows), cutoff)
+            if cut is not None:
+                self.solved = False
+                return cut
             self._pivot(r, s)
+
+    def _column(self, pr) -> int:
+        """The column that enters when row pr leaves: the least ratio
+        z_j / |a_rj| over a_rj < 0, the least variable on ties."""
+        z, nonbasic, s = self.z, self.nonbasic, None
+        for j in range(1, len(pr)):
+            if pr[j] < 0:
+                if s is None:
+                    s = j
+                    continue
+                lhs, rhs = z[j] * -pr[s], z[s] * -pr[j]
+                if lhs < rhs or lhs == rhs and nonbasic[j] < nonbasic[s]:
+                    s = j
+        if s is None:
+            raise ArithmeticError("the LP is infeasible")
+        return s
+
+    def _cut(self, pr, s: int, leaving: int, count: int, cutoff):
+        """The multipliers of the dual step on row pr (basic variable
+        ``leaving``) and column s, over its pivot, when the objective
+        that step makes is at most the cutoff; else None.  ``count`` is
+        the number of rows, pr's included."""
+        if cutoff is None:
+            return None
+        # the objective row this pivot would make is (z p + f pr) / d
+        # over p = -pr[s], as in ``_pivot`` with row r negated: test its
+        # value against the cutoff, and build it only to stop
+        z, p, d = self.z, -pr[s], self.d
+        f = z[s]
+        if (z[0] * p + f * pr[0]) * cutoff.denominator > cutoff.numerator * p * d:
+            return None
+        z = [(x * p + f * y) // d for x, y in zip(z, pr)]
+        z[s] = f
+        nonbasic = self.nonbasic[:]
+        nonbasic[s] = leaving
+        return _slack_entries(self.n, z, nonbasic, count), p
+
+
+def _terms(a) -> tuple:
+    """The nonzero terms (v, f) of the row a, with x_v numbered from 1
+    as in ``Tableau``."""
+    return tuple((v + 1, f) for v, f in enumerate(a) if f)
 
 
 def _slack_entries(n: int, z, nonbasic, count: int) -> tuple:
@@ -306,16 +375,21 @@ def _row(m: int, terms, b: int = 0):
     return a, b
 
 
-def _program(m: int, k: int):
-    """The objective sum (h_i - l_i) over the variables l_1..l_m,
-    h_1..h_m; the base rows l_i <= h_i, h_i <= l_{i+1}, h_m <= 1 and
-    2 h_i <= k l_i; and every disjunction (i, j, q), i <= j but not
-    (i, i, i), in branching order."""
+def _check(m: int, k: int) -> None:
+    """Raise ``ValueError`` unless m >= 1 and k >= 3 are ints."""
     if type(m) is not int or m < 1:
         raise ValueError(f"m must be >= 1 (an int), got {m!r}")
     # for k <= 2 the other side of (i, i, i) allows nonempty components
     if type(k) is not int or k < 3:
         raise ValueError(f"k must be >= 3 (an int), got {k!r}")
+
+
+def _program(m: int, k: int):
+    """The objective sum (h_i - l_i) over the variables l_1..l_m,
+    h_1..h_m; the base rows l_i <= h_i, h_i <= l_{i+1}, h_m <= 1 and
+    2 h_i <= k l_i; and every disjunction (i, j, q), i <= j but not
+    (i, i, i), in branching order."""
+    _check(m, k)
     rows = [_row(m, ((m + i, -1), (i, 1))) for i in range(m)]
     rows += [_row(m, ((m + i, 1), (i + 1, -1))) for i in range(m - 1)]
     rows.append(_row(m, ((2 * m - 1, 1),), 1))
@@ -331,6 +405,28 @@ def _side(m: int, k: int, split, side: int):
     if side == 0:
         return _row(m, ((m + i, 1), (m + j, 1), (q, -k)))
     return _row(m, ((m + q, k), (i, -1), (j, -1)))
+
+
+#: (m, k) -> the root's optimal tableau, and for each disjunction the
+#: ``_terms`` and right-hand side of its two sides; one entry for each
+#: (m, k) searched.  Two threads that build an entry at once build
+#: equal ones, and no search changes an entry.
+_ROOTS: dict = {}
+
+
+def _root(m: int, k: int):
+    """The entry of ``_ROOTS`` for (m, k), built on first use.  The
+    arguments are checked first: True == 1 and hashes as 1, so an
+    unchecked True would find the entry of m = 1."""
+    _check(m, k)
+    root = _ROOTS.get((m, k))
+    if root is None:
+        c, rows, splits = _program(m, k)
+        sides = {split: tuple((_terms(a), b) for a, b in (_side(m, k, split, 0),
+                                                          _side(m, k, split, 1)))
+                 for split in splits}
+        root = _ROOTS[m, k] = Tableau(c, rows), sides
+    return root
 
 
 def _most_violated(x, m: int, k: int):
@@ -415,7 +511,7 @@ def branch_and_bound(m: int, k: int = 3, budget: int | None = None,
     ``budget`` bounds the LPs solved; when it runs out, ``proved`` is
     False and the result is the best set found.
     """
-    c, rows, _ = _program(m, k)
+    root, sides = _root(m, k)
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"budget must be None or >= 0 (an int), got {budget!r}")
     if incumbent is None:
@@ -428,15 +524,21 @@ def branch_and_bound(m: int, k: int = 3, budget: int | None = None,
         best = incumbent
     value = best.measure()
     tree = Node()
-    stack = [(tree, None, None)]
+    # an entry is (node, the parent's tableau, the node's side row,
+    # whether the node must copy that tableau before changing it)
+    stack = [(tree, None, None, False)]
     nodes = pivots = pruned = improved = 0
     while stack and nodes != budget:
-        node, tab, row = stack.pop()
+        node, tab, side, shared = stack.pop()
         if tab is None:
-            tab, before, cut = Tableau(c, rows), 0, None
+            tab, before, cut = root, 0, None
         else:
             before = tab.pivots
-            cut = tab.add_row(*row, value)
+            row, s, cut = tab._probe(*side, value)
+            if cut is None:
+                if shared:
+                    tab = tab.copy()
+                cut = tab._extend(row, s, value)
         nodes += 1
         pivots += tab.pivots - before
         split = None
@@ -453,10 +555,13 @@ def branch_and_bound(m: int, k: int = 3, budget: int | None = None,
             continue
         first, second = Node(), Node()
         node.split, node.children = split, (first, second)
-        # the second child takes the parent's tableau, which the first
-        # child's subtree, explored before it, never touches
-        stack.append((second, tab, _side(m, k, split, 1)))
-        stack.append((first, tab.copy(), _side(m, k, split, 0)))
+        # the first child's first dual step is decided on the parent's
+        # tableau, which it copies only if that step does not cut it; the
+        # second child takes the parent's tableau, which the first child's
+        # subtree, explored before it, never touches, or a copy of it when
+        # it is the root, which every search shares
+        stack.append((second, tab, sides[split][1], tab is root))
+        stack.append((first, tab, sides[split][0], True))
     return Search(best, not stack, nodes, pivots, pruned, improved, tree)
 
 

@@ -22,8 +22,10 @@ Second, a closing pass closes every endpoint that can be closed, since
 the search works on open components, so a set of measure 77/177 comes
 back as one of the maximal sets A1..A7.
 
-The search is a pure function of (m, iterations); no state is shared
-across calls and no parallelism is used.
+The search is a pure function of (m, iterations) and uses no
+parallelism; the one state kept across calls is the root tableau of
+each m, which ``sumfree.exact`` builds on first use and no search
+changes.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from dataclasses import dataclass
 
 from .constructions import construct_extremal
 from .exact import Search, branch_and_bound
-from .intervals import IntervalSet, _merge
-from .predicates import conflicts, is_k_sum_free
+from .intervals import (_INTERSECT, IntervalSet, _merge, _scaled, _self_sumset_codes,
+                        _sweep_codes)
+from .predicates import is_k_sum_free
 # unused; kept because bench/tests/test_bench.py expects this binding
 from .predicates import forbidden_region  # noqa: F401
 from .rationals import Rational
@@ -107,12 +110,19 @@ def _close(S: IntervalSet) -> IntervalSet:
     later either.  A closed lo has an even code and a closed hi an odd
     one, so closing an open lo is its code - 1 and closing an open hi
     is its code + 1.
+
+    Every trial stays a code list over S's denominator, and is 3-sum-free
+    when its codes scaled by 3 miss those of its sumset: ``conflicts``,
+    on codes.  Only the result is built as a set, which reduces the
+    denominator when a merge has left it reducible.
     """
+    codes = S._codes
     for i in reversed(range(len(S))):
         for end in (2 * i + 1, 2 * i):
-            codes = S._codes[:]
-            codes[end] = codes[end] | 1 if end & 1 else codes[end] & ~1
-            trial = IntervalSet._of(S._den, _merge(codes[::2], codes[1::2]))
-            if trial != S and conflicts(trial, 3).is_empty:
-                S = trial
-    return S
+            trial = codes[:]
+            trial[end] = trial[end] | 1 if end & 1 else trial[end] & ~1
+            trial = _merge(trial[::2], trial[1::2])
+            if trial != codes and not _sweep_codes(_scaled(trial, 3), _self_sumset_codes(trial),
+                                                   _INTERSECT):
+                codes = trial
+    return IntervalSet._of(S._den, codes)

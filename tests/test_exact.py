@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import outward_moves
 from sumfree.constructions import cg_density
-from sumfree.exact import (Tableau, _most_violated, _program, _side, branch_and_bound,
-                           check_certificate, solve_lp)
+from sumfree.exact import (_ROOTS, Tableau, _most_violated, _program, _side, _terms,
+                           branch_and_bound, check_certificate, solve_lp)
 from sumfree.intervals import IntervalSet
 from sumfree.optimize import optimize
 from sumfree.predicates import is_k_sum_free
@@ -107,6 +107,50 @@ def test_a_cutoff_stops_the_dual_simplex_only_on_a_bound_at_most_the_cutoff(lp, 
             assert sum(v * a[j] for v, (a, _) in zip(y, rows)) >= den * cj
         assert value <= F(sum(v * b for v, (_, b) in zip(y, rows)), den) <= cutoff
         return
+
+
+def fields(t):
+    """Every field of the tableau t, by name."""
+    return {name: getattr(t, name) for name in Tableau.__slots__}
+
+
+@settings(max_examples=300)
+@given(lps(), st.fractions(-1, 12, max_denominator=4))
+def test_deciding_the_first_dual_step_on_the_parent_matches_add_row_on_a_copy(lp, cutoff):
+    # the search decides a first child's first dual step on its parent's
+    # tableau and copies that only when the step does not cut the child:
+    # the decision leaves the parent as it was, a cut is the one that
+    # add_row on a copy returns, and finishing the step makes the
+    # tableau that add_row makes
+    c, rows = lp
+    t = Tableau(c, rows[:1])
+    for a, b in rows[1:]:
+        before, copy = fields(t), t.copy()
+        expected = copy.add_row(a, b, cutoff)
+        row, s, cut = t._probe(_terms(a), b, cutoff)
+        assert fields(t) == before
+        if cut is not None:
+            assert cut == expected and not copy.solved
+            return
+        assert t._extend(row, s, cutoff) == expected
+        assert fields(t) == fields(copy)
+        if expected is not None:
+            assert not t.solved
+            return
+        assert t.solved
+
+
+def test_a_tableau_left_unsolved_by_a_cutoff_takes_no_more_rows():
+    # max x_1 subject to x_1 <= 1: the row x_1 <= 0 would bring the
+    # value to 0, so a cutoff of 0 stops its dual step and leaves the
+    # new row infeasible; a further row must not take the tableau for
+    # an optimal one
+    t = Tableau([1], [([1], 1)])
+    assert t.add_row([1], 0, F(0)) == ((0, 1), 1) and not t.solved
+    with pytest.raises(ValueError, match="unsolved"):
+        t.add_row([2], 1)
+    with pytest.raises(ValueError, match="unsolved"):
+        t.copy().add_row([1], 1, F(0))
 
 
 @settings(max_examples=300)
@@ -368,6 +412,29 @@ def test_the_search_trees_are_pinned_split_for_split():
 def test_rejects_bad_arguments(m, k, budget):
     with pytest.raises(ValueError):
         branch_and_bound(m, k, budget)
+
+
+def test_a_search_leaves_the_cached_root_as_built():
+    # every search shares the root tableau of its (m, k), built on first
+    # use; whatever searches ran before, it is the one a fresh build makes
+    pairs = [(m, k) for m in range(1, 6) for k in (3, 4, 5)]
+    for order in (pairs, pairs[::-1]):
+        _ROOTS.clear()
+        for m, k in order:
+            assert branch_and_bound(m, k).proved
+        assert sorted(_ROOTS) == sorted(pairs)
+        for m, k in pairs:
+            assert fields(_ROOTS[m, k][0]) == fields(Tableau(*_program(m, k)[:2]))
+
+
+@pytest.mark.parametrize("m,k", [(True, 3), (1.0, 3), (3, 3.0)])
+def test_a_cached_root_does_not_admit_an_equal_argument_of_another_type(m, k):
+    # True == 1 and 1.0 == 1, and each hashes as 1, so the arguments are
+    # checked before the cache is read
+    branch_and_bound(1, 3)
+    branch_and_bound(3, 3)
+    with pytest.raises(ValueError):
+        branch_and_bound(m, k)
 
 
 @pytest.mark.parametrize("text,sum_free", [

@@ -1,13 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import outward_moves
-from sumfree.intervals import IntervalSet
+from sumfree.intervals import IntervalSet, _merge
 from sumfree.constructions import construct_extremal, random_sum_free
 from sumfree.exact import branch_and_bound, check_certificate
 from sumfree.optimize import _close, optimize
-from sumfree.predicates import is_k_sum_free
+from sumfree.predicates import conflicts, is_k_sum_free
 from sumfree.rationals import MAX_MEASURE, rational
 from sumfree.trace import check_extremal_containment
 
@@ -161,6 +163,45 @@ def test_rediscovers_the_optimum():
 ])
 def test_close_returns_a_maximal_set(text, closed):
     assert str(_close(IntervalSet.parse(text))) == closed
+
+
+def close_reference(S):
+    """``_close`` on sets: each trial is built as an IntervalSet and kept
+    when ``conflicts`` finds no z in it with 3z in its sumset."""
+    for i in reversed(range(len(S))):
+        for end in (2 * i + 1, 2 * i):
+            codes = S._codes[:]
+            codes[end] = codes[end] | 1 if end & 1 else codes[end] & ~1
+            trial = IntervalSet._of(S._den, _merge(codes[::2], codes[1::2]))
+            if trial != S and conflicts(trial, 3).is_empty:
+                S = trial
+    return S
+
+
+def a0_variants():
+    """A0 with each of its six endpoints open or closed: 64 sets."""
+    parts = [(c.lo, c.hi) for c in construct_extremal(0)]
+    for flags in itertools.product((False, True), repeat=6):
+        yield IntervalSet([IntervalSet.interval(lo, hi, *flags[2 * i:2 * i + 2]).components[0]
+                           for i, (lo, hi) in enumerate(parts)])
+
+
+@pytest.mark.parametrize("sets", [
+    [construct_extremal(i) for i in range(8)],
+    list(a0_variants()),
+    [random_sum_free(seed, 4) for seed in range(200)],
+], ids=["A0..A7", "A0-variants", "random_sum_free"])
+def test_close_on_codes_matches_close_on_sets(sets):
+    changed = 0
+    for S in sets:
+        closed, expected = _close(S), close_reference(S)
+        assert (closed._den, closed._codes) == (expected._den, expected._codes), S
+        changed += closed != S
+    assert changed >= len(sets) // 8
+
+
+def test_the_a0_variants_are_64_sets():
+    assert len(set(map(str, a0_variants()))) == 64
 
 
 @pytest.mark.parametrize("m,iterations", [(0, 10), (-1, 10), (3, -1),
