@@ -14,19 +14,25 @@ Propagation is exhaustive over violations with exactly one undecided
 member; violations with two future members are forbidden when the first
 of them is included.
 
-The first three forms range over every chosen element, e included, and
-are read off images of the chosen set that the search extends as it
-includes elements, so each include costs a few shifts, not a loop:
+The first three forms range over every chosen element, e included.
+The first two are read off images of the chosen set that the search
+extends as it includes elements, so each include costs a few shifts,
+not a loop:
 
     K     bit k*m - 1 for each chosen m;  {k*m - e} is K >> e
     V     bit n - m;  {k*e - m} is V shifted left by k*e - 1 - n
           (right when that is negative)
-    Q[c]  bit (m + c)/k for each chosen m = -c (mod k), c in 0..k-1;
-          {(e + m)/k} is (Q[e % k] << e // k) >> 1
+
+The third needs no image of its own.  For k >= 2 a chosen m <= e gives
+(e + m)/k <= 2e/k <= e, so it never names a later element, and the
+candidates, which start past e, mask it off (k = 2 includes nothing:
+x + x = 2x).  For k = 1 it is e + m, and K holds bit m - 1 for each
+chosen m, so {e + m} is K << e, and the first form, {m - e}, is empty:
+an include reads K << e in place of K >> e.
 
 What an include of e adds to the images and where it reads them (the K
-and V bits, the Q slot and bit, the V shift, the Q read slot and shift,
-the k*e/2 bit) depend on e alone, so they are tabled once per search.
+and V bits, the V shift, the k*e/2 bit) depend on e alone, so they are
+tabled once per search.
 
 The first bound is a Russian-doll table (Ostergard's maximum-clique search):
 R[p] is the size of the largest k-sum-free subset of {p..n}.  The
@@ -67,12 +73,13 @@ found, not whether the bound holds; from the top down the greedy
 finds more of them than from the bottom up (the bench batch at n = 62
 walks 2,899 nodes instead of 4,259).  A partner left out costs
 soundness nothing either, and three are left out for their time.  The
-Q image b = (e + c)/k (e + c = k*b) lies below e, but it took
-the bench batch only from 2,899 to 2,683 nodes, and from about 146 to
-about 115 batches/s.  The V image b = k*e - c for k >= 2 (b + c = k*e,
-below e only when c > (k-1)*e) saved no node for n <= 49 or at n = 62
-and 70.  b = e/2 for k = 1 (b + b = e) saved 12 of 200 nodes at
-(70, 1), and no time.
+partner b = (e + c)/k (e + c = k*b), below e for k >= 2, needs an image
+of its own, bit (m + c)/k for each chosen m = -c (mod k), one per
+residue c; it took the bench batch only from 2,899 to 2,683 nodes, and
+from about 146 to about 115 batches/s.  The V image b = k*e - c for
+k >= 2 (b + c = k*e, below e only when c > (k-1)*e) saved no node for
+n <= 49 or at n = 62 and 70.  b = e/2 for k = 1 (b + b = e) saved 12
+of 200 nodes at (70, 1), and no time.
 
 A node is tight when its chosen count plus the candidate count equals
 the incumbent (the matching would need a single pair).  Every set in
@@ -115,16 +122,18 @@ its only one, as every other candidate lies above L, so without L e
 stays unmatched and the candidates left are again the same but for L.
 L itself, when reached unmatched, has no candidate below it and takes
 none.  So the call keeps the scan's state, the candidates not yet
-reached (`rest`), the lower members of the pairs found (`mates`) and
-their count, and on leaving a node unmatches L (its pair no longer
-counts) or drops it from `rest`.  A node subtracts the pairs found
-from those it needs, is pruned if none are left to find, and otherwise
-resumes the scan with the same stops.  The state is a prefix of the
-greedy over the node's candidates, so a node is pruned exactly when a
-scan from the top would prune it; the incumbent may rise inside the
-recursion, but the pairs needed are counted afresh at every node.  The
-tree, the counts and the listing do not move; only the scans are
-shared.
+reached (`rest`) and how many they are, the lower members of the pairs
+found (`mates`) and their count, and on leaving a node unmatches L (its
+pair no longer counts) or drops it from `rest`.  The number of
+candidates in `rest` is counted down as the scan takes a candidate or
+a mate and as L leaves `rest`, so no step recounts it.  A node
+subtracts the pairs found from those it needs, is pruned if none are
+left to find, and otherwise resumes the scan with the same stops.  The
+state is a prefix of the greedy over the node's candidates, so a node
+is pruned exactly when a scan from the top would prune it; the
+incumbent may rise inside the recursion, but the pairs needed are
+counted afresh at every node.  The tree, the counts and the listing do
+not move; only the scans are shared.
 """
 
 from __future__ import annotations
@@ -169,18 +178,11 @@ def search(n: int, k: int, enumerate_all: bool = False):
     stored: list[int] = []
     nodes = 0
     deciding = True
-    # images of the chosen set (module docstring): K and V are dfs
-    # arguments, Q is restored after each include
-    Q = [0] * k
     # what including e adds to the images and reads off them, by e
     es = range(n + 1)
     k_bit = [1 << (k * e - 1) if e else 0 for e in es]
     v_bit = [1 << (n - e) for e in es]
-    q_slot = [-e % k for e in es]
-    q_bit = [1 << ((e + -e % k) // k) for e in es]
     v_shift = [k * e - 1 - n for e in es]
-    q_read = [e % k for e in es]
-    q_shift = [e // k for e in es]
     half_bit = [1 << (k * e // 2 - 1) if e and k * e % 2 == 0 else 0 for e in es]
     # partners below e that the chosen set plays no part in: e/(k - 1) and
     # 2e/k, ints below e for k >= 3 only
@@ -190,8 +192,9 @@ def search(n: int, k: int, enumerate_all: bool = False):
             for num, den in ((e, k - 1), (2 * e, k)):
                 if num % den == 0:
                     pair_bit[e] |= 1 << num // den - 1
-    # the differences e - c are partners for k = 1 only (module docstring)
-    diffs = k == 1
+    # for k = 1 only, the sums e + c are forbidden (K << e) and the
+    # differences e - c are partners (module docstring)
+    k1 = k == 1
 
     def dfs(pos: int, mask: int, forb: int, size: int, K: int, V: int) -> bool:
         """Explore the subtree; True stops a suffix level at its first hit."""
@@ -199,9 +202,10 @@ def search(n: int, k: int, enumerate_all: bool = False):
         avail = ~forb & full & (full << (pos - 1))
         free = avail.bit_count()
         # the greedy matching, resumed across the loop (module docstring):
-        # the candidates not yet scanned, the lower members of the pairs
-        # found, and their count
+        # the candidates not yet scanned and their count, the lower
+        # members of the pairs found, and their count
         rest = avail
+        left = free
         mates = 0
         pairs = 0
         while True:
@@ -238,13 +242,15 @@ def search(n: int, k: int, enumerate_all: bool = False):
             need -= pairs
             if need <= 0:
                 return False
-            while need + need <= rest.bit_count():
+            while need + need <= left:
                 e = rest.bit_length()
                 rest ^= 1 << e - 1
-                mate = (K >> e | pair_bit[e] | (V >> n - e + 1 if diffs else 0)) & rest
+                left -= 1
+                mate = (K >> e | pair_bit[e] | (V >> n - e + 1 if k1 else 0)) & rest
                 if mate:
                     mate = 1 << mate.bit_length() - 1
                     rest ^= mate
+                    left -= 1
                     mates |= mate
                     pairs += 1
                     need -= 1
@@ -256,21 +262,17 @@ def search(n: int, k: int, enumerate_all: bool = False):
             if mates & low:
                 mates ^= low
                 pairs -= 1
-            else:
-                rest &= ~low
+            elif rest & low:
+                rest ^= low
+                left -= 1
             # including anything violates x + x = 2x when k = 2
             if k != 2:
                 Kc = K | k_bit[pos]
                 Vc = V | v_bit[pos]
-                c = q_slot[pos]
-                q = Q[c]
-                Q[c] = q | q_bit[pos]
                 s = v_shift[pos]
-                new = (Kc >> pos | (Vc << s if s >= 0 else Vc >> -s)
-                       | Q[q_read[pos]] << q_shift[pos] >> 1 | half_bit[pos])
-                hit = dfs(pos + 1, mask | low, forb | new & full, size + 1, Kc, Vc)
-                Q[c] = q
-                if hit:
+                new = ((Kc << pos if k1 else Kc >> pos) | (Vc << s if s >= 0 else Vc >> -s)
+                       | half_bit[pos])
+                if dfs(pos + 1, mask | low, forb | new & full, size + 1, Kc, Vc):
                     return True
             # the next iteration is the branch that excludes pos
 
@@ -278,13 +280,9 @@ def search(n: int, k: int, enumerate_all: bool = False):
         """Choose p alone, then explore {p+1..n} past it."""
         K = k_bit[p]
         V = v_bit[p]
-        Q[q_slot[p]] = q_bit[p]
         s = v_shift[p]
-        new = (K >> p | (V << s if s >= 0 else V >> -s)
-               | Q[q_read[p]] << q_shift[p] >> 1 | half_bit[p])
-        hit = dfs(p + 1, 1 << (p - 1), new & full, 1, K, V)
-        Q[q_slot[p]] = 0
-        return hit
+        new = (K << p if k1 else K >> p) | (V << s if s >= 0 else V >> -s) | half_bit[p]
+        return dfs(p + 1, 1 << (p - 1), new & full, 1, K, V)
 
     for p in range(n, 1, -1):
         best = R[p + 1] + 1

@@ -43,8 +43,9 @@ __all__ = [
 KERNEL_BACKEND = "python"
 #: largest n the pruned search accepts by default.  The value is part of
 #: the CLI's contract (its budget refusal), not a time limit: the slowest
-#: search over k = 1..6, k = 3, takes 2-3.5 ms at the reference speed of
-#: bench/speed.py at each of n = 48, 49 and 50 (k = 1 about 1 ms)
+#: search over k = 1..6, k = 3, takes 2.1-3.1 ms at the reference speed
+#: of bench/speed.py at each of n = 48, 49 and 50 (k = 1 0.75-0.9 ms; the
+#: least of 15 runs, in two rounds)
 DEFAULT_BUDGET = 49
 
 

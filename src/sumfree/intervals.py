@@ -223,6 +223,18 @@ def _scaled(codes, k: int):
     return [2 * k * (c >> 1) + (c & 1) for c in codes]
 
 
+def _keep_sums(out: "IntervalSet", den: int, sums, p: int = 1) -> None:
+    """Keep on ``out`` the codes of its sumset.  ``out`` was built by
+    ``_of`` from a set's codes scaled by p over ``den``, and ``sums`` are
+    the codes of that set's sumset before the scaling.
+
+    _init divided den by g = den // out._den, which divides every scaled
+    value of the set and so every scaled sum.
+    """
+    g = den // out._den
+    object.__setattr__(out, "_sums", [2 * ((c >> 1) * p // g) + (c & 1) for c in sums])
+
+
 # groups: left bracket, lo numerator and denominator, hi numerator and
 # denominator, right bracket; a missing denominator is 1
 _PIECE_RE = re.compile(
@@ -407,14 +419,16 @@ class IntervalSet:
         alpha = rational(alpha)
         if alpha <= 0:
             raise ValueError(f"dilation factor must be positive, got {alpha}")
-        p, den = alpha.numerator, self._den * alpha.denominator
+        return self._dilate(alpha.numerator, alpha.denominator)
+
+    def _dilate(self, p: int, q: int) -> "IntervalSet":
+        """``dilate(p/q)`` for positive ints p and q, which need not be
+        coprime; builds no Fraction."""
+        den = self._den * q
         out = IntervalSet._of(den, _scaled(self._codes, p))
         sums = getattr(self, "_sums", None)
         if sums is not None:
-            # _init divided the denominator by g, which divides every
-            # scaled value of the set and so every scaled sum
-            g = den // out._den
-            object.__setattr__(out, "_sums", [2 * ((c >> 1) * p // g) + (c & 1) for c in sums])
+            _keep_sums(out, den, sums, p)
         return out
 
     def translate(self, t) -> "IntervalSet":

@@ -294,7 +294,7 @@ class LemmaContext:
         top = A._end(A._den, -1)  # sup A is top / D
         rescaled = top != A._den
         if rescaled:
-            A = A.dilate(rational(A._den, top))
+            A = A._dilate(A._den, top)
         N = 648 * A._den
         A1 = A._clip(2 * N // 3, N, N)
         mu_A1 = A1._mass(N)

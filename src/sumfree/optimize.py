@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 from .constructions import construct_extremal
 from .exact import Search, branch_and_bound
-from .intervals import (_INTERSECT, IntervalSet, _merge, _scaled, _self_sumset_codes,
-                        _sweep_codes)
-from .predicates import is_k_sum_free
+from .intervals import IntervalSet, _keep_sums, _merge, _self_sumset_codes
+from .predicates import _conflict_codes, is_k_sum_free
 # unused; kept because bench/tests/test_bench.py expects this binding
 from .predicates import forbidden_region  # noqa: F401
 from .rationals import Rational
@@ -112,17 +111,22 @@ def _close(S: IntervalSet) -> IntervalSet:
     is its code + 1.
 
     Every trial stays a code list over S's denominator, and is 3-sum-free
-    when its codes scaled by 3 miss those of its sumset: ``conflicts``,
-    on codes.  Only the result is built as a set, which reduces the
-    denominator when a merge has left it reducible.
+    when ``conflicts`` finds nothing on its codes.  Only the result is
+    built as a set, which reduces the denominator when a merge has left
+    it reducible, and it keeps the sumset codes of the last trial taken,
+    reduced with it, so a later ``conflicts`` on it merges no sums.
     """
-    codes = S._codes
+    codes, sums = S._codes, None
     for i in reversed(range(len(S))):
         for end in (2 * i + 1, 2 * i):
             trial = codes[:]
             trial[end] = trial[end] | 1 if end & 1 else trial[end] & ~1
             trial = _merge(trial[::2], trial[1::2])
-            if trial != codes and not _sweep_codes(_scaled(trial, 3), _self_sumset_codes(trial),
-                                                   _INTERSECT):
-                codes = trial
-    return IntervalSet._of(S._den, codes)
+            if trial != codes:
+                trial_sums = _self_sumset_codes(trial)
+                if not _conflict_codes(trial, 3, trial_sums):
+                    codes, sums = trial, trial_sums
+    out = IntervalSet._of(S._den, codes)
+    if sums is not None:
+        _keep_sums(out, S._den, sums)
+    return out

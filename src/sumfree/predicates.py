@@ -69,14 +69,15 @@ class NotSumFreeError(PreconditionError):
         super().__init__(f"set is not {witness.k}-sum-free: {witness}")
 
 
-def _against_sums(A: IntervalSet, k: int, table: int, sums) -> IntervalSet:
-    """A combined with (1/k)(A+A) under a truth table, in one sweep,
-    given the codes ``sums`` of A+A over A's denominator D.
+def _conflict_codes(codes, k: int, sums) -> list:
+    """The codes over kD of the z in a set with k*z in its sumset, given
+    the set's codes over D and the codes ``sums`` of its sumset over D;
+    empty iff the set is k-sum-free.
 
-    Those are the codes of (1/k)(A+A) over kD, so they meet A's codes
-    scaled by k directly.
+    The sums over D are the codes of (1/k)(A+A) over kD, so they meet the
+    set's codes scaled by k directly, in one sweep.
     """
-    return IntervalSet._of(A._den * k, _sweep_codes(_scaled(A._codes, k), sums, table))
+    return _sweep_codes(_scaled(codes, k), sums, _INTERSECT)
 
 
 def conflicts(A: IntervalSet, k: int) -> IntervalSet:
@@ -91,7 +92,7 @@ def conflicts(A: IntervalSet, k: int) -> IntervalSet:
     if sums is None:
         sums = _self_sumset_codes(A._codes)
         object.__setattr__(A, "_sums", sums)
-    return _against_sums(A, k, _INTERSECT, sums)
+    return IntervalSet._of(A._den * k, _conflict_codes(A._codes, k, sums))
 
 
 def strip(A: IntervalSet) -> IntervalSet:
@@ -103,7 +104,8 @@ def strip(A: IntervalSet) -> IntervalSet:
     kept on A, which is the raw sample of ``random_sum_free`` and is
     dropped after the strip.
     """
-    return _against_sums(A, 3, _DIFFERENCE, _self_sumset_codes(A._codes))
+    codes = _sweep_codes(_scaled(A._codes, 3), _self_sumset_codes(A._codes), _DIFFERENCE)
+    return IntervalSet._of(A._den * 3, codes)
 
 
 def is_k_sum_free(A: IntervalSet, k: int):

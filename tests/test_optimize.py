@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import outward_moves
-from sumfree.intervals import IntervalSet, _merge
+from sumfree.intervals import IntervalSet, _merge, _self_sumset_codes
 from sumfree.constructions import construct_extremal, random_sum_free
 from sumfree.exact import branch_and_bound, check_certificate
 from sumfree.optimize import _close, optimize
@@ -198,6 +198,35 @@ def test_close_on_codes_matches_close_on_sets(sets):
         assert (closed._den, closed._codes) == (expected._den, expected._codes), S
         changed += closed != S
     assert changed >= len(sets) // 8
+
+
+@pytest.mark.parametrize("sets", [
+    [construct_extremal(i) for i in range(8)],
+    list(a0_variants()),
+    [random_sum_free(seed, 4) for seed in range(200)],
+], ids=["A0..A7", "A0-variants", "random_sum_free"])
+def test_close_keeps_the_sumset_of_its_result(sets):
+    for S in sets:
+        closed = _close(S)
+        sums = getattr(closed, "_sums", None)
+        # a set _close changed keeps its last trial's sums, and only such a set
+        assert (sums is None) == (closed == S), S
+        if sums is not None:
+            assert sums == _self_sumset_codes(closed._codes), S
+
+
+def test_close_reduces_its_kept_sumset_with_the_denominator():
+    # closing 5/6 merges the components and leaves the denominator 6 reducible
+    S = IntervalSet.parse("(2/3,5/6)|(5/6,1)")
+    closed = _close(S)
+    assert (S._den, closed._den) == (6, 3)
+    assert closed._sums == _self_sumset_codes(closed._codes)
+
+
+def test_optimize_checks_the_closed_set_on_its_kept_sumset():
+    best = optimize(3, 1, ITERATIONS).best
+    assert best._sums == _self_sumset_codes(best._codes)
+    assert best._verdict == (3, (True, None))
 
 
 def test_the_a0_variants_are_64_sets():

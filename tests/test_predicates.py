@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,6 +206,27 @@ class TestSumsMemo:
                 assert is_k_sum_free(b, k) == is_k_sum_free(self.fresh(b), k)
         if a:
             assert forbidden_region(a) == forbidden_region(self.fresh(a))
+
+
+    @pytest.mark.parametrize("sets", [
+        [construct_extremal(i) for i in range(8)],
+        [random_sum_free(seed, 4) for seed in range(100)],
+    ], ids=["A0..A7", "random_sum_free"])
+    def test_int_dilation_equals_the_fraction_one(self, sets):
+        # _dilate(p, q) is dilate(p/q) with p and q not reduced, as
+        # LemmaContext._of rescales by D/top; both with and without kept sums
+        for a in map(self.fresh, sets):
+            top = a._codes[-1] >> 1
+            factors = [(1, 1), (2, 1), (1, 3), (4, 6), (59, 177), (177, 59), (a._den, top)]
+            for keep in (False, True):
+                if keep:
+                    conflicts(a, 3)
+                for p, q in factors:
+                    by_ints, by_fraction = a._dilate(p, q), a.dilate(Fraction(p, q))
+                    assert (by_ints._den, by_ints._codes) == (by_fraction._den, by_fraction._codes)
+                    assert (getattr(by_ints, "_sums", None)
+                            == getattr(by_fraction, "_sums", None)), (a, p, q)
+                    assert (getattr(by_ints, "_sums", None) is None) != keep
 
 
 class TestStrip:
