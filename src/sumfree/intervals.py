@@ -57,17 +57,20 @@ are those of (1/k)(A+A) over kD, so a set meets its own scaled sumset
 in one sweep, and the optimizer closes an endpoint by rewriting one
 code, with no intermediate set and no ``Fraction``.
 
-Windows.  ``_clip(lo, hi, den)`` cuts a set to the closed window
-[lo/den, hi/den], for ints lo and hi over a multiple den of D: the
-window is the code range [2lo, 2hi+1) over den, and two bisections
-find the codes inside it.  ``_mass(den, lo, hi)`` is the int numerator
-over den of the measure of the same window's part of the set, summed
-over the components with no set built; either end may be left open.
-``_end(den, i)`` is the inf or sup as an int over den.  ``lemmas`` and
-``trace`` read windows, masses and extrema through these three and
-decode no code themselves.  ``parse`` reads each endpoint as an int
-numerator and denominator and codes it over their least common
-denominator, building no ``Fraction``.
+Windows.  ``_clip_codes(codes, lo, hi)`` cuts a code list to the closed
+window [lo/den, hi/den], for ints lo and hi over the list's denominator
+den: the window is the code range [2lo, 2hi+1), and two bisections find
+the codes inside it.  The result stays a code list over den, so
+``lemmas`` cuts its windows from one list of S's codes over N and
+measures them with ``_codes_mass``, building a set only for a window
+that a caller reads; ``_clip(lo, hi, den)`` is the same cut of a set,
+as a set.  ``_mass(den, lo, hi)`` is the int numerator over den of the
+measure of a window's part of the set, summed over the components with
+no set built; either end may be left open.  ``_end(den, i)`` is the inf
+or sup as an int over den.  ``parse`` matches each piece and converts
+its ints once, and writes the codes over the least common denominator
+in one pass, building no ``Fraction``; it merges only text whose pieces
+are out of order, overlap or touch.
 
 Canonical text form, accepted and emitted by :meth:`IntervalSet.parse`
 and ``str()``::
@@ -192,7 +195,10 @@ def _self_sumset_codes(a) -> list:
 
 def _codes_mass(codes) -> int:
     """The measure of the set of a code list, as an int over its denominator."""
-    return sum(hi >> 1 for hi in codes[1::2]) - sum(lo >> 1 for lo in codes[::2])
+    total = 0
+    for i in range(0, len(codes), 2):
+        total += (codes[i + 1] >> 1) - (codes[i] >> 1)
+    return total
 
 
 def _sweep_codes(a, b, table: int) -> list:
@@ -221,6 +227,28 @@ def _scaled(codes, k: int):
     if k == 1:
         return codes
     return [2 * k * (c >> 1) + (c & 1) for c in codes]
+
+
+def _clip_codes(codes, lo: int, hi: int) -> list:
+    """Codes of the part of a code list inside the closed window [lo, hi],
+    for ints lo and hi over its denominator; empty when lo > hi.
+
+    The window is the code range [2lo, 2hi+1), so the result is the codes
+    strictly inside it, with a window end added where it falls inside
+    the set.  The codes are not reduced: they stay over the list's
+    denominator.
+    """
+    a, b = 2 * lo, 2 * hi + 1
+    if a >= b:
+        return []
+    i = bisect_right(codes, a)
+    j = bisect_left(codes, b)
+    out = codes[i:j]
+    if i & 1:
+        out.insert(0, a)
+    if j & 1:
+        out.append(b)
+    return out
 
 
 def _keep_sums(out: "IntervalSet", den: int, sums, p: int = 1) -> None:
@@ -315,33 +343,47 @@ class IntervalSet:
 
     @classmethod
     def parse(cls, text: str) -> "IntervalSet":
-        """Parse the canonical text form (leniently) into a set."""
+        """Parse the canonical text form (leniently) into a set.
+
+        A first pass matches each piece and converts its denominators,
+        which give the common denominator; a second converts the
+        numerators and writes the codes.  ``_merge`` runs only when a
+        piece starts at or before the end of the piece before it, which
+        canonical text never does: its pieces are in order and neither
+        overlap nor touch, so their codes already strictly increase.
+        """
         stripped = text.strip()
         if stripped == "{}":
             return cls.empty()
         if not stripped:
             raise ParseError("empty set text (use '{}' for the empty set)", text, 0)
-        matches = []
+        matches, lo_dens, hi_dens = [], [], []
         den = 1
         pos = 0
         for chunk in text.split("|"):
             m = _PIECE_RE.fullmatch(chunk)
             if m is None:
                 raise ParseError("expected an interval like '(p/q,r/s)'", text, pos)
+            q, s = int(m[3] or 1), int(m[5] or 1)
             # lcm is 0 if either denominator is
-            den = lcm(den, int(m[3] or 1), int(m[5] or 1))
+            den = lcm(den, q, s)
             if not den:
                 raise ParseError("zero denominator", text, pos + m.start(2))
             matches.append(m)
+            lo_dens.append(q)
+            hi_dens.append(s)
             pos += len(chunk) + 1
-        los, his = [], []
-        for m in matches:
-            lo = 2 * int(m[2]) * (den // int(m[3] or 1)) + (m[1] == "(")
-            hi = 2 * int(m[4]) * (den // int(m[5] or 1)) + (m[6] == "]")
+        codes = []
+        ordered = True
+        for m, q, s in zip(matches, lo_dens, hi_dens):
+            lo = 2 * int(m[2]) * (den // q) + (m[1] == "(")
+            hi = 2 * int(m[4]) * (den // s) + (m[6] == "]")
             if lo < hi:
-                los.append(lo)
-                his.append(hi)
-        return cls._of(den, _merge(los, his))
+                if codes and lo <= codes[-1]:
+                    ordered = False
+                codes.append(lo)
+                codes.append(hi)
+        return cls._of(den, codes if ordered else _merge(codes[::2], codes[1::2]))
 
     # -- basic queries -------------------------------------------------
 
@@ -383,7 +425,9 @@ class IntervalSet:
         return bool(self._codes)
 
     def contains(self, x) -> bool:
-        """Exact membership of a rational point."""
+        """Exact membership of a point, converted with ``rational()``
+        first, so an int, a float or a ``'p/q'`` string is taken too."""
+        x = rational(x)
         q, r = divmod(x.numerator * self._den, x.denominator)
         return bisect_right(self._codes, 2 * q + (r != 0)) & 1 == 1
 
@@ -469,24 +513,8 @@ class IntervalSet:
 
     def _clip(self, lo: int, hi: int, den: int) -> "IntervalSet":
         """``self & [lo/den, hi/den]`` for ints lo and hi over a multiple
-        ``den`` of D; empty when lo > hi.
-
-        The closed window is the code range [2lo, 2hi+1) over den, so the
-        codes of the result are those strictly inside it, with a window
-        end added where it falls inside the set.
-        """
-        a, b = 2 * lo, 2 * hi + 1
-        if a >= b or not self._codes:
-            return _EMPTY
-        c = _scaled(self._codes, den // self._den)
-        i = bisect_right(c, a)
-        j = bisect_left(c, b)
-        out = c[i:j]
-        if i & 1:
-            out.insert(0, a)
-        if j & 1:
-            out.append(b)
-        return IntervalSet._of(den, out)
+        ``den`` of D; empty when lo > hi."""
+        return IntervalSet._of(den, _clip_codes(_scaled(self._codes, den // self._den), lo, hi))
 
     def _end(self, den: int, i: int) -> int:
         """inf (i = 0) or sup (i = -1) of a nonempty set as an int over a

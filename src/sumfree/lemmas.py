@@ -31,9 +31,14 @@ A context's quantities are ints over N = 648 * D, D the denominator of
 S, and a checker compares ints: its ``CheckRecord`` keeps both sides as
 ints over N and decides its verdict on them.  A ``Fraction`` is built
 only when a record's side or margin, or a public field of the context,
-is read.  The windows A1 and R are cut with ``IntervalSet._clip``,
-measured with ``IntervalSet._mass`` and their ends read with
-``IntervalSet._end``, all over N.  648 = 2^3 * 3^4 makes every division
+is read.  S's codes are scaled to N once; the windows A1 and R are cut
+from that list with ``intervals._clip_codes`` as code lists over N,
+measured with ``intervals._codes_mass`` and their ends read off their
+first and last codes.  The sets A1 and R are built only when a caller
+reads them: ``lemma_report`` takes the (R, A1) sumset bound on the two
+code lists, through the int helper that ``check_sumset_min_bound``
+also uses, and the tracer cuts R0 from R's list and builds the head's
+context from it.  648 = 2^3 * 3^4 makes every division
 in the checkers and in the tracer exact.  Over N an endpoint of S is a
 multiple of 648 and 1/3 is 216 * D, so a and mu(S) are multiples of 648;
 eps1, eps2 and mu(A1), whose ends are endpoints or 2/3, are multiples of
@@ -58,9 +63,16 @@ int over its N):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
-from .intervals import IntervalSet, _codes_mass, _self_sumset_codes, _sumset_codes
+from .intervals import (
+    IntervalSet,
+    _clip_codes,
+    _codes_mass,
+    _scaled,
+    _self_sumset_codes,
+    _sumset_codes,
+)
 from .predicates import NotSumFreeError, PreconditionError, is_k_sum_free
 from .rationals import Rational, rational
 
@@ -193,6 +205,46 @@ def _fraction(name: str) -> property:
                     doc=f"``{name} / N`` as an exact rational, built on read.")
 
 
+class _OnRead:
+    """A dataclass field that may be stored raw and is built on read.
+
+    A value of type ``raw`` is stored as it is and replaced by
+    ``build(obj, value)`` on its first read; a value of any other type is
+    stored and read as it is.  Without a ``default`` the field is
+    required (dataclasses read the default from the class, where this
+    raises ``AttributeError``).  The value lives in the instance's
+    ``__dict__`` under the field's name with a leading underscore, where
+    ``lemmas`` and ``trace`` read a raw value without building it.
+    """
+
+    def __init__(self, raw: type, build, default=MISSING) -> None:
+        self.raw, self.build, self.default = raw, build, default
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self.default is MISSING:
+                raise AttributeError(self.key)
+            return self.default
+        v = obj.__dict__[self.key]
+        if type(v) is self.raw:
+            v = obj.__dict__[self.key] = self.build(obj, v)
+        return v
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.key] = value
+
+
+def _window_codes(window, N: int) -> list:
+    """The codes over N of a window as ``_OnRead`` stores it: its code
+    list over N, or a set whose denominator divides N."""
+    if type(window) is list:
+        return window
+    return _scaled(window._codes, N // window._den)
+
+
 @dataclass(frozen=True)
 class LemmaContext:
     """A checked set S with sup 1, and the quantities every checker reads.
@@ -209,6 +261,10 @@ class LemmaContext:
     Each of these numbers is held as an int over ``N = 648 * D``, D the
     denominator of S: ``a_N`` is a * N, and so on.  The Fractions a,
     eps1, eps2, measure, mu_A1, mu_R and tail are built only when read.
+    The windows A1 and R are cut from S's codes over N as code lists over
+    N, and kept as those lists: the sets ``A1`` and ``R`` are built from
+    them on their first read.  The constructor also takes the windows as
+    sets; ``from_set`` and ``head`` are the checked ways to build one.
 
     ``from_set`` keeps the one context of A on A and returns it to every
     later call; a ``rescale=False`` call on a context that is
@@ -220,8 +276,8 @@ class LemmaContext:
 
     S: IntervalSet
     rescaled: bool
-    A1: IntervalSet
-    R: IntervalSet
+    A1: IntervalSet = _OnRead(list, lambda ctx, codes: ctx._window(codes))
+    R: IntervalSet = _OnRead(list, lambda ctx, codes: ctx._window(codes))
     N: int
     a_N: int
     eps1_N: int
@@ -279,31 +335,52 @@ class LemmaContext:
         """
         return self._of(R)
 
+    def _head(self) -> "LemmaContext":
+        """``head(R)`` for this context's R, nonempty, from its codes over
+        N, so no set R is built: with sup R = r/N, the same codes read
+        over the denominator r are those of (1/sup R) * R."""
+        R = _window_codes(self._R, self.N)
+        return self._of_sup_one(IntervalSet._of(R[-1] >> 1, R), True)
+
+    def _window(self, codes: list) -> IntervalSet:
+        """The set of a code list over N."""
+        return IntervalSet._of(self.N, codes)
+
     def _record(self, name: str, lhs: int, rhs: int, note: str = "") -> CheckRecord:
         """The record lhs <= rhs of two ints over N."""
         return CheckRecord._over(name, lhs, rhs, self.N, note)
 
     @classmethod
     def _of(cls, A: IntervalSet) -> "LemmaContext":
-        """The quantities of a nonempty 3-sum-free set inside [0, +inf),
+        """The context of a nonempty 3-sum-free set inside [0, +inf),
         scaled to sup 1.
 
-        0 is not in such a set (0 + 0 = 3*0), so sup A > 0.  After scaling
-        sup S = 1, so S has points in [2/3, 1] and A1 is nonempty.
+        0 is not in such a set (0 + 0 = 3*0), so sup A > 0.
         """
         top = A._end(A._den, -1)  # sup A is top / D
         rescaled = top != A._den
         if rescaled:
             A = A._dilate(A._den, top)
-        N = 648 * A._den
-        A1 = A._clip(2 * N // 3, N, N)
-        mu_A1 = A1._mass(N)
-        eps1 = A1._end(N, 0) - 2 * N // 3
-        a = A._end(N, 0)
-        # A lies in [a, 1] and the head and tail windows share one point
-        R = A._clip(a, 2 * N // 9 + a // 3, N)
-        eps2 = N // 3 - eps1 - mu_A1
-        return cls(A, rescaled, A1, R, N, a, eps1, eps2, A._mass(N), mu_A1, R._mass(N))
+        return cls._of_sup_one(A, rescaled)
+
+    @classmethod
+    def _of_sup_one(cls, S: IntervalSet, rescaled: bool) -> "LemmaContext":
+        """The context of S, a nonempty 3-sum-free set with sup 1.
+
+        S's codes are scaled to N once, and A1 and R are cut from that
+        list and measured as code lists over N.  As sup S = 1, S has
+        points in [2/3, 1] and A1 is nonempty.
+        """
+        N = 648 * S._den
+        c = _scaled(S._codes, 648)
+        A1 = _clip_codes(c, 2 * N // 3, N)
+        mu_A1 = _codes_mass(A1)
+        eps1 = (A1[0] >> 1) - 2 * N // 3
+        a = c[0] >> 1
+        # S lies in [a, 1] and the head and tail windows share one point
+        R = _clip_codes(c, a, 2 * N // 9 + a // 3)
+        return cls(S, rescaled, A1, R, N, a, eps1, N // 3 - eps1 - mu_A1, _codes_mass(c),
+                   mu_A1, _codes_mass(R))
 
 
 def check_extent_bound(ctx: LemmaContext) -> CheckRecord:
@@ -385,20 +462,23 @@ def check_sumset_min_bound(A: IntervalSet, B: IntervalSet) -> CheckRecord:
     if A.is_empty or B.is_empty:
         raise PreconditionError("sumset bound requires nonempty operands")
     if A is B:
-        den = A._den
         sums = getattr(A, "_sums", None)
         if sums is None:
             sums = _self_sumset_codes(A._codes)
-        nA = nB = A._mass(den)
-    else:
-        den, a, b = A._aligned(B)
-        sums = _sumset_codes(a, b)
-        nA, nB = A._mass(den), B._mass(den)
-        if nA > nB:
-            A, B, nA, nB = B, A, nB, nA
-    diam = B._end(den, -1) - B._end(den, 0)
-    return CheckRecord._over("sumset-min-bound", min(2 * nA + nB, nA + diam),
-                             _codes_mass(sums), den)
+        return _sumset_record("sumset-min-bound", A._codes, A._codes, A._den, sums)
+    den, a, b = A._aligned(B)
+    return _sumset_record("sumset-min-bound", a, b, den, _sumset_codes(a, b))
+
+
+def _sumset_record(name: str, a: list, b: list, den: int, sums: list) -> CheckRecord:
+    """The sumset-min-bound record of two nonempty code lists a and b over
+    den, given the codes ``sums`` of their sumset over den; the lists are
+    swapped if a measures more than b."""
+    nA, nB = _codes_mass(a), _codes_mass(b)
+    if nA > nB:
+        a, b, nA, nB = b, a, nB, nA
+    diam = (b[-1] >> 1) - (b[0] >> 1)
+    return CheckRecord._over(name, min(2 * nA + nB, nA + diam), _codes_mass(sums), den)
 
 
 @dataclass
@@ -446,6 +526,9 @@ def lemma_report(A: IntervalSet, rescale: bool = True) -> LemmaReport:
                            check_tail_bound(ctx), check_tail_equality(ctx),
                            check_dense_tail_bound(ctx)) if r is not None]
     records.append(check_sumset_min_bound(ctx.S, ctx.S).renamed("sumset-min-bound(S,S)"))
-    if not ctx.R.is_empty:
-        records.append(check_sumset_min_bound(ctx.R, ctx.A1).renamed("sumset-min-bound(R,A1)"))
+    N = ctx.N
+    R = _window_codes(ctx._R, N)
+    if R:
+        A1 = _window_codes(ctx._A1, N)
+        records.append(_sumset_record("sumset-min-bound(R,A1)", R, A1, N, _sumset_codes(R, A1)))
     return LemmaReport(ctx, records)

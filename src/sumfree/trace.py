@@ -17,12 +17,16 @@ certified bound is the minimum over all applicable bounds and is >=
 mu(A); on the extremal set it equals 77/177 exactly, with every step an
 equality.  Every case computes in the ints over N = 648 * D of the
 set's ``LemmaContext`` (see ``lemmas`` for why every division is exact
-there): R0 is cut with ``IntervalSet._clip``, the window masses come
-from ``IntervalSet._mass`` with no window set built, r and b are read
-with ``IntervalSet._end``.  A verdict over N keeps its sides as ints,
-and a ``Fraction`` is built only for a side that is read, for the public
-fields r, b, eta1, eta2 and ``final_bound``, and for the named constants
-2/21, 3/7, 22/51 and 2/5, which are not ints over N.  The early exit and
+there): R is the context's code list over N, R0 is cut from it with
+``intervals._clip_codes``, r and b are read off their last codes, the
+window masses come from ``IntervalSet._mass`` with no window set built,
+and the head's context is built from R's codes.  Every verdict keeps its
+sides as ints: over N, or, against one of the named constants 77/177,
+5/12, 2/21, 22/51 and 2/5, as the two fractions cross-multiplied.  The
+final bound is the least candidate, compared on ints, and kept as a
+numerator and a denominator.  A ``Fraction`` is built only for a side
+or a margin that is read, and R, R0, r, b, eta1, eta2 and
+``final_bound`` only when read (see ``ProofTrace``).  The early exit and
 the Case1/Case2 split read the context's ``dense`` and ``tail_applies``.
 
 Cases:
@@ -53,11 +57,13 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from .constructions import construct_extremal
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _clip_codes, _codes_mass
 from .lemmas import (
     CheckRecord,
     LemmaContext,
     PreconditionError,
+    _OnRead,
+    _window_codes,
     check_dense_tail_bound,
     check_tail_bound,
 )
@@ -68,8 +74,23 @@ __all__ = ["TraceCase", "ProofTrace", "trace_measure_bound",
            "ContainmentReport", "check_extremal_containment"]
 
 _DENSE_THRESHOLD = rational(5, 12)
-_HEAD_CAP = rational(2, 21)  # head-cap-constant's bound on mu(R) when R0 is empty
-_R0_EMPTY_BOUND = rational(3, 7)  # 1/3 + _HEAD_CAP
+# the named constants as (numerator, denominator), compared on ints
+_CEILING = MAX_MEASURE.numerator, MAX_MEASURE.denominator
+_HEAD_CAP = 2, 21  # head-cap-constant's bound on mu(R) when R0 is empty
+_R0_EMPTY_BOUND = 3, 7  # 1/3 + _HEAD_CAP
+
+
+def _ints(value) -> tuple:
+    """``(numerator, denominator)`` of a rational field as stored: a pair
+    of ints, or a rational."""
+    if type(value) is tuple:
+        return value
+    return value.numerator, value.denominator
+
+
+def _versus(name: str, n: int, d: int, p: int, q: int, note: str = "") -> CheckRecord:
+    """The record n/d <= p/q of two fractions of ints, cross-multiplied."""
+    return CheckRecord._over(name, n * q, p * d, d * q, note)
 
 
 class TraceCase(Enum):
@@ -93,18 +114,23 @@ class ProofTrace:
     read from the context: the checked set S, whether it is a rescaled
     copy of the caller's set, and mu(S).  ``tightest`` is the verdict
     with the least margin rhs - lhs.
+
+    The tracer stores R and R0 as code lists over the context's N and
+    r, b, eta1, eta2 and ``final_bound`` as pairs (numerator,
+    denominator) of ints; each set and each Fraction is built on its
+    first read.  The constructor takes them as sets and rationals.
     """
 
     case: TraceCase
     context: LemmaContext
-    R: IntervalSet = field(default_factory=IntervalSet.empty)
-    r: Optional[Rational] = None
-    R0: IntervalSet = field(default_factory=IntervalSet.empty)
-    b: Optional[Rational] = None
-    eta1: Optional[Rational] = None
-    eta2: Optional[Rational] = None
+    R: IntervalSet = _OnRead(list, lambda t, codes: t.context._window(codes), IntervalSet.empty())
+    r: Optional[Rational] = _OnRead(tuple, lambda t, pair: rational(*pair), None)
+    R0: IntervalSet = _OnRead(list, lambda t, codes: t.context._window(codes), IntervalSet.empty())
+    b: Optional[Rational] = _OnRead(tuple, lambda t, pair: rational(*pair), None)
+    eta1: Optional[Rational] = _OnRead(tuple, lambda t, pair: rational(*pair), None)
+    eta2: Optional[Rational] = _OnRead(tuple, lambda t, pair: rational(*pair), None)
     verdicts: list = field(default_factory=list)
-    final_bound: Rational = MAX_MEASURE
+    final_bound: Rational = _OnRead(tuple, lambda t, pair: rational(*pair), MAX_MEASURE)
 
     @property
     def checked(self) -> IntervalSet:
@@ -124,7 +150,8 @@ class ProofTrace:
 
     @property
     def equality_attained(self) -> bool:
-        return self.measure == self.final_bound
+        n, d = _ints(self._final_bound)
+        return self.context.measure_N * d == n * self.context.N
 
     @property
     def failures(self) -> list:
@@ -152,9 +179,8 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     t = ProofTrace(TraceCase.EARLY_EXIT, ctx)
 
     if not ctx.dense:
-        t.verdicts += [CheckRecord("below-dense-threshold", ctx.measure, _DENSE_THRESHOLD,
-                                   note="strict"),
-                       CheckRecord("threshold-vs-ceiling", _DENSE_THRESHOLD, MAX_MEASURE)]
+        t.verdicts += [ctx._record("below-dense-threshold", mu, 5 * N // 12, note="strict"),
+                       _versus("threshold-vs-ceiling", 5, 12, *_CEILING)]
         t.final_bound = _DENSE_THRESHOLD
         return t
 
@@ -162,21 +188,30 @@ def trace_measure_bound(A: IntervalSet, rescale: bool = False) -> ProofTrace:
     t.verdicts += [v for v in (check_tail_bound(ctx), check_dense_tail_bound(ctx))
                    if v is not None]
     window_cap = 2 * N // 9 - 2 * a // 3
-    split = ctx._record("head-split", mu, N // 3 + muR)
-    t.final_bound = split.rhs  # the first bound; each case may lower it
-    t.verdicts += [split, ctx._record("head-window-cap", muR, window_cap)]
+    t.final_bound = N // 3 + muR, N  # head-split's bound; each case may lower it
+    t.verdicts += [ctx._record("head-split", mu, N // 3 + muR),
+                   ctx._record("head-window-cap", muR, window_cap)]
 
     # dense-tail-bound caps the tail at 1/3, so muR = mu - tail >= 1/12 > 0
-    r = ctx.R._end(N, -1)
-    t.R, t.r = ctx.R, rational(r, N)
-    ctx_r = ctx.head(ctx.R)  # the head (1/r)*R
-    t.eta1, t.eta2 = ctx_r.eps1, ctx_r.eps2
+    t.R = R = _window_codes(ctx._R, N)
+    r = R[-1] >> 1
+    t.r = r, N
+    ctx_r = ctx._head()  # the head (1/r)*R
+    t.eta1, t.eta2 = (ctx_r.eps1_N, ctx_r.N), (ctx_r.eps2_N, ctx_r.N)
     if ctx_r.tail_applies:
-        _case1(t, ctx_r, r, window_cap)
+        _case1(t, ctx_r, R, window_cap)
     else:
         _case2(t, r)
-    t.verdicts.append(CheckRecord("final-vs-ceiling", t.final_bound, MAX_MEASURE))
+    t.verdicts.append(_versus("final-vs-ceiling", *_ints(t._final_bound), *_CEILING))
     return t
+
+
+def _lower(t: ProofTrace, n: int, d: int) -> None:
+    """Lower ``t.final_bound`` to n/d, for ints n and d > 0, if that is
+    less; compared on ints, so no Fraction is built."""
+    p, q = _ints(t._final_bound)
+    if n * q < p * d:
+        t.final_bound = n, d
 
 
 def _window_verdicts(ctx: LemmaContext) -> Iterator[CheckRecord]:
@@ -204,45 +239,49 @@ def _window_verdicts(ctx: LemmaContext) -> Iterator[CheckRecord]:
         yield ctx._record("window-B+C-mass", 2 * mB // 3 + mC, e1 // 3 - 2 * a // 9)
 
 
-def _case1(t: ProofTrace, ctx_r: LemmaContext, r: int, window_cap: int) -> None:
+def _case1(t: ProofTrace, ctx_r: LemmaContext, R: list, window_cap: int) -> None:
     """eta1 + 2*eta2 <= 1/3: recurse the tail bound into the head.
 
-    ``r`` is sup R and ``window_cap`` head-window-cap's bound 2/9 - 2a/3
-    on mu(R), both ints over the context's N.
+    ``R`` is the head's code list over the context's N and
+    ``window_cap`` head-window-cap's bound 2/9 - 2a/3 on mu(R), an int
+    over N.
     """
     ctx = t.context
     N, a, mu, muR = ctx.N, ctx.a_N, ctx.measure_N, ctx.mu_R_N
+    r = R[-1] >> 1
     R0_cap = 2 * r // 9 + a // 3
-    t.R0 = R0 = t.R._clip(a, R0_cap, N)
-    muR0 = R0._mass(N)
+    t.R0 = R0 = _clip_codes(R, a, R0_cap)
+    muR0 = _codes_mass(R0)
     split = r // 3 + muR0
     tb = check_tail_bound(ctx_r)
     t.verdicts += [tb.renamed("head-" + tb.name, "on (1/r)*R"),
                    ctx._record("head-split-again", muR, split)]
 
-    if R0.is_empty:
+    if not R0:
         t.case = TraceCase.CASE1_R0_EMPTY
         cap = min(r // 3, window_cap)
-        lin = ctx._record("head-cap-linear", muR, min(2 * N // 27 + a // 9, window_cap))
-        t.verdicts += [ctx._record("head-cap-combined", muR, cap), lin,
-                       CheckRecord("head-cap-constant", lin.rhs, _HEAD_CAP)]
-        t.final_bound = min(t.final_bound, rational(N // 3 + min(split, cap), N), _R0_EMPTY_BOUND)
+        lin = min(2 * N // 27 + a // 9, window_cap)
+        t.verdicts += [ctx._record("head-cap-combined", muR, cap),
+                       ctx._record("head-cap-linear", muR, lin),
+                       _versus("head-cap-constant", lin, N, *_HEAD_CAP)]
+        _lower(t, N // 3 + min(split, cap), N)
+        _lower(t, *_R0_EMPTY_BOUND)
         return
 
     t.case = TraceCase.CASE1_R0_NONEMPTY
-    b = R0._end(N, -1)
-    t.b = rational(b, N)
+    b = R0[-1] >> 1
+    t.b = b, N
     combined = min(4 * r // 9 - a // 12, 5 * r // 9 - 2 * a // 3)
-    linear = ctx._record("measure-linear", mu, N // 3 + min(8 * N // 81 + 7 * a // 108,
-                                                            10 * N // 81 - 13 * a // 27))
+    linear = N // 3 + min(8 * N // 81 + 7 * a // 108, 10 * N // 81 - 13 * a // 27)
     t.verdicts += [ctx._record("head2-extent-bound", muR0, (2 * b - a) // 4),
                    ctx._record("head2-room", muR0, b - a),
                    ctx._record("head2-sup-cap", b, R0_cap),
                    ctx._record("head-combined", muR, combined),
-                   linear,
-                   CheckRecord("linear-vs-ceiling", linear.rhs, MAX_MEASURE,
-                               note="equality only at a = 8/177")]
-    t.final_bound = min(t.final_bound, rational(N // 3 + min(split, combined), N), linear.rhs)
+                   ctx._record("measure-linear", mu, linear),
+                   _versus("linear-vs-ceiling", linear, N, *_CEILING,
+                           note="equality only at a = 8/177")]
+    _lower(t, N // 3 + min(split, combined), N)
+    _lower(t, linear, N)
 
 
 def _case2(t: ProofTrace, r: int) -> None:
@@ -255,21 +294,21 @@ def _case2(t: ProofTrace, r: int) -> None:
     t.case = TraceCase.CASE2
     top = 5 * r // 12
     dichotomy = max((r - a) // 2, (2 * r - a) // 6)
-    linear = ctx._record("measure-linear", mu, N // 3 + min(
-        max(N // 9 - a // 3, 2 * N // 27 - a // 18), 5 * N // 54 + 5 * a // 36))
+    linear = N // 3 + min(max(N // 9 - a // 3, 2 * N // 27 - a // 18), 5 * N // 54 + 5 * a // 36)
     # each constant is the exact supremum of 1/3 + linear on its side of
     # 2/15: 22/51 at a = 2/51, and 2/5 at a = 2/15
     if 15 * a < 2 * N:
-        const, note = rational(22, 51), "a < 2/15"
+        const, note = (22, 51), "a < 2/15"
     else:
-        const, note = rational(2, 5), "a >= 2/15"
+        const, note = (2, 5), "a >= 2/15"
     t.verdicts += [ctx._record("head-top-window", muR, top),
                    ctx._record("head-dichotomy", muR, dichotomy),
-                   linear,
-                   CheckRecord("case2-constant", linear.rhs, const, note=note),
-                   CheckRecord("constant-vs-ceiling", const, MAX_MEASURE)]
-    t.final_bound = min(t.final_bound, rational(N // 3 + min(dichotomy, top), N),
-                        linear.rhs, const)
+                   ctx._record("measure-linear", mu, linear),
+                   _versus("case2-constant", linear, N, *const, note=note),
+                   _versus("constant-vs-ceiling", *const, *_CEILING)]
+    _lower(t, N // 3 + min(dichotomy, top), N)
+    _lower(t, linear, N)
+    _lower(t, *const)
 
 
 @dataclass

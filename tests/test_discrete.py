@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -601,6 +602,49 @@ class TestBudget:
         # a bool or a float equal to an int is refused before the kernel runs
         with pytest.raises(ValueError, match="an int"):
             max_k_sum_free(n, k)
+
+
+# (max size, extremal count) of max_k_sum_free(n, k, budget=n) beyond
+# DEFAULT_BUDGET, and the nodes each search visits
+BEYOND_BUDGET = {
+    4: {70: (41, 1), 100: (58, 1), 130: (74, 22), 160: (92, 3), 200: (115, 2)},
+    5: {70: (46, 2), 100: (65, 15), 130: (85, 6), 160: (105, 6), 200: (131, 6)},
+    6: {70: (50, 1), 100: (71, 2), 130: (92, 1), 160: (113, 3), 200: (142, 2)},
+}
+BEYOND_BUDGET_NODES = {
+    4: {70: 474, 100: 899, 130: 7888, 160: 8884, 200: 28687},
+    5: {70: 687, 100: 2453, 130: 5270, 160: 11488, 200: 32697},
+    6: {70: 173, 100: 324, 130: 434, 160: 637, 200: 838},
+}
+BEYOND_BUDGET_CASES = [(k, n) for k, row in BEYOND_BUDGET.items() for n in row]
+
+
+@functools.lru_cache(maxsize=None)
+def search_beyond_budget(n, k):
+    return max_k_sum_free(n, k, budget=n)
+
+
+class TestBeyondTheBudget:
+    """The integer maxima for k = 4..6 up to n = 200, about 1 s of search
+    in all; each search runs once and its result is shared."""
+
+    @pytest.mark.parametrize("k,n", BEYOND_BUDGET_CASES)
+    def test_max_and_count(self, k, n):
+        r = search_beyond_budget(n, k)
+        assert (r.max_size, r.extremal_count) == BEYOND_BUDGET[k][n]
+
+    @pytest.mark.parametrize("k,n", BEYOND_BUDGET_CASES)
+    def test_nodes(self, k, n):
+        # apart from the answers, so that a kernel change that moves the
+        # tree moves only these pins
+        assert search_beyond_budget(n, k).nodes_explored == BEYOND_BUDGET_NODES[k][n]
+
+    def test_max_is_within_one_of_the_density_line(self):
+        """|max - n * cg_density(k)| <= 1 on every pinned case, on either
+        side.  This is evidence at finite n, not a theorem: cg_density(k)
+        is the asymptotic density of Chung and Goldwasser's construction."""
+        for k, n in BEYOND_BUDGET_CASES:
+            assert abs(search_beyond_budget(n, k).max_size - n * cg_density(k)) <= 1, (k, n)
 
 
 class TestDiscretize:

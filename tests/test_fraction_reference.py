@@ -3,9 +3,12 @@ every quantity, window mass and verdict side is recomputed from the
 proof's formulas in ``Fraction`` arithmetic, with windows cut by
 ``intersect`` and sumsets taken pairwise, and compared with theirs.
 Equal records on these sets show that each division over N is exact:
-a floor division that truncated would give a different side.  No known
-set reaches Case2, so its formulas are also compared on a grid of
-contexts built from its numbers."""
+a floor division that truncated would give a different side.  The
+report and the trace of each set also run on a fresh copy of it, before
+any window is read as a set, so both the code lists over N that they
+cut and the sets built from them on read are compared.  No known set
+reaches Case2, so its formulas are also compared on a grid of contexts
+built from its numbers."""
 
 import random
 from math import lcm
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from conftest import interval_sets, window
 from sumfree.constructions import construct_extremal, random_sum_free
 from sumfree.intervals import IntervalSet
-from sumfree.lemmas import LemmaContext, lemma_report
+from sumfree.lemmas import LemmaContext, check_sumset_min_bound, lemma_report
 from sumfree.predicates import strip
 from sumfree.rationals import MAX_MEASURE, rational as F
 from sumfree.trace import ProofTrace, TraceCase, _case2, _window_verdicts, trace_measure_bound
@@ -150,6 +153,11 @@ def sides(records):
 
 def assert_matches_the_fraction_formulas(A):
     ref = context(A)
+    # a copy with no context yet: its report and trace run before any
+    # window is read as a set, so they work on the windows' code lists
+    # over N; A's own context may have had its windows read already
+    fresh = IntervalSet.parse(str(A))
+    fresh_report, fresh_trace = lemma_report(fresh), trace_measure_bound(fresh, rescale=True)
     ctx = LemmaContext.from_set(A, rescale=True)
     names = ("a", "eps1", "eps2", "measure", "mu_A1", "mu_R", "tail")
     for c, r in [(ctx, ref)] + ([] if ctx.R.is_empty else [(ctx.head(ctx.R), context(ref.R))]):
@@ -161,6 +169,24 @@ def assert_matches_the_fraction_formulas(A):
     case, verdicts, final, r, b, eta1, eta2 = trace(ref)
     assert (t.case, sides(t.verdicts), t.final_bound) == (case, verdicts, final)
     assert (t.r, t.b, t.eta1, t.eta2) == (r, b, eta1, eta2)
+
+    if not ctx.R.is_empty:
+        # the tracer's head, built from R's codes, is the checked head
+        assert ctx._head() == ctx.head(ctx.R)
+    for report in (fresh_report, lemma_report(A)):
+        assert report.context == ctx
+        assert sides(report.records) == lemma_records(ref)
+        if not ctx.R.is_empty:
+            assert report.records[-1] == check_sumset_min_bound(ctx.R, ctx.A1).renamed(
+                "sumset-min-bound(R,A1)")
+    for tr in (fresh_trace, t):
+        assert (tr.case, sides(tr.verdicts), tr.final_bound) == (case, verdicts, final)
+        assert (tr.r, tr.b, tr.eta1, tr.eta2) == (r, b, eta1, eta2)
+        if r is not None:
+            assert tr.R == ref.R
+        if b is not None:
+            assert tr.R0 == ref.R.intersect(window(ref.a, 2 * r / 9 + ref.a / 3))
+        assert tr.equality_attained == (ref.measure == final)
 
 
 def extremal():

@@ -113,6 +113,19 @@ class TestNormalize:
         assert str(s) == "(0,1/2]"
 
 
+class TestContains:
+    def test_rational_points(self):
+        A = S("(0,1/2]|[2/3,1)")
+        assert rational(1, 2) in A and A.contains(rational(2, 3))
+        assert rational(0) not in A and rational(1) not in A and rational(3, 5) not in A
+
+    def test_points_are_converted_with_rational(self):
+        # as dilate and translate do: an int, a float or a 'p/q' string
+        A = S("(0,1/2]|[2/3,1)")
+        assert "1/2" in A and 0.5 in A and A.contains("2/3") and A.contains(0.75)
+        assert "3/5" not in A and 1 not in A and 0.0 not in A and not A.contains("1")
+
+
 class TestMeasure:
     def test_extremal_set(self):
         assert S(A0_TEXT).measure() == rational(77, 177)
@@ -448,7 +461,65 @@ def lenient_pieces(draw):
     return text, Interval(lo, hi, lo_closed, hi_closed)
 
 
+def piece_text(draw, lo, hi, lo_closed, hi_closed):
+    """One piece as text, each endpoint unreduced by a drawn factor, with
+    drawn whitespace around every token."""
+    def number(x):
+        f = draw(st.integers(1, 3))
+        return f"{x.numerator * f}{draw(SPACES)}/{draw(SPACES)}{x.denominator * f}"
+    w = [draw(SPACES) for _ in range(6)]
+    return (f"{w[0]}{'[' if lo_closed else '('}{w[1]}{number(lo)}{w[2]},{w[3]}{number(hi)}"
+            f"{w[4]}{']' if hi_closed else ')'}{w[5]}")
+
+
+@st.composite
+def split_sets(draw):
+    """``(A, text, pieces)``: a drawn set A and its text as pieces whose
+    union is A.  Each component is cut at drawn inner points; at a cut x
+    the two pieces touch (one side closed at x), meet in x (both closed)
+    or overlap on an interval (the right one starts before x).  The
+    pieces come in order or shuffled, written by ``piece_text``."""
+    A = draw(interval_sets())
+    pieces = []
+    for c in A.components:
+        lo, lo_closed = c.lo, c.lo_closed
+        for i in sorted(draw(st.sets(st.integers(1, 9), max_size=3))):
+            x = c.lo + (c.hi - c.lo) * rational(i, 10)
+            if x <= lo:
+                continue
+            mode = draw(st.sampled_from(["touch-left", "touch-right", "meet", "overlap"]))
+            pieces.append(Interval(lo, x, lo_closed, mode != "touch-right"))
+            if mode == "overlap":
+                lo, lo_closed = (lo + x) / 2, False
+            else:
+                lo, lo_closed = x, mode != "touch-left"
+        pieces.append(Interval(lo, c.hi, lo_closed, c.hi_closed))
+    if draw(st.booleans()):
+        pieces = draw(st.permutations(pieces))
+    text = "|".join(piece_text(draw, p.lo, p.hi, p.lo_closed, p.hi_closed) for p in pieces)
+    return A, text or "{}", pieces
+
+
 class TestTextFormat:
+    @settings(max_examples=300)
+    @given(split_sets())
+    def test_split_pieces_parse_to_the_set(self, drawn):
+        # in-order text whose pieces touch or overlap must be merged: its
+        # codes do not strictly increase, so a parse that took them as
+        # they come would not equal A
+        A, text, pieces = drawn
+        assert IntervalSet.parse(text) == IntervalSet(pieces) == A
+
+    @pytest.mark.parametrize("text", ["[0,1/2)|[1/2,1]", "[0,1/2]|(1/2,1]", "[0,1/2]|[1/2,1]",
+                                      "[0,2/3)|(1/3,1]", "[1/2,1]|[0,1/2)", "[0, 2/4)|[ 3/6,1]"])
+    def test_touching_or_overlapping_pieces_are_one_component(self, text):
+        assert IntervalSet.parse(text) == S("[0,1]")
+
+    @settings(max_examples=200)
+    @given(interval_sets())
+    def test_parse_of_str_is_the_set(self, A):
+        assert IntervalSet.parse(str(A)) == A
+
     def test_canonical_round_trip(self):
         for text in (A0_TEXT, "{}", "[0,0]", "(-31/59,8/177)", "[1/2,1)|(1,2]"):
             assert str(IntervalSet.parse(text)) == text

@@ -1,13 +1,13 @@
 """Hash the answers of the benchmark's certify workload and compare them
 with the pinned hashes.
 
-    python3 tools/certify_answers.py --seed 1 [--seed 7919] [--seed 15]
+    python3 tools/certify_answers.py --seed 1 [--seed 7919] [--seed 15] [--seed 17]
 
 For each corpus item the workload's own ``Certify.call`` runs, and the
 line ``repr(Certify.summary(out))`` plus a newline goes into one
 SHA-256.  The pinned hashes are those of the program whose answers the
 benchmark first recorded, so any change to a record, a bound, a case, a
-witness or a container shows.  Seed 15 is the held-out seed of the
+witness or a container shows.  Seeds 15 and 17 are held-out seeds of
 ``BENCH_*.json`` files.  ``bench/`` is imported, not changed.
 Exits 1 when a hash differs, 2 for a seed with no pinned hash.
 """
@@ -28,6 +28,7 @@ PINNED = {
     1: "36ba31c9a7e7c51cf5344531d046eb113034e3a3cff1cfa5fb6981eb451da024",
     7919: "ad934cbf28b43c91b2f3e508e487eb32a49a389563326f115ed2843791d21a0b",
     15: "743c04cda552df9583d5937952b0b963a85af1955b999f3182212e36f682e05e",
+    17: "2e707997a0d014b318d70f6028b7bb7a2df6bc97bad909a26baf96d943405c9f",
 }
 
 
